@@ -19,7 +19,7 @@ from .errors import (
     ShapeError,
     TooFewSamples,
 )
-from .model import MixtureParams, mixture_log_density, sample
+from .model import MixtureParams, json_record, mixture_log_density, sample
 
 __all__ = [
     "BoundReport",
@@ -73,18 +73,11 @@ class BoundReport:
         return self.bound_value > 0.5
 
     def to_json_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "params": dict(self.params),
-            "bound_value": self.bound_value,
-            "vacuous": self.vacuous,
-        }
-        if self.empirical_value is not None:
-            out["empirical_value"] = self.empirical_value
-            out["empirical_std_err"] = self.empirical_std_err
-            out["holds"] = self.holds
-        if self.note:
-            out["note"] = self.note
+        out = {**json_record(self), "params": dict(self.params), "vacuous": self.vacuous}
+        if self.empirical_value is None:
+            del out["empirical_value"], out["empirical_std_err"], out["holds"]
+        if not self.note:
+            del out["note"]
         return out
 
 

@@ -20,7 +20,7 @@ import sys
 
 from .bounds import THEOREM_KINDS, theorem_bound
 from .errors import MixbenchError
-from .harness import emit_report, load_config, run_experiment
+from .harness import emit_report, load_config, run_experiment, write_atomic
 from .packing import family_from_json_dict, family_to_json_dict, lower_bound_family
 from .verify import SUITES, run_suite, suite_fano
 
@@ -120,9 +120,7 @@ def _cmd_rates(args) -> int:
 
 def _cmd_packing(args) -> int:
     family = lower_bound_family(args.regime, args.n, args.d, s=args.s, lam=args.lam, sigma=args.sigma, seed=args.seed)
-    with open(args.out, "w") as fh:
-        json.dump(family_to_json_dict(family), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(args.out, json.dumps(family_to_json_dict(family), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -135,8 +133,7 @@ def _cmd_verify(args) -> int:
         entries = run_suite(args.suite)
     text = json.dumps(entries, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        write_atomic(args.out, text + "\n")
     else:
         print(text)
     return 0 if all(e.get("holds", False) for e in entries) else 1

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionViolated,
     TooFewSamples,
 )
-from .model import Dataset, LinearClassifier, MixtureParams, sample, stream_seed
+from .model import Dataset, LinearClassifier, MixtureParams, json_record, sample, stream_seed
 
 __all__ = [
     "ScreeningResult",
@@ -71,13 +71,7 @@ class ScreeningResult:
         return self.alpha > 0.25
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "tau_hat": self.tau_hat,
-            "selected": list(self.selected),
-            "diag_variances": self.diag_variances.tolist(),
-            "warn_alpha": self.warn_alpha,
-        }
+        return {**json_record(self), "warn_alpha": self.warn_alpha}
 
 
 @dataclass(frozen=True)
@@ -100,16 +94,7 @@ class RecoveryReport:
     n: int
     alpha: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "frequency": self.frequency,
-            "floor": self.floor,
-            "S": list(self.S),
-            "S_tilde": list(self.S_tilde),
-            "replicates": self.replicates,
-            "n": self.n,
-            "alpha": self.alpha,
-        }
+    to_json_dict = json_record
 
 
 @dataclass(frozen=True)
@@ -215,13 +200,13 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
     return _canonical_unit(v), ok
 
 
-def pca_classifier(data: Dataset, tol: float = 1e-10, max_iter: int | None = None) -> LinearClassifier:
+def pca_classifier(data: Dataset) -> LinearClassifier:
     """Dense estimator: split along the top sample-covariance eigenvector at
     the projected sample mean."""
     if data.n < 2:
         raise TooFewSamples(f"need n >= 2, got {data.n}")
     mean, cov = sample_mean_cov(data)
-    v, _ = top_eigenvector(cov, tol=tol, max_iter=max_iter)
+    v, _ = top_eigenvector(cov)
     return LinearClassifier(v=v, t=float(mean @ v))
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy import stats as _stats
@@ -24,7 +25,7 @@ from scipy import stats as _stats
 from .errors import ConfigError, DomainError, TooFewPoints
 from .estimators import oracle_support_pca, pca_classifier, sparse_pca_classifier
 from .loss import loss_exact_linear, loss_monte_carlo
-from .model import MixtureParams, sample, stream_seed
+from .model import MixtureParams, json_record, sample, stream_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -39,6 +40,7 @@ __all__ = [
     "load_config",
     "read_report_json",
     "CSV_COLUMNS",
+    "write_atomic",
 ]
 
 ESTIMATORS = ("dense_pca", "sparse_pca", "oracle_support_pca")
@@ -46,43 +48,40 @@ PROFILES = ("equal_coords", "single_coord", "custom")
 AXES = ("n", "d", "lambda", "s")
 LOSS_METHODS = ("quadrature", "monte_carlo")
 
-CSV_COLUMNS = [
-    "axis",
-    "axis_value",
-    "replicate",
-    "seed",
-    "n",
-    "d",
-    "s",
-    "lambda",
-    "sigma",
-    "estimator",
-    "loss",
-    "loss_method",
-    "degenerate",
-    "runtime_ms",
-]
+# What each config field must be in JSON, by its annotation (less "| None").
+_JSON_TYPES = {"str": "a string", "int": "an integer", "float": "a finite number", "tuple[float, ...]": "a list of numbers"}
 
-_CONFIG_KEYS = {
-    "estimator",
-    "n",
-    "d",
-    "s",
-    "lambda",
-    "sigma",
-    "signal_profile",
-    "custom_signal",
-    "replicates",
-    "master_seed",
-    "loss_method",
-    "mc_samples",
-    "sweep",
-    "quad_tol",
-}
+
+def _key(name: str) -> str:
+    """Config and report key of a field: ``lam`` is ``lambda``, ``sweep_axis`` is ``sweep.axis``."""
+    return "lambda" if name == "lam" else name.replace("sweep_", "sweep.")
+
+
+def _checked(key: str, kind: str, value):
+    """``value`` as the JSON type ``kind``; a ConfigError naming ``key`` otherwise.
+    Booleans are not numbers here, and integers are not strings."""
+    if kind == "str":
+        if isinstance(value, str):
+            return value
+    elif kind == "tuple[float, ...]":
+        if isinstance(value, (list, tuple)):
+            return tuple(_checked(key, "float", v) for v in value)
+    elif not isinstance(value, bool):
+        if kind == "int" and isinstance(value, numbers.Integral):
+            return int(value)
+        if kind == "float" and isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. Its fields are the config keys (``lam`` is ``lambda``,
+    ``sweep_axis`` and ``sweep_values`` are the ``sweep`` object); each value
+    must have the JSON type of its annotation. Construction resolves every
+    sweep point, so a config that cannot run fails here, before any compute.
+    """
+
     estimator: str
     n: int
     d: int
@@ -100,50 +99,49 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name in ("n", "d", "replicates", "master_seed", "mc_samples"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.s is not None:
-            object.__setattr__(self, "s", int(self.s))
-        for name in ("lam", "sigma", "quad_tol"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.custom_signal is not None:
-            object.__setattr__(self, "custom_signal", tuple(float(v) for v in self.custom_signal))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or not f.type.endswith(" | None"):
+                object.__setattr__(self, f.name, _checked(_key(f.name), f.type.removesuffix(" | None"), value))
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.signal_profile not in PROFILES:
             raise ConfigError(f"signal_profile must be one of {PROFILES}, got {self.signal_profile!r}")
         if self.loss_method not in LOSS_METHODS:
             raise ConfigError(f"loss_method must be one of {LOSS_METHODS}, got {self.loss_method!r}")
-        if int(self.replicates) < 1:
+        if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if int(self.n) < 2:
-            raise ConfigError(f"n must be >= 2, got {self.n}")
-        if int(self.d) < 1:
+        if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
-        if float(self.lam) <= 0:
+        if self.lam <= 0:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if float(self.sigma) <= 0:
+        if self.sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if self.sweep_axis is not None:
+        points = (None,)
+        if self.sweep_axis is not None or self.sweep_values is not None:
             if self.sweep_axis not in AXES:
                 raise ConfigError(f"sweep.axis must be one of {AXES}, got {self.sweep_axis!r}")
-            vals = tuple(float(v) for v in (self.sweep_values or ()))
-            if len(vals) < 1:
+            points = self.sweep_values or ()
+            if len(points) < 1:
                 raise ConfigError("sweep.values must be nonempty")
-            if any(v <= 0 for v in vals):
+            if any(v <= 0 for v in points):
                 raise ConfigError("sweep.values must be positive")
-            if any(b <= a for a, b in zip(vals, vals[1:])):
+            if any(b <= a for a, b in zip(points, points[1:])):
                 raise ConfigError("sweep.values must be strictly increasing")
-            object.__setattr__(self, "sweep_values", vals)
-        # resolve the signal profile so inconsistencies fail fast
-        signal_vector(self.profile_spec(), self.d, self.lam)
-
-    def profile_spec(self) -> tuple[str, tuple[float, ...] | None, int | None]:
-        return (self.signal_profile, self.custom_signal, self.s)
+            if self.sweep_axis in ("n", "d", "s") and any(v != int(v) for v in points):
+                raise ConfigError(f"sweep.values on the {self.sweep_axis} axis must be whole numbers, got {points}")
+        for value in points:
+            theta, n, _ = theta_for(self, self.sweep_axis, value)
+            if n < 2:
+                raise ConfigError(f"n must be >= 2, got {n}")
+            if self.estimator == "sparse_pca" and theta.d < 2:
+                raise ConfigError(f"sparse_pca needs d >= 2, got d = {theta.d}")
 
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One replicate. Its fields, in order, are the report columns."""
+
     axis: str
     axis_value: float
     replicate: int
@@ -157,7 +155,7 @@ class SweepRow:
     loss: float
     loss_method: str
     degenerate: bool
-    runtime_ms: float
+    runtime_ms: float = field(metadata={"timing": True})
 
 
 @dataclass(frozen=True)
@@ -175,6 +173,14 @@ class SweepResult:
     fitted_slope: float | None = None
     slope_ci95: tuple[float, float] | None = None
     config: ExperimentConfig | None = None
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
+CSV_COLUMNS = [_key(name) for name in _ROW_FIELDS]
+# Measured times; reports zero them unless asked, so a fixed config gives fixed bytes.
+_TIMING_COLUMNS = [_key(f.name) for f in fields(SweepRow) if f.metadata.get("timing")]
+# Top-level config keys; the sweep fields are read from the "sweep" object.
+_CONFIG_FIELDS = {_key(f.name): f for f in fields(ExperimentConfig) if "." not in _key(f.name)}
 
 
 def signal_vector(profile_spec, d: int, lam: float) -> np.ndarray:
@@ -353,23 +359,34 @@ def fit_rate(points) -> tuple[float, float, tuple[float, float]]:
     return slope, intercept, (slope - tq * se, slope + tq * se)
 
 
-def _row_values(row: SweepRow, include_timing: bool) -> list[str]:
-    return [
-        row.axis,
-        repr(row.axis_value),
-        str(row.replicate),
-        str(row.seed),
-        str(row.n),
-        str(row.d),
-        "" if row.s is None else str(row.s),
-        repr(row.lam),
-        repr(row.sigma),
-        row.estimator,
-        repr(row.loss),
-        row.loss_method,
-        str(row.degenerate).lower(),
-        repr(row.runtime_ms) if include_timing else "0.0",
-    ]
+def _row_record(row: SweepRow, include_timing: bool) -> dict:
+    record = dict(zip(CSV_COLUMNS, (getattr(row, name) for name in _ROW_FIELDS)))
+    if not include_timing:
+        record.update(dict.fromkeys(_TIMING_COLUMNS, 0.0))
+    return record
+
+
+def _csv_cell(value) -> str:
+    """CSV text of a report value: floats by repr, None empty, booleans lower case."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then move it onto
+    ``path``: a write that fails part-way leaves an existing file intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def emit_report(result: SweepResult, fmt: str, path, include_timing: bool = False) -> None:
@@ -381,135 +398,59 @@ def emit_report(result: SweepResult, fmt: str, path, include_timing: bool = Fals
     """
     if fmt not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {fmt!r}")
-    path = str(path)
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
-        for row in result.rows:
-            lines.append(",".join(_row_values(row, include_timing)))
-        for sm in result.summary:
-            lines.append(
-                f"# summary,axis_value={sm.axis_value!r},mean_loss={sm.mean_loss!r},"
-                f"std_err={sm.std_err!r},replicates={sm.replicates}"
-            )
+        lines += [",".join(map(_csv_cell, _row_record(r, include_timing).values())) for r in result.rows]
+        lines += ["# summary," + ",".join(f"{k}={_csv_cell(v)}" for k, v in json_record(sm).items()) for sm in result.summary]
         slope = "" if result.fitted_slope is None else repr(result.fitted_slope)
         ci = "" if result.slope_ci95 is None else f"{result.slope_ci95[0]!r}:{result.slope_ci95[1]!r}"
         lines.append(f"# fitted_slope,{slope},ci95,{ci}")
         text = "\n".join(lines) + "\n"
     else:
         obj = {
-            "rows": [
-                {
-                    "axis": r.axis,
-                    "axis_value": r.axis_value,
-                    "replicate": r.replicate,
-                    "seed": r.seed,
-                    "n": r.n,
-                    "d": r.d,
-                    "s": r.s,
-                    "lambda": r.lam,
-                    "sigma": r.sigma,
-                    "estimator": r.estimator,
-                    "loss": r.loss,
-                    "loss_method": r.loss_method,
-                    "degenerate": r.degenerate,
-                    "runtime_ms": r.runtime_ms if include_timing else 0.0,
-                }
-                for r in result.rows
-            ],
-            "summary": [
-                {
-                    "axis_value": s.axis_value,
-                    "mean_loss": s.mean_loss,
-                    "std_err": s.std_err,
-                    "replicates": s.replicates,
-                }
-                for s in result.summary
-            ],
+            "rows": [_row_record(r, include_timing) for r in result.rows],
+            "summary": [json_record(sm) for sm in result.summary],
             "fitted_slope": result.fitted_slope,
             "slope_ci95": list(result.slope_ci95) if result.slope_ci95 else None,
         }
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_atomic(path, text)
 
 
 def read_report_json(path) -> SweepResult:
     """Re-read a JSON report into a SweepResult (inverse of emit_report)."""
     with open(str(path)) as fh:
         obj = json.load(fh)
-    rows = tuple(
-        SweepRow(
-            axis=r["axis"],
-            axis_value=float(r["axis_value"]),
-            replicate=int(r["replicate"]),
-            seed=int(r["seed"]),
-            n=int(r["n"]),
-            d=int(r["d"]),
-            s=None if r["s"] is None else int(r["s"]),
-            lam=float(r["lambda"]),
-            sigma=float(r["sigma"]),
-            estimator=r["estimator"],
-            loss=float(r["loss"]),
-            loss_method=r["loss_method"],
-            degenerate=bool(r["degenerate"]),
-            runtime_ms=float(r["runtime_ms"]),
-        )
-        for r in obj["rows"]
-    )
-    summary = tuple(
-        SweepSummary(
-            axis_value=float(s["axis_value"]),
-            mean_loss=float(s["mean_loss"]),
-            std_err=float(s["std_err"]),
-            replicates=int(s["replicates"]),
-        )
-        for s in obj["summary"]
-    )
     ci = obj.get("slope_ci95")
     return SweepResult(
-        rows=rows,
-        summary=summary,
+        rows=tuple(SweepRow(*(r[c] for c in CSV_COLUMNS)) for r in obj["rows"]),
+        summary=tuple(SweepSummary(**sm) for sm in obj["summary"]),
         fitted_slope=obj.get("fitted_slope"),
         slope_ci95=tuple(ci) if ci else None,
     )
 
 
 def load_config(path_or_dict) -> ExperimentConfig:
-    """Parse a flat JSON config; unknown keys are rejected by name."""
+    """Parse a JSON config: the fields of ExperimentConfig, with the sweep as
+    an object ``{"axis": ..., "values": [...]}``. Unknown keys are rejected by
+    name; values go to ExperimentConfig as they are, which checks their types."""
     if isinstance(path_or_dict, dict):
         obj = dict(path_or_dict)
     else:
         with open(str(path_or_dict)) as fh:
             obj = json.load(fh)
-    unknown = set(obj) - _CONFIG_KEYS
+        if not isinstance(obj, dict):
+            raise ConfigError("a config must be a JSON object")
+    sweep = obj.pop("sweep", None)
+    unknown = set(obj) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("estimator", "n", "d", "lambda"):
-        if key not in obj:
+    for key, f in _CONFIG_FIELDS.items():
+        if f.default is MISSING and key not in obj:
             raise ConfigError(f"missing required config key {key!r}")
-    sweep = obj.get("sweep")
-    sweep_axis = None
-    sweep_values = None
+    kwargs = {_CONFIG_FIELDS[key].name: value for key, value in obj.items()}
     if sweep is not None:
-        if not isinstance(sweep, dict) or set(sweep) - {"axis", "values"}:
+        if not isinstance(sweep, dict) or set(sweep) != {"axis", "values"}:
             raise ConfigError("sweep must be an object with keys 'axis' and 'values'")
-        sweep_axis = sweep.get("axis")
-        sweep_values = tuple(sweep.get("values", ()))
-    custom = obj.get("custom_signal")
-    return ExperimentConfig(
-        estimator=obj["estimator"],
-        n=int(obj["n"]),
-        d=int(obj["d"]),
-        lam=float(obj["lambda"]),
-        sigma=float(obj.get("sigma", 1.0)),
-        s=None if obj.get("s") is None else int(obj["s"]),
-        signal_profile=obj.get("signal_profile", "equal_coords"),
-        custom_signal=None if custom is None else tuple(float(v) for v in custom),
-        replicates=int(obj.get("replicates", 1)),
-        master_seed=int(obj.get("master_seed", 0)),
-        loss_method=obj.get("loss_method", "quadrature"),
-        mc_samples=int(obj.get("mc_samples", 100_000)),
-        quad_tol=float(obj.get("quad_tol", 1e-8)),
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
-    )
+        kwargs.update({f"sweep_{k}": v for k, v in sweep.items()})
+    return ExperimentConfig(**kwargs)

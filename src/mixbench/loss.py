@@ -32,7 +32,7 @@ from .errors import (
     NumericalError,
     TooFewSamples,
 )
-from .model import LinearClassifier, MixtureParams, bayes_classifier, sample
+from .model import LinearClassifier, MixtureParams, bayes_classifier, json_record, sample
 
 __all__ = [
     "LossEstimate",
@@ -103,17 +103,13 @@ class LossEstimate:
     def __post_init__(self):
         if self.method not in ("quadrature", "monte_carlo"):
             raise DomainError(f"unknown loss method {self.method!r}")
-        object.__setattr__(self, "value", float(min(max(self.value, 0.0), 0.5)))
+        if not 0.0 <= self.value <= 0.5:
+            raise DomainError(f"loss value must lie in [0, 1/2], got {self.value}")
+        object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "std_err", float(self.std_err))
         object.__setattr__(self, "n_samples", int(self.n_samples))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "std_err": self.std_err,
-            "n_samples": self.n_samples,
-        }
+    to_json_dict = json_record
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "mixture_log_density",
     "dataset_to_csv",
     "dataset_from_csv",
+    "json_record",
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -52,6 +53,19 @@ def stream_seed(master_seed: int, *path: int) -> int:
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) for a given 64-bit seed."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed) & (2**64 - 1))))
+
+
+def json_record(obj) -> dict:
+    """A dataclass as a JSON-ready dict: one key per field, arrays and tuples as lists."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -134,12 +148,7 @@ class MixtureParams:
         c = np.asarray(c, dtype=np.float64)
         return MixtureParams(self.mu1 + c, self.mu2 + c, self.sigma)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mu1": self.mu1.tolist(),
-            "mu2": self.mu2.tolist(),
-            "sigma": self.sigma,
-        }
+    to_json_dict = json_record
 
     @staticmethod
     def from_json_dict(obj: dict) -> "MixtureParams":
@@ -183,8 +192,7 @@ class LinearClassifier:
             raise ShapeError(f"points have dimension {pts.shape[1]}, classifier has {self.d}")
         return np.where(pts @ self.v >= self.t, 1, 2).astype(np.int64)
 
-    def to_json_dict(self) -> dict:
-        return {"v": self.v.tolist(), "t": self.t, "degenerate": self.degenerate}
+    to_json_dict = json_record
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .loss import g_function, loss_exact_linear
-from .model import LinearClassifier, MixtureParams, bayes_classifier, make_rng, stream_seed
+from .model import LinearClassifier, MixtureParams, bayes_classifier, json_record, make_rng, stream_seed
 
 __all__ = [
     "BinaryCode",
@@ -119,19 +119,7 @@ class FanoReport:
     window_holds: bool
     implied_lower_bound: float  # 0.07 * gamma
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha_fano": self.alpha_fano,
-            "holds": self.holds,
-            "max_kl": self.max_kl,
-            "log_m": self.log_m,
-            "kl_method": self.kl_method,
-            "window_low": self.window_low,
-            "window_high": self.window_high,
-            "pair_losses": list(self.pair_losses),
-            "window_holds": self.window_holds,
-            "implied_lower_bound": self.implied_lower_bound,
-        }
+    to_json_dict = json_record
 
 
 @dataclass(frozen=True)
@@ -144,14 +132,7 @@ class TriangleReport:
     observed: float
     holds: bool | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "lower": self.lower,
-            "upper": self.upper,
-            "observed": self.observed,
-            "holds": self.holds,
-        }
+    to_json_dict = json_record
 
 
 def _hamming(a: int, b: int) -> int:

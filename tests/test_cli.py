@@ -1,10 +1,14 @@
 """End-to-end tests of the mixbench command line."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+
+from mixbench.packing import lower_bound_family
+from mixbench.verify import suite_fano
 
 SMOKE_CONFIG = {
     "estimator": "dense_pca",
@@ -147,3 +151,38 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--suite", "loss-sandwich", "--out", str(out))
         assert proc.returncode == 0
         assert len(json.loads(out.read_text())) == 20
+
+
+class TestReportBytes:
+    """Report bytes pinned by sha256. A change to the serializers that moves a
+    byte of a report fails here; the digests were taken before the report
+    writers were derived from the dataclass fields."""
+
+    CONFIG = {
+        "estimator": "oracle_support_pca",
+        "n": 200,
+        "d": 8,
+        "s": 2,
+        "lambda": 2.0,
+        "replicates": 2,
+        "master_seed": 7,
+        "sweep": {"axis": "n", "values": [200, 400]},
+    }
+    DIGESTS = {
+        "csv": "0c99a6680d1af978bac6bd5e6239c25f146f680f544125b2aaa1b9e16086abd3",
+        "json": "dea9b4e146499aca4a9f19dd3e9ba38f7d72e5cb4667b6ad6c6cc735737b35dd",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_report(self, tmp_path, fmt):
+        cfg = write_config(tmp_path, self.CONFIG)
+        out = tmp_path / f"report.{fmt}"
+        proc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[fmt]
+
+    def test_fano_entry(self):
+        family = lower_bound_family("sparse", 10_000, 17, s=4, lam=0.2, sigma=1.0, seed=0)
+        (entry,) = suite_fano([family])
+        text = json.dumps(entry, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == "1d7ce71691fdc813a2d02d48ddc8d626c6bf9696ed57ed2b4cba1715d0689e91"

@@ -1,16 +1,23 @@
 """Tests for the experiment harness: configs, sweeps, rate fits, reports."""
 
+import dataclasses
+import inspect
 import json
 import math
+import re
+import sys
+import types
 
 import numpy as np
 import pytest
 
+from mixbench import harness
 from mixbench.errors import ConfigError, DomainError, TooFewPoints
 from mixbench.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     SweepResult,
+    SweepRow,
     emit_report,
     fit_rate,
     load_config,
@@ -84,6 +91,31 @@ class TestConfig:
             smoke_config(sweep_axis="n", sweep_values=(200, 100))
         with pytest.raises(ConfigError):
             smoke_config(sweep_axis="q", sweep_values=(100, 200))
+
+    def test_json_types_enforced(self):
+        base = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0}
+        for key, value in (("n", "1000"), ("d", True), ("replicates", 2.9), ("sigma", None)):
+            with pytest.raises(ConfigError, match=key):
+                load_config({**base, key: value})
+
+    def test_integer_axes_need_whole_numbers(self):
+        with pytest.raises(ConfigError, match="whole numbers"):
+            smoke_config(sweep_axis="d", sweep_values=(8.2, 8.4))
+
+    def test_sweep_point_with_bad_sparsity_fails_at_construction(self):
+        with pytest.raises(ConfigError, match="s must lie"):
+            smoke_config(n=400, d=16, sweep_axis="s", sweep_values=(2, 4, 100))
+
+    def test_sweep_point_outside_estimator_domain_fails_at_construction(self):
+        with pytest.raises(ConfigError, match="d >= 2"):
+            smoke_config(estimator="sparse_pca", sweep_axis="d", sweep_values=(1, 8))
+
+    def test_sweep_block_needs_axis_and_values(self):
+        base = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0}
+        with pytest.raises(ConfigError, match="sweep"):
+            load_config({**base, "sweep": {"values": [100, 200]}})
+        with pytest.raises(ConfigError, match="sweep.axis"):
+            load_config({**base, "sweep": {"axis": None, "values": [100, 200]}})
 
     def test_load_config_round_trip(self, tmp_path):
         cfg = {
@@ -240,6 +272,35 @@ class TestEmitReport:
         emit_report(res, "json", path)
         obj = json.loads(path.read_text())
         assert all(r["runtime_ms"] == 0.0 for r in obj["rows"])
+
+    def test_failed_write_keeps_existing_report(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("previous report\n")
+        row = run_experiment(smoke_config(replicates=1)).rows[0]
+        unencodable = dataclasses.replace(row, estimator="\ud800")  # a lone surrogate fails to encode
+        with pytest.raises(UnicodeEncodeError):
+            emit_report(SweepResult(rows=(row, unencodable), summary=()), "csv", path)
+        assert path.read_text() == "previous report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_added_field_reaches_every_writer(self, tmp_path, monkeypatch):
+        """A field added to SweepRow, with no other edit to the module, shows up
+        in the CSV, in the JSON and in the rows read back."""
+        source = inspect.getsource(harness)
+        first_field = re.compile(r"^    \w+: ", re.M).search(source, source.index("class SweepRow:")).start()
+        module = types.ModuleType("mixbench._harness_with_probe")
+        module.__package__ = "mixbench"
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        exec(compile(source[:first_field] + "    probe: float\n" + source[first_field:], harness.__file__, "exec"), module.__dict__)
+        row = run_experiment(smoke_config(replicates=1)).rows[0]
+        fields = {f.name: getattr(row, f.name) for f in dataclasses.fields(SweepRow)}
+        result = module.SweepResult(rows=(module.SweepRow(probe=0.125, **fields),), summary=())
+        module.emit_report(result, "csv", tmp_path / "out.csv")
+        header, cells = (tmp_path / "out.csv").read_text().splitlines()[:2]
+        assert header.split(",")[0] == "probe" and cells.split(",")[0] == "0.125"
+        module.emit_report(result, "json", tmp_path / "out.json")
+        assert json.loads((tmp_path / "out.json").read_text())["rows"][0]["probe"] == 0.125
+        assert module.read_report_json(tmp_path / "out.json").rows[0].probe == 0.125
 
     def test_unknown_format(self, tmp_path):
         res = run_experiment(smoke_config())

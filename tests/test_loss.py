@@ -80,8 +80,11 @@ class TestLossBoundsSymmetric:
 
 
 class TestLossEstimate:
-    def test_clipping_and_fields(self):
-        est = LossEstimate(value=0.7, method="quadrature")
+    def test_out_of_range_rejected_and_fields(self):
+        for value in (0.6, -0.1, float("nan")):
+            with pytest.raises(DomainError, match="1/2"):
+                LossEstimate(value=value, method="quadrature")
+        est = LossEstimate(value=0.5, method="quadrature")
         assert est.value == 0.5
         assert est.std_err == 0.0
 
