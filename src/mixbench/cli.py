@@ -8,8 +8,8 @@ Subcommands:
   bounds            evaluate a closed-form theorem bound at parameters
 
 Outputs are deterministic for fixed inputs (timing is zeroed in reports
-unless --timing is passed) and serial/parallel runs agree; the thread count
-comes from --threads or the MIXBENCH_THREADS environment variable.
+unless --timing is passed) and serial/parallel runs agree; simulate and rates
+run replicates on --threads threads (default 1).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def _add_simulate(sub):
     p = sub.add_parser("simulate", help="run a configured experiment sweep")
     p.add_argument("--config", required=True, help="path to a JSON experiment config")
     p.add_argument("--out", required=True, help="output path (.csv or .json)")
-    p.add_argument("--threads", type=int, default=None, help="replicate-level parallelism")
+    p.add_argument("--threads", type=int, default=1, help="replicate-level parallelism")
     p.add_argument("--timing", action="store_true", help="keep measured runtimes (breaks byte reproducibility)")
 
 
@@ -38,7 +38,7 @@ def _add_rates(sub):
     p.add_argument("--axis", required=True, choices=["n", "d", "lambda"], help="sweep axis")
     p.add_argument("--config", required=True, help="path to a JSON experiment config")
     p.add_argument("--out", default=None, help="optional CSV/JSON report path")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--timing", action="store_true")
 
 

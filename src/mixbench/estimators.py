@@ -226,11 +226,15 @@ def screening(data: Dataset) -> ScreeningResult:
 
 
 def _restricted_pca(data: Dataset, idx: tuple[int, ...]) -> LinearClassifier:
-    """PCA split on the named coordinates, embedded back into R^d."""
-    cols = np.asarray(idx, dtype=np.intp)
-    sub = Dataset(points=data.points[:, cols], seed=data.seed)
-    clf_sub = pca_classifier(sub)
+    """PCA split on the named coordinates, embedded back into R^d. With no
+    coordinates named, a flagged degenerate classifier (v = e_1, t = mean of
+    the first coordinate) rather than a silent fallback to dense PCA."""
     v = np.zeros(data.d)
+    if not idx:
+        v[0] = 1.0
+        return LinearClassifier(v=v, t=float(data.points[:, 0].mean()), degenerate=True)
+    cols = np.asarray(idx, dtype=np.intp)
+    clf_sub = pca_classifier(Dataset(points=data.points[:, cols], seed=data.seed))
     v[cols] = clf_sub.v
     return LinearClassifier(v=v, t=clf_sub.t)
 
@@ -239,16 +243,10 @@ def sparse_pca_classifier(data: Dataset) -> tuple[LinearClassifier, ScreeningRes
     """Screen, then run the PCA split on the selected coordinates only.
 
     The returned direction lives in R^d with zeros off the selected set, so
-    the exact loss machinery applies unchanged. An empty selection yields a
-    flagged degenerate classifier (v = e_1, t = mean of the first coordinate)
-    rather than silently falling back to dense PCA.
+    the exact loss machinery applies unchanged. An empty selection yields the
+    flagged degenerate classifier of ``_restricted_pca``.
     """
     result = screening(data)
-    if not result.selected:
-        v = np.zeros(data.d)
-        v[0] = 1.0
-        t = float(data.points[:, 0].mean())
-        return LinearClassifier(v=v, t=t, degenerate=True), result
     return _restricted_pca(data, result.selected), result
 
 
@@ -260,12 +258,7 @@ def oracle_support_pca(data: Dataset, theta: MixtureParams) -> LinearClassifier:
     """
     if data.d != theta.d:
         raise InvalidDimension(f"data dimension {data.d} != theta dimension {theta.d}")
-    idx = theta.support
-    if not idx:
-        v = np.zeros(data.d)
-        v[0] = 1.0
-        return LinearClassifier(v=v, t=float(data.points[:, 0].mean()), degenerate=True)
-    return _restricted_pca(data, idx)
+    return _restricted_pca(data, theta.support)
 
 
 def support_truth(theta: MixtureParams, n: int) -> SupportTruth:

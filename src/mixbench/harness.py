@@ -32,8 +32,8 @@ __all__ = [
     "SweepRow",
     "SweepSummary",
     "SweepResult",
+    "SweepPoint",
     "signal_vector",
-    "theta_for",
     "run_experiment",
     "fit_rate",
     "emit_report",
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 ESTIMATORS = ("dense_pca", "sparse_pca", "oracle_support_pca")
-PROFILES = ("equal_coords", "single_coord", "custom")
+PROFILES = ("equal_coords", "custom")
 AXES = ("n", "d", "lambda", "s")
 LOSS_METHODS = ("quadrature", "monte_carlo")
 
@@ -79,7 +79,9 @@ class ExperimentConfig:
     """One experiment. Its fields are the config keys (``lam`` is ``lambda``,
     ``sweep_axis`` and ``sweep_values`` are the ``sweep`` object); each value
     must have the JSON type of its annotation. Construction resolves every
-    sweep point, so a config that cannot run fails here, before any compute.
+    sweep point into ``points``, one ``SweepPoint`` per axis value, so a
+    config that cannot run fails here, before any compute, and a run builds
+    no mixture of its own.
     """
 
     estimator: str
@@ -94,7 +96,6 @@ class ExperimentConfig:
     master_seed: int = 0
     loss_method: str = "quadrature"
     mc_samples: int = 100_000
-    quad_tol: float = 1e-8
     sweep_axis: str | None = None
     sweep_values: tuple[float, ...] | None = None
 
@@ -109,6 +110,8 @@ class ExperimentConfig:
             raise ConfigError(f"signal_profile must be one of {PROFILES}, got {self.signal_profile!r}")
         if self.loss_method not in LOSS_METHODS:
             raise ConfigError(f"loss_method must be one of {LOSS_METHODS}, got {self.loss_method!r}")
+        if self.loss_method == "monte_carlo" and self.mc_samples < 100:
+            raise ConfigError(f"mc_samples must be >= 100 for monte_carlo, got {self.mc_samples}")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if self.d < 1:
@@ -117,25 +120,43 @@ class ExperimentConfig:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
         if self.sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        points = (None,)
+        values = (self.n,)
         if self.sweep_axis is not None or self.sweep_values is not None:
             if self.sweep_axis not in AXES:
                 raise ConfigError(f"sweep.axis must be one of {AXES}, got {self.sweep_axis!r}")
-            points = self.sweep_values or ()
-            if len(points) < 1:
+            values = self.sweep_values or ()
+            if len(values) < 1:
                 raise ConfigError("sweep.values must be nonempty")
-            if any(v <= 0 for v in points):
+            if any(v <= 0 for v in values):
                 raise ConfigError("sweep.values must be positive")
-            if any(b <= a for a, b in zip(points, points[1:])):
+            if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigError("sweep.values must be strictly increasing")
-            if self.sweep_axis in ("n", "d", "s") and any(v != int(v) for v in points):
-                raise ConfigError(f"sweep.values on the {self.sweep_axis} axis must be whole numbers, got {points}")
-        for value in points:
-            theta, n, _ = theta_for(self, self.sweep_axis, value)
-            if n < 2:
-                raise ConfigError(f"n must be >= 2, got {n}")
-            if self.estimator == "sparse_pca" and theta.d < 2:
-                raise ConfigError(f"sparse_pca needs d >= 2, got d = {theta.d}")
+            if self.sweep_axis in ("n", "d", "s") and any(v != int(v) for v in values):
+                raise ConfigError(f"sweep.values on the {self.sweep_axis} axis must be whole numbers, got {values}")
+        points = []
+        for value in values:
+            at = {"n": self.n, "d": self.d, "lambda": self.lam, "s": self.s}
+            if self.sweep_axis is not None:
+                at[self.sweep_axis] = value if self.sweep_axis == "lambda" else int(value)
+            h = signal_vector(self.signal_profile, at["d"], at["lambda"], at["s"], self.custom_signal)
+            if at["n"] < 2:
+                raise ConfigError(f"n must be >= 2, got {at['n']}")
+            if self.estimator == "sparse_pca" and at["d"] < 2:
+                raise ConfigError(f"sparse_pca needs d >= 2, got d = {at['d']}")
+            points.append(SweepPoint(float(value), MixtureParams(-h, h, self.sigma), at["n"], at["s"]))
+        # Not a field: derived from the fields, so fields() stay the config keys.
+        object.__setattr__(self, "points", tuple(points))
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One resolved sweep point: its axis value (n when there is no sweep),
+    the mixture, the sample size and the sparsity."""
+
+    value: float
+    theta: MixtureParams
+    n: int
+    s: int | None
 
 
 @dataclass(frozen=True)
@@ -172,7 +193,6 @@ class SweepResult:
     summary: tuple[SweepSummary, ...]
     fitted_slope: float | None = None
     slope_ci95: tuple[float, float] | None = None
-    config: ExperimentConfig | None = None
 
 
 _ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
@@ -183,23 +203,14 @@ _TIMING_COLUMNS = [_key(f.name) for f in fields(SweepRow) if f.metadata.get("tim
 _CONFIG_FIELDS = {_key(f.name): f for f in fields(ExperimentConfig) if "." not in _key(f.name)}
 
 
-def signal_vector(profile_spec, d: int, lam: float) -> np.ndarray:
+def signal_vector(profile: str, d: int, lam: float, s: int | None = None, custom=None) -> np.ndarray:
     """Half-separation vector h from a signal profile: ||h|| = lambda/2.
 
-    equal_coords spreads the separation over the first s coordinates,
-    single_coord puts it all on the first, custom takes h verbatim.
+    equal_coords spreads the separation over the first s coordinates (all d
+    when s is None); custom takes h verbatim from ``custom``.
     """
-    profile, custom, s = profile_spec
-    d = int(d)
-    lam = float(lam)
-    if profile == "single_coord":
-        if s is not None and int(s) != 1:
-            raise ConfigError(f"single_coord requires s = 1, got s = {s}")
-        h = np.zeros(d)
-        h[0] = lam / 2.0
-        return h
     if profile == "equal_coords":
-        s_eff = d if s is None else int(s)
+        s_eff = d if s is None else s
         if not (1 <= s_eff <= d):
             raise ConfigError(f"s must lie in [1, d], got s = {s_eff}, d = {d}")
         h = np.zeros(d)
@@ -213,32 +224,16 @@ def signal_vector(profile_spec, d: int, lam: float) -> np.ndarray:
         raise ConfigError(f"custom_signal must have length d = {d}, got {h.shape}")
     if abs(2.0 * float(np.linalg.norm(h)) - lam) > 1e-9 * max(lam, 1.0):
         raise ConfigError(f"custom_signal norm {np.linalg.norm(h):.6g} inconsistent with lambda = {lam}")
-    if s is not None and int(np.count_nonzero(h)) != int(s):
+    if s is not None and int(np.count_nonzero(h)) != s:
         raise ConfigError(f"custom_signal has {np.count_nonzero(h)} nonzeros, s = {s}")
     return h
 
 
-def theta_for(config: ExperimentConfig, axis: str | None, value: float | None) -> tuple[MixtureParams, int, int]:
-    """Mixture parameters, sample size and sparsity at one sweep point."""
-    n, d, lam, s = config.n, config.d, config.lam, config.s
-    if axis == "n":
-        n = int(round(value))
-    elif axis == "d":
-        d = int(round(value))
-    elif axis == "lambda":
-        lam = float(value)
-    elif axis == "s":
-        s = int(round(value))
-    h = signal_vector((config.signal_profile, config.custom_signal, s), d, lam)
-    theta = MixtureParams(-h, h, config.sigma)
-    return theta, int(n), (int(s) if s is not None else None)
-
-
-def _run_one(config: ExperimentConfig, axis: str, value: float, replicate: int, index: int) -> SweepRow:
-    theta, n, s = theta_for(config, axis if axis != "none" else None, value)
+def _run_one(config: ExperimentConfig, axis: str, point: SweepPoint, replicate: int, index: int) -> SweepRow:
+    theta = point.theta
     seed = stream_seed(config.master_seed, index)
     t0 = time.perf_counter()
-    ds = sample(theta, n, seed)
+    ds = sample(theta, point.n, seed)
     if config.estimator == "dense_pca":
         clf = pca_classifier(ds)
     elif config.estimator == "sparse_pca":
@@ -246,18 +241,18 @@ def _run_one(config: ExperimentConfig, axis: str, value: float, replicate: int, 
     else:
         clf = oracle_support_pca(ds, theta)
     if config.loss_method == "quadrature":
-        est = loss_exact_linear(theta, clf, tol=config.quad_tol)
+        est = loss_exact_linear(theta, clf)
     else:
         est = loss_monte_carlo(theta, clf.predict, config.mc_samples, stream_seed(seed, 1))
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     return SweepRow(
         axis=axis,
-        axis_value=float(value),
+        axis_value=point.value,
         replicate=replicate,
         seed=seed,
-        n=n,
+        n=point.n,
         d=theta.d,
-        s=s,
+        s=point.s,
         lam=theta.separation,
         sigma=config.sigma,
         estimator=config.estimator,
@@ -268,67 +263,37 @@ def _run_one(config: ExperimentConfig, axis: str, value: float, replicate: int, 
     )
 
 
-def _default_threads() -> int:
-    env = os.environ.get("MIXBENCH_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"MIXBENCH_THREADS must be an integer, got {env!r}") from exc
-    return 1
-
-
-def run_experiment(config: ExperimentConfig, threads: int | None = None) -> SweepResult:
-    """Run the configured sweep; aggregation is order-independent, so serial
-    and parallel executions give identical sorted rows."""
-    if threads is None:
-        threads = _default_threads()
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> SweepResult:
+    """Run the configured sweep. Replicate seeds depend only on the task
+    index, so serial and parallel executions give identical rows."""
     threads = max(1, int(threads))
-    if config.sweep_axis is None:
-        axis, values = "none", (float(config.n),)
-    else:
-        axis, values = config.sweep_axis, config.sweep_values
+    axis = config.sweep_axis or "none"
     if config.estimator == "dense_pca":
-        for value in values:
-            _, n_pt, _ = theta_for(config, axis if axis != "none" else None, value)
-            d_pt = int(round(value)) if axis == "d" else config.d
-            if n_pt < 4 * d_pt:
-                warnings.warn(f"dense estimator with n = {n_pt} < 4d = {4 * d_pt}: outside the guarantee's range")
+        for p in config.points:
+            if p.n < 4 * p.theta.d:
+                warnings.warn(f"dense estimator with n = {p.n} < 4d = {4 * p.theta.d}: outside the guarantee's range")
                 break
-    tasks = []
-    for a_idx, value in enumerate(values):
-        for r in range(config.replicates):
-            tasks.append((value, r, a_idx * config.replicates + r))
+    reps = config.replicates
+    tasks = [(p, r, i * reps + r) for i, p in enumerate(config.points) for r in range(reps)]
     if threads == 1:
-        rows = [_run_one(config, axis, v, r, i) for (v, r, i) in tasks]
+        rows = [_run_one(config, axis, *t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda t: _run_one(config, axis, t[0], t[1], t[2]), tasks))
-    rows.sort(key=lambda r: (r.axis_value, r.replicate))
+            rows = list(pool.map(lambda t: _run_one(config, axis, *t), tasks))
 
+    # Rows come in task order (map keeps it): point by point, replicate by replicate.
     summaries = []
-    for value in values:
-        losses = np.array([r.loss for r in rows if r.axis_value == float(value)])
-        se = float(losses.std(ddof=1) / math.sqrt(losses.size)) if losses.size > 1 else 0.0
-        summaries.append(
-            SweepSummary(axis_value=float(value), mean_loss=float(losses.mean()), std_err=se, replicates=losses.size)
-        )
+    for i, p in enumerate(config.points):
+        losses = np.array([r.loss for r in rows[i * reps : (i + 1) * reps]])
+        se = float(losses.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        summaries.append(SweepSummary(axis_value=p.value, mean_loss=float(losses.mean()), std_err=se, replicates=reps))
 
-    slope = None
-    ci = None
-    if len(values) >= 2:
-        pts = []
-        for sm in summaries:
-            y = sm.mean_loss
-            if y <= 0.0:
-                if config.loss_method == "monte_carlo":
-                    y = 1.0 / (2.0 * config.mc_samples)  # floor for log fitting
-                else:
-                    continue  # drop exact zeros from the fit
-            pts.append((sm.axis_value, y))
-        if len({x for x, _ in pts}) >= 2:
-            slope, _, ci = fit_rate(pts)
-    return SweepResult(rows=tuple(rows), summary=tuple(summaries), fitted_slope=slope, slope_ci95=ci, config=config)
+    # A zero mean loss is dropped from the log-log fit, or floored under Monte Carlo.
+    floor = 1.0 / (2.0 * config.mc_samples) if config.loss_method == "monte_carlo" else 0.0
+    pts = [(sm.axis_value, sm.mean_loss or floor) for sm in summaries]
+    pts = [(x, y) for x, y in pts if y > 0.0]
+    slope, _, ci = fit_rate(pts) if len(pts) >= 2 else (None, None, None)
+    return SweepResult(rows=tuple(rows), summary=tuple(summaries), fitted_slope=slope, slope_ci95=ci)
 
 
 def fit_rate(points) -> tuple[float, float, tuple[float, float]]:

@@ -347,11 +347,12 @@ def fano_check(
     else:
         window_high = (2.0 * math.sqrt(2.0) / math.pi) * scale
 
+    rules = [bayes_classifier(theta) for theta in family.thetas]
     losses = []
     in_window = True
     for i in range(family.size):
         for j in range(i + 1, family.size):
-            val = loss_exact_linear(family.thetas[i], bayes_classifier(family.thetas[j]), tol=quad_tol).value
+            val = loss_exact_linear(family.thetas[i], rules[j], tol=quad_tol).value
             losses.append(val)
             if not (window_low - 10.0 * quad_tol <= val <= window_high + 10.0 * quad_tol):
                 in_window = False

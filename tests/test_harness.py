@@ -11,7 +11,7 @@ import types
 import numpy as np
 import pytest
 
-from mixbench import harness
+from mixbench import estimators, harness
 from mixbench.errors import ConfigError, DomainError, TooFewPoints
 from mixbench.harness import (
     CSV_COLUMNS,
@@ -25,6 +25,7 @@ from mixbench.harness import (
     run_experiment,
     signal_vector,
 )
+from mixbench.model import stream_seed
 
 
 def smoke_config(**overrides):
@@ -43,32 +44,32 @@ def smoke_config(**overrides):
 
 class TestSignalVector:
     def test_equal_coords(self):
-        h = signal_vector(("equal_coords", None, 4), 8, 1.0)
+        h = signal_vector("equal_coords", 8, 1.0, s=4)
         assert np.count_nonzero(h) == 4
         assert 2.0 * np.linalg.norm(h) == pytest.approx(1.0, rel=1e-12)
         assert h[0] == pytest.approx(1.0 / 4.0)  # lam / (2 sqrt(s))
 
-    def test_single_coord(self):
-        h = signal_vector(("single_coord", None, 1), 5, 0.8)
+    def test_single_coordinate(self):
+        """s = 1 puts the whole separation on the first coordinate; there is
+        no separate single_coord profile."""
+        h = signal_vector("equal_coords", 5, 0.8, s=1)
         assert np.count_nonzero(h) == 1
         assert h[0] == pytest.approx(0.4)
-
-    def test_single_coord_wrong_s(self):
-        with pytest.raises(ConfigError):
-            signal_vector(("single_coord", None, 3), 5, 0.8)
+        with pytest.raises(ConfigError, match="signal_profile"):
+            smoke_config(signal_profile="single_coord", s=1)
 
     def test_custom(self):
         custom = (0.3, 0.0, -0.4)
-        h = signal_vector(("custom", custom, 2), 3, 1.0)
+        h = signal_vector("custom", 3, 1.0, s=2, custom=custom)
         assert np.allclose(h, custom)
 
     def test_custom_norm_mismatch(self):
         with pytest.raises(ConfigError):
-            signal_vector(("custom", (1.0, 0.0), 1), 2, 1.0)
+            signal_vector("custom", 2, 1.0, s=1, custom=(1.0, 0.0))
 
     def test_custom_sparsity_mismatch(self):
         with pytest.raises(ConfigError):
-            signal_vector(("custom", (0.5, 0.0), 2), 2, 1.0)
+            signal_vector("custom", 2, 1.0, s=2, custom=(0.5, 0.0))
 
 
 class TestConfig:
@@ -116,6 +117,23 @@ class TestConfig:
             load_config({**base, "sweep": {"values": [100, 200]}})
         with pytest.raises(ConfigError, match="sweep.axis"):
             load_config({**base, "sweep": {"axis": None, "values": [100, 200]}})
+
+    def test_quad_tol_is_not_a_key(self):
+        base = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0}
+        with pytest.raises(ConfigError, match="quad_tol"):
+            load_config({**base, "quad_tol": 1e-3})
+
+    def test_monte_carlo_needs_100_samples(self):
+        base = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0, "loss_method": "monte_carlo"}
+        with pytest.raises(ConfigError, match="mc_samples"):
+            load_config({**base, "mc_samples": 50})
+        assert load_config({**base, "mc_samples": 100}).mc_samples == 100
+
+    def test_points_resolved_at_construction(self):
+        cfg = smoke_config(sweep_axis="d", sweep_values=(4, 8))
+        assert [(p.value, p.n, p.theta.d, p.s) for p in cfg.points] == [(4.0, 200, 4, None), (8.0, 200, 8, None)]
+        assert smoke_config().points[0].value == 200.0
+        assert "points" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
 
     def test_load_config_round_trip(self, tmp_path):
         cfg = {
@@ -186,15 +204,57 @@ class TestRunExperiment:
         with pytest.warns(UserWarning, match="4d"):
             run_experiment(smoke_config(n=8, d=4))
 
-    def test_env_threads(self, monkeypatch):
-        monkeypatch.setenv("MIXBENCH_THREADS", "3")
-        cfg = smoke_config(replicates=5)
-        res = run_experiment(cfg)  # must not raise; result identical to serial
-        ref = run_experiment(cfg, threads=1)
-        assert [(r.seed, r.loss) for r in res.rows] == [(r.seed, r.loss) for r in ref.rows]
-        monkeypatch.setenv("MIXBENCH_THREADS", "zebra")
-        with pytest.raises(ConfigError):
-            run_experiment(cfg)
+    def test_no_mixture_built_per_replicate(self, monkeypatch):
+        cfg = smoke_config(replicates=3, sweep_axis="lambda", sweep_values=(1.0, 2.0))
+        for name in ("MixtureParams", "signal_vector"):
+            monkeypatch.setattr(harness, name, None)  # a call would raise TypeError
+        res = run_experiment(cfg, threads=2)
+        assert [r.lam for r in res.rows] == [1.0] * 3 + [2.0] * 3
+
+
+class TestRebinding:
+    """The names a tracer rebinds (``harness.sample``, the estimators and the
+    losses, ``estimators.pca_classifier``) are looked up at call time, and
+    ``sample`` gets the replicate seed as its third positional argument."""
+
+    @pytest.mark.parametrize(
+        "estimator, loss_method, fit, loss",
+        [
+            ("dense_pca", "quadrature", "pca_classifier", "loss_exact_linear"),
+            ("sparse_pca", "quadrature", "sparse_pca_classifier", "loss_exact_linear"),
+            ("oracle_support_pca", "monte_carlo", "oracle_support_pca", "loss_monte_carlo"),
+        ],
+    )
+    def test_wrappers_see_every_call(self, monkeypatch, estimator, loss_method, fit, loss):
+        names = ("sample", "pca_classifier", "sparse_pca_classifier", "oracle_support_pca", "loss_exact_linear", "loss_monte_carlo")
+        calls = {name: [] for name in (*names, "restricted_pca")}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name].append(args)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        monkeypatch.setattr(estimators, "pca_classifier", counting("restricted_pca", estimators.pca_classifier))
+        cfg = smoke_config(
+            estimator=estimator,
+            d=8,
+            s=2,
+            lam=3.0,
+            loss_method=loss_method,
+            mc_samples=1000,
+            sweep_axis="n",
+            sweep_values=(400, 800),
+        )
+        run_experiment(cfg, threads=2)  # 2 points x 3 replicates
+        expected = dict.fromkeys(names, 0) | {"sample": 6, fit: 6, loss: 6}
+        assert {name: len(calls[name]) for name in names} == expected
+        assert sorted(args[2] for args in calls["sample"]) == sorted(stream_seed(42, i) for i in range(6))
+        if estimator == "oracle_support_pca":
+            assert len(calls["restricted_pca"]) == 6
 
 
 class TestFitRate:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixbench.errors import DomainError, InvalidTolerance, TooFewSamples
@@ -188,6 +188,75 @@ class TestLossExactLinear:
         v /= np.linalg.norm(v)
         est = loss_exact_linear(theta, LinearClassifier(v, float(rng.normal())), tol=1e-8)
         assert 0.0 <= est.value <= 0.5
+
+
+def random_case(k, snr=(0.05, 3.0)):
+    """A mixture in d = 2..5 with a random center and noise level, and a
+    random linear rule, both drawn from seed k."""
+    rng = np.random.default_rng(k)
+    d = int(rng.integers(2, 6))
+    sigma = float(rng.uniform(0.2, 3.0))
+    h = rng.normal(size=d)
+    h *= sigma * rng.uniform(*snr) / np.linalg.norm(h)
+    mu0 = rng.normal(size=d)
+    v = rng.normal(size=d)
+    v /= np.linalg.norm(v)
+    t = float(mu0 @ v + sigma * rng.normal())
+    return rng, MixtureParams(mu0 - h, mu0 + h, sigma), LinearClassifier(v, t)
+
+
+class TestLossProperties:
+    """Invariances of the exact loss, its zero at the optimal rule, and its
+    agreement with the Monte-Carlo estimate."""
+
+    TOL = 1e-10
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_joint_translation(self, k):
+        rng, theta, clf = random_case(k)
+        c = 5.0 * rng.normal(size=theta.d)
+        moved = MixtureParams(theta.mu1 + c, theta.mu2 + c, theta.sigma)
+        clf_moved = LinearClassifier(clf.v, clf.t + float(clf.v @ c))
+        before = loss_exact_linear(theta, clf, tol=self.TOL).value
+        assert loss_exact_linear(moved, clf_moved, tol=self.TOL).value == pytest.approx(before, abs=1e-9)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_joint_rotation(self, k):
+        rng, theta, clf = random_case(k)
+        q, _ = np.linalg.qr(rng.normal(size=(theta.d, theta.d)))
+        turned = MixtureParams(q @ theta.mu1, q @ theta.mu2, theta.sigma)
+        before = loss_exact_linear(theta, clf, tol=self.TOL).value
+        after = loss_exact_linear(turned, LinearClassifier(q @ clf.v, clf.t), tol=self.TOL).value
+        assert after == pytest.approx(before, abs=1e-9)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_flipped_rule(self, k):
+        _, theta, clf = random_case(k)
+        before = loss_exact_linear(theta, clf, tol=self.TOL).value
+        flipped = loss_exact_linear(theta, LinearClassifier(-clf.v, -clf.t), tol=self.TOL).value
+        assert flipped == pytest.approx(before, abs=1e-9)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_optimal_rule_has_zero_loss(self, k):
+        _, theta, _ = random_case(k)
+        assert loss_exact_linear(theta, bayes_classifier(theta), tol=self.TOL).value == pytest.approx(0.0, abs=1e-12)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_monte_carlo_within_4_se(self, k):
+        """|MC - exact| <= 4 SE, with SE = sqrt(p (1 - p) / N) at the exact p;
+        losses under 1% are skipped, where the normal approximation to the
+        binomial count is poor at N = 20000."""
+        _, theta, clf = random_case(k, snr=(0.05, 2.0))
+        exact = loss_exact_linear(theta, clf, tol=self.TOL).value
+        assume(exact >= 0.01)
+        n_samples = 20_000
+        mc = loss_monte_carlo(theta, clf.predict, n_samples, seed=k).value
+        assert abs(mc - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n_samples)
 
 
 class TestLossMonteCarlo:
