@@ -266,7 +266,8 @@ def _run_one(config: ExperimentConfig, axis: str, point: SweepPoint, replicate: 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Run the configured sweep. Replicate seeds depend only on the task
     index, so serial and parallel executions give identical rows."""
-    threads = max(1, int(threads))
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise DomainError(f"threads must be a whole number >= 1, got {threads!r}")
     axis = config.sweep_axis or "none"
     if config.estimator == "dense_pca":
         for p in config.points:

@@ -244,9 +244,12 @@ def sample(theta: MixtureParams, n: int, seed: int) -> Dataset:
         raise EmptySample(f"need n >= 1 points, got {n}")
     rng = make_rng(seed)
     y = rng.integers(0, 2, size=n) * 2 - 1  # -1 or +1
-    z = rng.standard_normal((n, theta.d))
-    h = theta.half_separation
-    points = (y[:, None] * h + theta.sigma * z) + theta.center
+    # In place, so no (n, d) temporary outlives its step. Each step rounds, so
+    # the order sigma*z, + y*h, + center fixes the bits of every report.
+    points = rng.standard_normal((n, theta.d))
+    points *= theta.sigma
+    points += y[:, None] * theta.half_separation
+    points += theta.center
     labels = np.where(y < 0, 1, 2)
     return Dataset(points=points, labels=labels, seed=int(seed), theta=theta)
 

@@ -23,7 +23,7 @@ from .errors import (
     DomainError,
     PreconditionViolated,
 )
-from .loss import g_function, loss_exact_linear
+from .loss import g_function, geometry_decomposition, loss_exact_linear
 from .model import LinearClassifier, MixtureParams, bayes_classifier, json_record, make_rng, stream_seed
 
 __all__ = [
@@ -348,11 +348,18 @@ def fano_check(
         window_high = (2.0 * math.sqrt(2.0) / math.pi) * scale
 
     rules = [bayes_classifier(theta) for theta in family.thetas]
+    # loss_exact_linear reads a pair only through its geometry and sigma (tol
+    # is fixed here), so pairs with equal keys get the same bits. A family
+    # built from a code has only a few distinct overlaps between codewords.
+    by_geometry: dict[tuple, float] = {}
     losses = []
     in_window = True
     for i in range(family.size):
         for j in range(i + 1, family.size):
-            val = loss_exact_linear(family.thetas[i], rules[j], tol=quad_tol).value
+            key = (geometry_decomposition(family.thetas[i], rules[j]), family.thetas[i].sigma)
+            if key not in by_geometry:
+                by_geometry[key] = loss_exact_linear(family.thetas[i], rules[j], tol=quad_tol).value
+            val = by_geometry[key]
             losses.append(val)
             if not (window_low - 10.0 * quad_tol <= val <= window_high + 10.0 * quad_tol):
                 in_window = False

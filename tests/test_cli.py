@@ -98,6 +98,15 @@ class TestSimulateCommand:
         assert proc.returncode == 2
         assert "mystery" in proc.stderr
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_thread_count_below_one_rejected(self, tmp_path, threads):
+        cfg = write_config(tmp_path, SMOKE_CONFIG)
+        out = tmp_path / "x.csv"
+        proc = run_cli("simulate", "--config", str(cfg), "--out", str(out), "--threads", threads)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "threads" in proc.stderr
+        assert not out.exists()
+
     def test_json_output(self, tmp_path):
         cfg = write_config(tmp_path, SMOKE_CONFIG)
         out = tmp_path / "a.json"

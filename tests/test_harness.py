@@ -200,6 +200,11 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert all(0.0 <= r.loss <= 0.5 for r in res.rows)
 
+    @pytest.mark.parametrize("threads", [0, -5, 2.5, True])
+    def test_thread_count_must_be_a_whole_number_from_one(self, threads):
+        with pytest.raises(DomainError, match="threads"):
+            run_experiment(smoke_config(), threads=threads)
+
     def test_dense_warns_below_4d(self):
         with pytest.warns(UserWarning, match="4d"):
             run_experiment(smoke_config(n=8, d=4))

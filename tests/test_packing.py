@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from mixbench import packing
 from mixbench.errors import (
     BudgetExceeded,
     ConstructionFailed,
     DomainError,
     PreconditionViolated,
 )
-from mixbench.loss import g_function
+from mixbench.loss import g_function, loss_exact_linear
 from mixbench.model import LinearClassifier, MixtureParams, bayes_classifier
 from mixbench.packing import (
     BinaryCode,
@@ -253,6 +254,31 @@ class TestFanoCheck:
         fam = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
         with pytest.raises(DomainError):
             fano_check(fam, kl_method="exact")
+
+    @pytest.mark.parametrize("round_trip", [False, True])
+    @pytest.mark.parametrize("regime, d, kwargs", [("sparse", 41, {"s": 8}), ("dense", 17, {})])
+    def test_pair_losses_equal_one_integration_per_pair(self, regime, d, kwargs, round_trip):
+        fam = lower_bound_family(regime, 10**4, d, **kwargs)
+        if round_trip:
+            fam = family_from_json_dict(family_to_json_dict(fam))
+        expected = [
+            loss_exact_linear(fam.thetas[i], bayes_classifier(fam.thetas[j]), tol=1e-9).value
+            for i, j in itertools.combinations(range(fam.size), 2)
+        ]
+        assert list(fano_check(fam).pair_losses) == expected
+
+    def test_each_distinct_pair_geometry_integrated_once(self, monkeypatch):
+        fam = lower_bound_family("sparse", 10**4, 41, s=8)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return loss_exact_linear(*args, **kwargs)
+
+        monkeypatch.setattr(packing, "loss_exact_linear", counting)
+        rep = fano_check(fam)
+        assert len(rep.pair_losses) == 91
+        assert len(calls) == 6
 
 
 class TestLocalTriangle:
