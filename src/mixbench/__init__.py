@@ -15,7 +15,6 @@ The package provides
 """
 
 from .bounds import (
-    BoundReport,
     concentration_bound,
     general_loss_upper,
     kl_bound,
@@ -83,7 +82,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryCode",
-    "BoundReport",
     "Dataset",
     "DavisKahanReport",
     "ExperimentConfig",

@@ -9,7 +9,6 @@ but must not clip them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +18,10 @@ from .errors import (
     ShapeError,
     TooFewSamples,
 )
-from .model import MixtureParams, json_record, mixture_log_density, sample
+from .estimators import screening_alpha
+from .model import MixtureParams, mixture_log_density, sample
 
 __all__ = [
-    "BoundReport",
     "theorem_bound",
     "kl_bound",
     "kl_monte_carlo",
@@ -43,42 +42,6 @@ CONCENTRATION_KINDS = (
     "angle_concentration",
     "perdim_variance",
 )
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A bound value, optionally paired with an empirical estimate.
-
-    ``holds`` is present exactly when an empirical value is: it records
-    whether the empirical value stays below the bound within 3 standard
-    errors. ``vacuous`` flags bounds exceeding the trivial 1/2.
-    """
-
-    kind: str
-    params: dict
-    bound_value: float
-    empirical_value: float | None = None
-    empirical_std_err: float | None = None
-    holds: bool | None = None
-    note: str = ""
-
-    def __post_init__(self):
-        if self.bound_value < 0.0:
-            raise DomainError(f"bound_value must be nonnegative, got {self.bound_value}")
-        if (self.empirical_value is None) != (self.holds is None):
-            raise DomainError("holds must be present iff empirical_value is present")
-
-    @property
-    def vacuous(self) -> bool:
-        return self.bound_value > 0.5
-
-    def to_json_dict(self) -> dict:
-        out = {**json_record(self), "params": dict(self.params), "vacuous": self.vacuous}
-        if self.empirical_value is None:
-            del out["empirical_value"], out["empirical_std_err"], out["holds"]
-        if not self.note:
-            del out["note"]
-        return out
 
 
 def _require(cond: bool, message: str) -> None:
@@ -122,7 +85,7 @@ def theorem_bound(kind: str, n: int = 0, d: int = 0, s: int = 0, lam: float = 0.
     if kind == "thm3_upper":
         _require(n >= max(68, 4 * s), f"requires n >= max(68, 4s) = {max(68, 4 * s)}, got n = {n}")
         _require(d >= 2, f"requires d >= 2, got d = {d}")
-        alpha = math.sqrt(6.0 * math.log(n * d) / n) + 2.0 * math.log(n * d) / n
+        alpha = screening_alpha(n, d)
         _require(alpha <= 0.25, f"requires alpha <= 1/4, got alpha = {alpha:.4f}")
         _require(s >= 1, "requires s >= 1")
         return 603.0 * max(16.0 * sigma**2 / lam**2, 1.0) * math.sqrt(s * math.log(n * s) / n) + 220.0 * (

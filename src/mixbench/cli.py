@@ -20,9 +20,9 @@ import sys
 
 from .bounds import THEOREM_KINDS, theorem_bound
 from .errors import MixbenchError
-from .harness import emit_report, load_config, run_experiment, write_atomic
+from .harness import AXES, emit_report, load_config, run_experiment, write_atomic
 from .packing import family_from_json_dict, family_to_json_dict, lower_bound_family
-from .verify import SUITES, run_suite, suite_fano
+from .verify import SUITES, suite_fano
 
 
 def _add_simulate(sub):
@@ -35,7 +35,7 @@ def _add_simulate(sub):
 
 def _add_rates(sub):
     p = sub.add_parser("rates", help="fit a log-log rate slope over one axis")
-    p.add_argument("--axis", required=True, choices=["n", "d", "lambda"], help="sweep axis")
+    p.add_argument("--axis", required=True, choices=AXES, help="sweep axis")
     p.add_argument("--config", required=True, help="path to a JSON experiment config")
     p.add_argument("--out", default=None, help="optional CSV/JSON report path")
     p.add_argument("--threads", type=int, default=1)
@@ -130,7 +130,7 @@ def _cmd_verify(args) -> int:
             family = family_from_json_dict(json.load(fh))
         entries = suite_fano([family])
     else:
-        entries = run_suite(args.suite)
+        entries = SUITES[args.suite]()
     text = json.dumps(entries, indent=2, sort_keys=True)
     if args.out:
         write_atomic(args.out, text + "\n")

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    EmptySample,
     InvalidDimension,
     InvalidMatrix,
     InvalidParams,
     PreconditionViolated,
     TooFewSamples,
 )
-from .model import Dataset, LinearClassifier, MixtureParams, json_record, sample, stream_seed
+from .model import Dataset, LinearClassifier, MixtureParams, _canonical_direction, json_record, sample, stream_seed
 
 __all__ = [
     "ScreeningResult",
@@ -116,20 +115,12 @@ def screening_alpha(n: int, d: int) -> float:
 
 def sample_mean_cov(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and 1/n-normalized covariance (not 1/(n-1))."""
-    if data.n < 1:
-        raise EmptySample("dataset is empty")
     x = data.points
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / data.n
     cov = (cov + cov.T) / 2.0
     return mean, cov
-
-
-def _canonical_unit(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    i = int(np.argmax(np.abs(v)))
-    return -v if v[i] < 0 else v
 
 
 def _check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -160,30 +151,24 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
     restart = np.random.Generator(np.random.Philox(_RESTART_KEY)).standard_normal(d)
     v = np.zeros(d)
     v[int(np.argmax(np.diag(m)))] = 1.0
-
-    def iterate(v0: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
-        v = v0
-        norm_est = 0.0
-        restarted = False
-        for _ in range(max_iter):
-            w = m @ v
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                if restarted:
-                    return v, 0.0, norm_est, False
-                v = restart / np.linalg.norm(restart)
-                restarted = True
-                continue
-            norm_est = max(norm_est, nw)
-            rho = float(v @ w)
-            resid = float(np.linalg.norm(w - rho * v))
-            if resid <= tol * max(norm_est, 1e-300):
-                return v, rho, norm_est, True
-            v = w / nw
-        rho = float(v @ (m @ v))
-        return v, rho, max(norm_est, 1e-300), False
-
-    v, rho, norm_est, ok = iterate(v)
+    norm_est = 0.0
+    restarted = False
+    ok = False
+    for _ in range(max_iter):
+        w = m @ v
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            if restarted:
+                break
+            v = restart / np.linalg.norm(restart)
+            restarted = True
+            continue
+        norm_est = max(norm_est, nw)
+        rho = float(v @ w)
+        if float(np.linalg.norm(w - rho * v)) <= tol * max(norm_est, 1e-300):
+            ok = True
+            break
+        v = w / nw
     if ok:
         # Degeneracy probe: if an independent direction is also an eigenvector
         # at the same eigenvalue, there is no eigengap to converge into.
@@ -195,9 +180,9 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
             rho_u = float(u @ mu_)
             resid_u = float(np.linalg.norm(mu_ - rho_u * u))
             scale = max(norm_est, 1e-300)
-            if resid_u <= tol * scale and abs(rho_u - rho) <= tol * scale:
-                return _canonical_unit(v), False
-    return _canonical_unit(v), ok
+            ok = not (resid_u <= tol * scale and abs(rho_u - rho) <= tol * scale)
+    v, _ = _canonical_direction(v / np.linalg.norm(v), 0.0)
+    return v, ok
 
 
 def pca_classifier(data: Dataset) -> LinearClassifier:
@@ -206,8 +191,8 @@ def pca_classifier(data: Dataset) -> LinearClassifier:
     if data.n < 2:
         raise TooFewSamples(f"need n >= 2, got {data.n}")
     mean, cov = sample_mean_cov(data)
-    v, _ = top_eigenvector(cov)
-    return LinearClassifier(v=v, t=float(mean @ v))
+    v, ok = top_eigenvector(cov)
+    return LinearClassifier(v=v, t=float(mean @ v), degenerate=not ok)
 
 
 def screening(data: Dataset) -> ScreeningResult:
@@ -236,7 +221,7 @@ def _restricted_pca(data: Dataset, idx: tuple[int, ...]) -> LinearClassifier:
     cols = np.asarray(idx, dtype=np.intp)
     clf_sub = pca_classifier(Dataset(points=data.points[:, cols], seed=data.seed))
     v[cols] = clf_sub.v
-    return LinearClassifier(v=v, t=clf_sub.t)
+    return LinearClassifier(v=v, t=clf_sub.t, degenerate=clf_sub.degenerate)
 
 
 def sparse_pca_classifier(data: Dataset) -> tuple[LinearClassifier, ScreeningResult]:
@@ -264,11 +249,9 @@ def oracle_support_pca(data: Dataset, theta: MixtureParams) -> LinearClassifier:
 def support_truth(theta: MixtureParams, n: int) -> SupportTruth:
     """The sets S and S_tilde for the screening guarantee at sample size n."""
     alpha = screening_alpha(n, theta.d)
-    h = theta.half_separation
     strong = 4.0 * theta.sigma * math.sqrt(alpha)
-    s = tuple(int(i) for i in np.nonzero(h)[0])
-    s_tilde = tuple(int(i) for i in np.nonzero(np.abs(h) >= strong)[0])
-    return SupportTruth(S=s, S_tilde=s_tilde)
+    s_tilde = tuple(int(i) for i in np.nonzero(np.abs(theta.half_separation) >= strong)[0])
+    return SupportTruth(S=theta.support, S_tilde=s_tilde)
 
 
 def support_recovery_check(theta: MixtureParams, n: int, replicates: int, seed: int) -> RecoveryReport:

@@ -40,6 +40,10 @@ __all__ = [
     "family_from_json_dict",
 ]
 
+# Quadrature tolerance of every exact loss the certification checks compute;
+# their windows allow 10x this much slack.
+_QUAD_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BinaryCode:
@@ -184,27 +188,25 @@ def sparse_code(m: int, s: int, seed: int = 0, budget: int = 1_000_000) -> Binar
     target = math.ceil(math.exp((s / 5.0) * math.log(m / s)))
     min_dist_exclusive = s / 2.0
     rng = make_rng(seed)
-    admitted: list[np.ndarray] = []
-    admitted_mat = np.zeros((0, m), dtype=np.int8)
+    words = np.zeros((min(target, int(budget)), m), dtype=np.int8)
+    count = 0
     for _ in range(int(budget)):
         word = np.zeros(m, dtype=np.int8)
         word[rng.choice(m, size=s, replace=False)] = 1
-        if admitted_mat.shape[0]:
-            dists = np.sum(admitted_mat != word[None, :], axis=1)
-            if int(dists.min()) <= min_dist_exclusive:
-                continue
-        admitted.append(word)
-        admitted_mat = np.vstack([admitted_mat, word[None, :]])
-        if len(admitted) >= target:
+        if count and int(np.sum(words[:count] != word, axis=1).min()) <= min_dist_exclusive:
+            continue
+        words[count] = word
+        count += 1
+        if count >= target:
             break
     else:
-        raise ConstructionFailed(f"budget of {budget} draws exhausted with {len(admitted)}/{target} words")
+        raise ConstructionFailed(f"budget of {budget} draws exhausted with {count}/{target} words")
     # distances between equal-weight words are even, so > s/2 means >= the
     # next even integer
     declared = int(math.floor(min_dist_exclusive)) + 1
     if declared % 2 == 1:
         declared += 1
-    return BinaryCode(length=m, words=admitted_mat, min_distance=declared, weight=s)
+    return BinaryCode(length=m, words=words, min_distance=declared, weight=s)
 
 
 def _gamma_value(regime: str, xi: float, k_eff: float, eps: float, lam: float) -> float:
@@ -307,11 +309,9 @@ def _pair_cos_beta(t1: MixtureParams, t2: MixtureParams) -> float:
 
 def fano_check(
     family: PackingFamily,
-    n: int | None = None,
     kl_method: str = "bound",
     mc_samples: int = 1_000_000,
     seed: int = 0,
-    quad_tol: float = 1e-9,
 ) -> FanoReport:
     """Certify the family's KL budget and pairwise loss window.
 
@@ -324,7 +324,6 @@ def fano_check(
     m_count = family.size - 1
     if m_count < 2:
         raise PreconditionViolated(f"the reduction requires M >= 2 hypotheses beyond the base, got M = {m_count}")
-    n = family.n if n is None else int(n)
     xi = family.lam / (2.0 * family.sigma)
 
     theta0 = family.thetas[0]
@@ -337,7 +336,7 @@ def fano_check(
             kls.append(max(est, 0.0))
     max_kl = float(max(kls))
     log_m = math.log(m_count)
-    alpha_fano = n * max_kl / log_m
+    alpha_fano = family.n * max_kl / log_m
 
     k_eff = float(family.d - 1) if family.regime == "dense" else float(family.s)
     scale = math.sqrt(k_eff) * family.epsilon / family.lam
@@ -358,10 +357,10 @@ def fano_check(
         for j in range(i + 1, family.size):
             key = (geometry_decomposition(family.thetas[i], rules[j]), family.thetas[i].sigma)
             if key not in by_geometry:
-                by_geometry[key] = loss_exact_linear(family.thetas[i], rules[j], tol=quad_tol).value
+                by_geometry[key] = loss_exact_linear(family.thetas[i], rules[j], tol=_QUAD_TOL).value
             val = by_geometry[key]
             losses.append(val)
-            if not (window_low - 10.0 * quad_tol <= val <= window_high + 10.0 * quad_tol):
+            if not (window_low - 10.0 * _QUAD_TOL <= val <= window_high + 10.0 * _QUAD_TOL):
                 in_window = False
     return FanoReport(
         alpha_fano=alpha_fano,
@@ -381,7 +380,6 @@ def local_triangle_check(
     theta: MixtureParams,
     theta_prime: MixtureParams,
     clf: LinearClassifier,
-    quad_tol: float = 1e-9,
 ) -> TriangleReport:
     """Check the loss window that substitutes for the triangle inequality.
 
@@ -403,16 +401,16 @@ def local_triangle_check(
 
     xi = float(h1) / theta.sigma
     kl = kl_bound(xi, _pair_cos_beta(theta, theta_prime))
-    loss_cross = loss_exact_linear(theta, bayes_classifier(theta_prime), tol=quad_tol).value
-    loss_clf = loss_exact_linear(theta, clf, tol=quad_tol).value
+    loss_cross = loss_exact_linear(theta, bayes_classifier(theta_prime), tol=_QUAD_TOL).value
+    loss_clf = loss_exact_linear(theta, clf, tol=_QUAD_TOL).value
     tau = loss_clf + math.sqrt(kl / 2.0)
     applicable = loss_cross + tau <= 0.5
-    observed = loss_exact_linear(theta_prime, clf, tol=quad_tol).value
+    observed = loss_exact_linear(theta_prime, clf, tol=_QUAD_TOL).value
     lower = loss_cross - tau
     upper = loss_cross + tau
     holds = None
     if applicable:
-        slack = 10.0 * quad_tol
+        slack = 10.0 * _QUAD_TOL
         holds = (lower - slack) <= observed <= (upper + slack)
     return TriangleReport(applicable=applicable, lower=lower, upper=upper, observed=observed, holds=holds)
 

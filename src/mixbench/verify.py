@@ -22,7 +22,6 @@ from .packing import fano_check, local_triangle_check, lower_bound_family
 
 __all__ = [
     "SUITES",
-    "run_suite",
     "suite_loss_sandwich",
     "suite_kl",
     "suite_concentration",
@@ -145,13 +144,13 @@ def _default_families(seed: int = 0):
     return [dense, sparse]
 
 
-def suite_fano(families=None, kl_method: str = "bound") -> list[dict]:
+def suite_fano(families=None) -> list[dict]:
     """KL budget and pairwise loss window of the lower-bound families."""
     if families is None:
         families = _default_families()
     out = []
     for fam in families:
-        rep = fano_check(fam, kl_method=kl_method)
+        rep = fano_check(fam)
         entry = rep.to_json_dict()
         entry["check"] = "fano"
         entry["regime"] = fam.regime
@@ -251,9 +250,3 @@ SUITES = {
     "davis-kahan": suite_davis_kahan,
     "support-recovery": suite_support_recovery,
 }
-
-
-def run_suite(name: str, **kwargs) -> list[dict]:
-    if name not in SUITES:
-        raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](**kwargs)

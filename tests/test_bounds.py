@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mixbench.bounds import (
-    BoundReport,
     concentration_bound,
     general_loss_upper,
     kl_bound,
@@ -297,25 +296,3 @@ class TestGeneralLossUpper:
             exact = loss_exact_linear(theta, clf, tol=1e-9).value
             bound = general_loss_upper(eps1, eps2, sin_beta, hnorm / sigma)
             assert exact <= bound + 1e-8
-
-
-class TestBoundReport:
-    def test_holds_consistency(self):
-        with pytest.raises(DomainError):
-            BoundReport(kind="x", params={}, bound_value=0.1, empirical_value=0.05)
-        rep = BoundReport(kind="x", params={"d": 3}, bound_value=0.7)
-        assert rep.vacuous
-        assert "empirical_value" not in rep.to_json_dict()
-
-    def test_json_with_empirical(self):
-        rep = BoundReport(
-            kind="chisq_upper",
-            params={"d": 5},
-            bound_value=0.2,
-            empirical_value=0.1,
-            empirical_std_err=0.01,
-            holds=True,
-        )
-        obj = rep.to_json_dict()
-        assert obj["holds"] is True
-        assert not obj["vacuous"]

@@ -136,6 +136,25 @@ class TestRatesCommand:
         proc = run_cli("rates", "--axis", "d", "--config", str(cfg))
         assert proc.returncode == 2
 
+    def test_sparsity_axis(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "estimator": "oracle_support_pca",
+                "n": 400,
+                "d": 16,
+                "lambda": 2.0,
+                "replicates": 2,
+                "sweep": {"axis": "s", "values": [1, 2, 4]},
+            },
+        )
+        proc = run_cli("rates", "--axis", "s", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        obj = json.loads(proc.stdout)
+        assert obj["axis"] == "s"
+        assert obj["values"] == [1.0, 2.0, 4.0]
+        assert obj["fitted_slope"] is not None
+
 
 class TestVerifyCommand:
     def test_loss_sandwich_suite(self):
@@ -195,3 +214,23 @@ class TestReportBytes:
         (entry,) = suite_fano([family])
         text = json.dumps(entry, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == "1d7ce71691fdc813a2d02d48ddc8d626c6bf9696ed57ed2b4cba1715d0689e91"
+
+    def test_dense_fano_entry(self):
+        family = lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0, seed=0)
+        (entry,) = suite_fano([family])
+        text = json.dumps(entry, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == "f71f149dd1eef99ee3908594a47b047d396bb06f5ff46fde720d7c1518db98b8"
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["--regime", "dense", "--d", "9"], "a999d78395353ce39e8d4bfd3a135e85d572c523329386e6e7f9ea2a77de01fc"),
+            (["--regime", "sparse", "--d", "41", "--s", "8"], "02ef7f3dae1ff7ba697fdd0bfd78dc32842ef7ec2ec140de237c7bdc717e67e2"),
+        ],
+        ids=["dense", "sparse"],
+    )
+    def test_packing_family(self, tmp_path, args, digest):
+        out = tmp_path / "family.json"
+        proc = run_cli("packing", *args, "--n", "10000", "--lambda", "0.2", "--seed", "0", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

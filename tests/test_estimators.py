@@ -142,6 +142,16 @@ class TestPcaClassifier:
         with pytest.raises(TooFewSamples):
             pca_classifier(Dataset(points=np.zeros((1, 3))))
 
+    def test_tied_eigensolve_flags_degenerate(self):
+        # covariance diag(1/2, 1/2): the top eigenvalue is not unique
+        pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        assert pca_classifier(Dataset(points=pts)).degenerate
+        assert not pca_classifier(Dataset(points=pts * [1.0, 0.5])).degenerate
+        # the restricted fit carries the flag into R^d
+        embedded = np.hstack([pts, np.zeros((4, 1))])
+        theta = MixtureParams([-1.0, -1.0, 0.0], [1.0, 1.0, 0.0], 1.0)
+        assert oracle_support_pca(Dataset(points=embedded), theta).degenerate
+
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(7)
         theta = MixtureParams([-1.5, 0.0, 0.0], [1.5, 0.0, 0.0], 1.0)
