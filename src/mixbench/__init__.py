@@ -60,8 +60,6 @@ from .model import (
     LinearClassifier,
     MixtureParams,
     bayes_classifier,
-    dataset_from_csv,
-    dataset_to_csv,
     mixture_log_density,
     sample,
     stream_seed,
@@ -100,8 +98,6 @@ __all__ = [
     "bayes_classifier",
     "concentration_bound",
     "davis_kahan_check",
-    "dataset_from_csv",
-    "dataset_to_csv",
     "emit_report",
     "fano_check",
     "fit_rate",

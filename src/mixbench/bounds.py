@@ -9,6 +9,7 @@ but must not clip them.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -32,21 +33,35 @@ __all__ = [
 ]
 
 THEOREM_KINDS = ("thm1_upper", "thm1_upper_largesep", "thm2_lower", "thm3_upper", "thm4_lower")
-CONCENTRATION_KINDS = (
-    "chisq_upper",
-    "chisq_lower",
-    "gaussian_mean",
-    "prodnormal",
-    "wishart_spectral",
-    "mean_concentration",
-    "angle_concentration",
-    "perdim_variance",
-)
+# The parameters each concentration kind reads.
+_CONCENTRATION_PARAMS = {
+    "chisq_upper": ("d", "eps"),
+    "chisq_lower": ("d", "eps"),
+    "gaussian_mean": ("d", "eps"),
+    "prodnormal": ("n", "eps"),
+    "wishart_spectral": ("n", "d", "delta"),
+    "mean_concentration": ("n", "d", "delta", "mu_norm", "sigma"),
+    "angle_concentration": ("n", "d", "delta", "mu_norm", "sigma"),
+    "perdim_variance": ("n", "delta", "mu_i", "sigma"),
+}
+CONCENTRATION_KINDS = tuple(_CONCENTRATION_PARAMS)
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise PreconditionViolated(message)
+
+
+def _checked(name: str, value):
+    """A bound parameter checked against its domain, or DomainError naming it:
+    n and d are whole numbers >= 1, s is a whole number, sigma is positive."""
+    if name not in ("n", "d", "s"):
+        if name == "sigma" and not float(value) > 0.0:
+            raise DomainError(f"sigma must be positive, got {value!r}")
+        return float(value)
+    if not (isinstance(value, numbers.Real) and float(value).is_integer() and (name == "s" or value >= 1)):
+        raise DomainError(f"{name} must be a whole number{'' if name == 's' else ' >= 1'}, got {value!r}")
+    return int(value)
 
 
 def theorem_bound(kind: str, n: int = 0, d: int = 0, s: int = 0, lam: float = 0.0, sigma: float = 1.0) -> float:
@@ -58,16 +73,14 @@ def theorem_bound(kind: str, n: int = 0, d: int = 0, s: int = 0, lam: float = 0.
     """
     if kind not in THEOREM_KINDS:
         raise DomainError(f"unknown theorem kind {kind!r}")
-    n, d, s = int(n), int(d), int(s)
-    lam, sigma = float(lam), float(sigma)
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
+    n, d, sigma, lam = _checked("n", n), _checked("d", d), _checked("sigma", sigma), _checked("lambda", lam)
+    if kind in ("thm3_upper", "thm4_lower"):
+        s = _checked("s", s)
     if kind in ("thm1_upper", "thm2_lower", "thm3_upper", "thm4_lower") and lam <= 0.0:
         raise DomainError("lambda must be positive")
 
     if kind == "thm1_upper":
         _require(n >= max(68, 4 * d), f"requires n >= max(68, 4d) = {max(68, 4 * d)}, got n = {n}")
-        _require(d >= 1, "requires d >= 1")
         return 600.0 * max(4.0 * sigma**2 / lam**2, 1.0) * math.sqrt(d * math.log(n * d) / n)
 
     if kind == "thm1_upper_largesep":
@@ -152,20 +165,20 @@ def concentration_bound(kind: str, **params) -> float:
     """
     if kind not in CONCENTRATION_KINDS:
         raise DomainError(f"unknown concentration kind {kind!r}")
-
-    def get(name, cast=float):
+    p = {}
+    for name in _CONCENTRATION_PARAMS[kind]:
         if name not in params:
             raise DomainError(f"{kind} requires parameter {name!r}")
-        return cast(params[name])
+        p[name] = _checked(name, params[name])
 
     if kind == "chisq_upper":
-        d, eps = get("d", int), get("eps")
+        d, eps = p["d"], p["eps"]
         if eps <= 0.0:
             raise PreconditionViolated("chisq_upper needs eps > 0")
         return _chisq_upper(d, eps)
 
     if kind == "chisq_lower":
-        d, eps = get("d", int), get("eps")
+        d, eps = p["d"], p["eps"]
         if not (0.0 < eps < 1.0):
             raise PreconditionViolated(f"chisq_lower needs eps < 1, got eps = {eps}")
         return math.exp(0.5 * d * (eps + math.log1p(-eps)))
@@ -173,19 +186,19 @@ def concentration_bound(kind: str, **params) -> float:
     if kind == "gaussian_mean":
         # P(||mean of n standard normals|| >= sqrt((1+eps) d / n)) obeys the
         # upper chi-square tail; the bound value does not involve n.
-        d, eps = get("d", int), get("eps")
+        d, eps = p["d"], p["eps"]
         if eps <= 0.0:
             raise PreconditionViolated("gaussian_mean needs eps > 0")
         return _chisq_upper(d, eps)
 
     if kind == "prodnormal":
-        n, eps = get("n", int), get("eps")
-        if n < 1 or eps <= 0.0:
-            raise PreconditionViolated("prodnormal needs n >= 1 and eps > 0")
+        n, eps = p["n"], p["eps"]
+        if eps <= 0.0:
+            raise PreconditionViolated("prodnormal needs eps > 0")
         return 2.0 * math.exp(-n * eps * min(1.0, eps) / 10.0)
 
     if kind == "wishart_spectral":
-        n, d, delta = get("n", int), get("d", int), get("delta")
+        n, d, delta = p["n"], p["d"], p["delta"]
         if not (0.0 < delta < 1.0):
             raise PreconditionViolated("wishart_spectral needs 0 < delta < 1")
         if n < d:
@@ -197,16 +210,16 @@ def concentration_bound(kind: str, **params) -> float:
         return term1 + term2
 
     if kind == "mean_concentration":
-        n, d, delta = get("n", int), get("d", int), get("delta")
-        mu_norm, sigma = get("mu_norm"), get("sigma")
+        n, d, delta = p["n"], p["d"], p["delta"]
+        mu_norm, sigma = p["mu_norm"], p["sigma"]
         if not (0.0 < delta < 1.0):
             raise PreconditionViolated("mean_concentration needs 0 < delta < 1")
         ld = math.log(1.0 / delta)
         return sigma * math.sqrt(2.0 * max(d, 8.0 * ld) / n) + mu_norm * math.sqrt(2.0 * ld / n)
 
     if kind == "angle_concentration":
-        n, d, delta = get("n", int), get("d", int), get("delta")
-        mu_norm, sigma = get("mu_norm"), get("sigma")
+        n, d, delta = p["n"], p["d"], p["delta"]
+        mu_norm, sigma = p["mu_norm"], p["sigma"]
         if d < 2:
             raise PreconditionViolated("angle_concentration needs d > 1")
         if not 0.0 < delta < (d - 1) / math.sqrt(math.e):
@@ -218,8 +231,8 @@ def concentration_bound(kind: str, **params) -> float:
         return 14.0 * ratio * math.sqrt(d) * math.sqrt(inner * max(1.0, inner))
 
     # perdim_variance
-    n, delta = get("n", int), get("delta")
-    mu_i, sigma = get("mu_i"), get("sigma")
+    n, delta = p["n"], p["delta"]
+    mu_i, sigma = p["mu_i"], p["sigma"]
     if not (0.0 < delta < 1.0 / math.sqrt(math.e)):
         raise PreconditionViolated("perdim_variance needs 0 < delta < 1/sqrt(e)")
     ld = math.log(1.0 / delta)

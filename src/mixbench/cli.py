@@ -19,8 +19,8 @@ import json
 import sys
 
 from .bounds import THEOREM_KINDS, theorem_bound
-from .errors import MixbenchError
-from .harness import AXES, emit_report, load_config, run_experiment, write_atomic
+from .errors import ConfigError, MixbenchError
+from .harness import AXES, emit_report, load_config, read_json, run_experiment, write_atomic
 from .packing import family_from_json_dict, family_to_json_dict, lower_bound_family
 from .verify import SUITES, suite_fano
 
@@ -64,8 +64,8 @@ def _add_verify(sub):
 def _add_bounds(sub):
     p = sub.add_parser("bounds", help="evaluate a theorem bound")
     p.add_argument("--kind", required=True, choices=list(THEOREM_KINDS))
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--d", type=int, default=0)
+    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--d", required=True, type=int)
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--sigma", type=float, default=1.0)
@@ -83,21 +83,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fmt_from_path(path: str) -> str:
-    if path.endswith(".json"):
-        return "json"
-    if path.endswith(".csv"):
-        return "csv"
+    fmt = path.rpartition(".")[2]
+    if fmt in ("csv", "json"):
+        return fmt
     raise MixbenchError(f"cannot infer format from {path!r}; use a .csv or .json extension")
 
 
 def _cmd_simulate(args) -> int:
+    fmt = _fmt_from_path(args.out)
     config = load_config(args.config)
     result = run_experiment(config, threads=args.threads)
-    emit_report(result, _fmt_from_path(args.out), args.out, include_timing=args.timing)
+    emit_report(result, fmt, args.out, include_timing=args.timing)
     return 0
 
 
 def _cmd_rates(args) -> int:
+    fmt = _fmt_from_path(args.out) if args.out else None
     config = load_config(args.config)
     if config.sweep_axis is None:
         raise MixbenchError("rates requires a config with a sweep block")
@@ -114,7 +115,7 @@ def _cmd_rates(args) -> int:
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
-        emit_report(result, _fmt_from_path(args.out), args.out, include_timing=args.timing)
+        emit_report(result, fmt, args.out, include_timing=args.timing)
     return 0
 
 
@@ -125,9 +126,13 @@ def _cmd_packing(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "fano" and args.family:
-        with open(args.family) as fh:
-            family = family_from_json_dict(json.load(fh))
+    if args.family and args.suite != "fano":
+        raise ConfigError(f"--family applies to --suite fano only, not {args.suite}")
+    if args.family:
+        try:
+            family = family_from_json_dict(read_json(args.family))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"family file {args.family} is malformed: {exc!r}") from None
         entries = suite_fano([family])
     else:
         entries = SUITES[args.suite]()

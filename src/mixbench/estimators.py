@@ -69,9 +69,6 @@ class ScreeningResult:
         """True when alpha > 1/4, outside the screening guarantee's range."""
         return self.alpha > 0.25
 
-    def to_json_dict(self) -> dict:
-        return {**json_record(self), "warn_alpha": self.warn_alpha}
-
 
 @dataclass(frozen=True)
 class SupportTruth:
@@ -219,7 +216,7 @@ def _restricted_pca(data: Dataset, idx: tuple[int, ...]) -> LinearClassifier:
         v[0] = 1.0
         return LinearClassifier(v=v, t=float(data.points[:, 0].mean()), degenerate=True)
     cols = np.asarray(idx, dtype=np.intp)
-    clf_sub = pca_classifier(Dataset(points=data.points[:, cols], seed=data.seed))
+    clf_sub = pca_classifier(Dataset(points=data.points[:, cols]))
     v[cols] = clf_sub.v
     return LinearClassifier(v=v, t=clf_sub.t, degenerate=clf_sub.degenerate)
 

@@ -355,6 +355,15 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
+def read_json(path):
+    """Parse a JSON file; one that cannot be read or parsed is a ConfigError naming it."""
+    try:
+        with open(str(path)) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
 def emit_report(result: SweepResult, fmt: str, path, include_timing: bool = False) -> None:
     """Write the sweep to CSV or JSON, ending with a summary block.
 
@@ -403,8 +412,7 @@ def load_config(path_or_dict) -> ExperimentConfig:
     if isinstance(path_or_dict, dict):
         obj = dict(path_or_dict)
     else:
-        with open(str(path_or_dict)) as fh:
-            obj = json.load(fh)
+        obj = read_json(path_or_dict)
         if not isinstance(obj, dict):
             raise ConfigError("a config must be a JSON object")
     sweep = obj.pop("sweep", None)

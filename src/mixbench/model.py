@@ -8,8 +8,6 @@ vector ``h = (mu2 - mu1)/2``; the signal-to-noise ratio is ``snr = ||h||/sigma``
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,8 +29,6 @@ __all__ = [
     "sample",
     "bayes_classifier",
     "mixture_log_density",
-    "dataset_to_csv",
-    "dataset_from_csv",
     "json_record",
 ]
 
@@ -192,17 +188,13 @@ class LinearClassifier:
             raise ShapeError(f"points have dimension {pts.shape[1]}, classifier has {self.d}")
         return np.where(pts @ self.v >= self.t, 1, 2).astype(np.int64)
 
-    to_json_dict = json_record
-
 
 @dataclass(frozen=True)
 class Dataset:
-    """An (n, d) sample matrix with optional latent labels and its seed."""
+    """An (n, d) sample matrix with optional latent labels."""
 
     points: np.ndarray
     labels: np.ndarray | None = None
-    seed: int = 0
-    theta: MixtureParams | None = None
 
     def __post_init__(self):
         pts = np.array(np.atleast_2d(self.points), dtype=np.float64)
@@ -220,7 +212,6 @@ class Dataset:
                 raise InvalidParams("labels must take values in {1, 2}")
             lab.setflags(write=False)
             object.__setattr__(self, "labels", lab)
-        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n(self) -> int:
@@ -251,7 +242,7 @@ def sample(theta: MixtureParams, n: int, seed: int) -> Dataset:
     points += y[:, None] * theta.half_separation
     points += theta.center
     labels = np.where(y < 0, 1, 2)
-    return Dataset(points=points, labels=labels, seed=int(seed), theta=theta)
+    return Dataset(points=points, labels=labels)
 
 
 def bayes_classifier(theta: MixtureParams) -> LinearClassifier:
@@ -282,57 +273,3 @@ def mixture_log_density(theta: MixtureParams, x: np.ndarray) -> float | np.ndarr
     out = norm_const + np.logaddexp(-q1, -q2) - np.log(2.0)
     return float(out[0]) if single else out
 
-
-def dataset_to_csv(ds: Dataset, csv_path, json_path=None) -> None:
-    """Write one row per point (trailing ``label`` column when present) plus a
-    JSON header file carrying theta/seed metadata."""
-    csv_path = str(csv_path)
-    if json_path is None:
-        json_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        cols = [f"x{i}" for i in range(ds.d)]
-        if ds.labels is not None:
-            cols.append("label")
-        writer.writerow(cols)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.points[i]]
-            if ds.labels is not None:
-                row.append(str(int(ds.labels[i])))
-            writer.writerow(row)
-    header = {
-        "n": ds.n,
-        "d": ds.d,
-        "seed": ds.seed,
-        "theta": ds.theta.to_json_dict() if ds.theta is not None else None,
-    }
-    with open(str(json_path), "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def dataset_from_csv(csv_path, json_path=None) -> Dataset:
-    """Inverse of :func:`dataset_to_csv`."""
-    csv_path = str(csv_path)
-    if json_path is None:
-        json_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        cols = next(reader)
-        has_labels = bool(cols) and cols[-1] == "label"
-        pts, labs = [], []
-        for row in reader:
-            if has_labels:
-                pts.append([float(v) for v in row[:-1]])
-                labs.append(int(row[-1]))
-            else:
-                pts.append([float(v) for v in row])
-    with open(str(json_path)) as fh:
-        header = json.load(fh)
-    theta = MixtureParams.from_json_dict(header["theta"]) if header.get("theta") else None
-    return Dataset(
-        points=np.asarray(pts, dtype=np.float64),
-        labels=np.asarray(labs, dtype=np.int64) if has_labels else None,
-        seed=int(header.get("seed", 0)),
-        theta=theta,
-    )

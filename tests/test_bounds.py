@@ -97,6 +97,44 @@ class TestTheoremBound:
             assert theorem_bound(kind, sigma=1.0, **kwargs) >= 0.0
 
 
+class TestParameterDomain:
+    """n and d are whole numbers >= 1, s is a whole number and sigma is
+    positive; a bad value is rejected by name, not truncated or divided by."""
+
+    @pytest.mark.parametrize(
+        "kind, kwargs, name",
+        [
+            ("thm2_lower", dict(n=0, d=10, lam=0.2), "n"),
+            ("thm4_lower", dict(n=0, d=41, s=5, lam=0.2), "n"),
+            ("thm1_upper_largesep", dict(n=-5, d=10, lam=200.0), "n"),
+            ("thm1_upper_largesep", dict(n=1000, d=-1, lam=200.0), "d"),
+            ("thm2_lower", dict(n=10**4, d=10.5, lam=0.2), "d"),
+            ("thm3_upper", dict(n=10**4, d=100, s=4.5, lam=1.0), "s"),
+            ("thm1_upper", dict(n=10**4, d=10, lam=1.0, sigma=float("nan")), "sigma"),
+        ],
+    )
+    def test_theorem_bound_rejects(self, kind, kwargs, name):
+        with pytest.raises(DomainError, match=f"^{name} "):
+            theorem_bound(kind, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kind, kwargs, name",
+        [
+            ("mean_concentration", dict(n=0, d=16, delta=0.01, mu_norm=0.5, sigma=1.0), "n"),
+            ("angle_concentration", dict(n=0, d=16, delta=0.01, mu_norm=0.4, sigma=1.0), "n"),
+            ("perdim_variance", dict(n=0, delta=0.01, mu_i=0.0, sigma=1.0), "n"),
+            ("wishart_spectral", dict(n=1000, d=0, delta=0.05), "d"),
+            ("chisq_upper", dict(d=-3, eps=0.5), "d"),
+            ("chisq_upper", dict(d=2.7, eps=0.5), "d"),
+            ("prodnormal", dict(n=2.5, eps=0.5), "n"),
+            ("mean_concentration", dict(n=400, d=16, delta=0.01, mu_norm=0.5, sigma=-1.0), "sigma"),
+        ],
+    )
+    def test_concentration_bound_rejects(self, kind, kwargs, name):
+        with pytest.raises(DomainError, match=f"^{name} "):
+            concentration_bound(kind, **kwargs)
+
+
 class TestKlBound:
     def test_identical_directions(self):
         assert kl_bound(0.7, 1.0) == 0.0

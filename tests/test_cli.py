@@ -51,6 +51,14 @@ class TestBoundsCommand:
         assert proc.returncode == 2
         assert "d >= 9" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "n_args, named", [([], "--n"), (["--n", "0"], "error: n must")], ids=["missing", "zero"]
+    )
+    def test_bad_n_exits_2(self, n_args, named):
+        proc = run_cli("bounds", "--kind", "thm2_lower", *n_args, "--d", "10", "--lambda", "0.2")
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and named in proc.stderr
+
 
 class TestPackingCommand:
     def test_writes_family_and_verify_reads_it(self, tmp_path):
@@ -106,6 +114,27 @@ class TestSimulateCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "threads" in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "rates"])
+    def test_bad_extension_rejected_before_the_sweep(self, tmp_path, monkeypatch, capsys, command):
+        from mixbench import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: calls.append(args))
+        cfg = write_config(tmp_path, {**SMOKE_CONFIG, "sweep": {"axis": "n", "values": [200, 400]}})
+        axis = ["--axis", "n"] if command == "rates" else []
+        assert cli.main([command, *axis, "--config", str(cfg), "--out", str(tmp_path / "report.txt")]) == 2
+        assert calls == []
+        assert "report.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+    def test_unreadable_config_exits_2(self, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        proc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and str(cfg) in proc.stderr
 
     def test_json_output(self, tmp_path):
         cfg = write_config(tmp_path, SMOKE_CONFIG)
@@ -174,6 +203,24 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--suite", "triangle")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
+    def test_missing_family_file_exits_2(self, tmp_path):
+        path = tmp_path / "nowhere.json"
+        proc = run_cli("verify", "--suite", "fano", "--family", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and str(path) in proc.stderr
+
+    def test_family_without_codewords_exits_2(self, tmp_path):
+        path = write_config(tmp_path, {"thetas": []}, name="family.json")
+        proc = run_cli("verify", "--suite", "fano", "--family", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "codewords" in proc.stderr
+
+    def test_family_outside_fano_suite_exits_2(self):
+        proc = run_cli("verify", "--suite", "loss-sandwich", "--family", "/nonexistent.json")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "--family" in proc.stderr
+        assert proc.stdout == ""
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "sandwich.json"
         proc = run_cli("verify", "--suite", "loss-sandwich", "--out", str(out))
@@ -201,13 +248,43 @@ class TestReportBytes:
         "json": "dea9b4e146499aca4a9f19dd3e9ba38f7d72e5cb4667b6ad6c6cc735737b35dd",
     }
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_simulate_report(self, tmp_path, fmt):
-        cfg = write_config(tmp_path, self.CONFIG)
+    # sparse_pca inside the screening guarantee: screening selects the 4
+    # signal coordinates in every replicate, so the restricted PCA fit runs.
+    SCREENED_CONFIG = {
+        "estimator": "sparse_pca",
+        "n": 1000,
+        "d": 32,
+        "s": 4,
+        "lambda": 6.4,
+        "replicates": 4,
+        "master_seed": 11,
+        "sweep": {"axis": "n", "values": [1000, 2000, 4000]},
+    }
+    SCREENED_DIGESTS = {
+        "csv": "95e5d921d66d5ef2ea32ac6ef1c7110445422809fcc7acd25759bd2c2fc6d1af",
+        "json": "a6406dd74be62928ceab84db9c6a717ba2a3a6e96f43ff9c550aa429283dbffa",
+    }
+
+    @staticmethod
+    def simulate(tmp_path, config, fmt):
+        cfg = write_config(tmp_path, config)
         out = tmp_path / f"report.{fmt}"
         proc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
+        return out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_report(self, tmp_path, fmt):
+        out = self.simulate(tmp_path, self.CONFIG, fmt)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[fmt]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_screened_report(self, tmp_path, fmt):
+        out = self.simulate(tmp_path, self.SCREENED_CONFIG, fmt)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SCREENED_DIGESTS[fmt]
+        if fmt == "json":
+            # An empty selection would make the row degenerate.
+            assert not any(row["degenerate"] for row in json.loads(out.read_text())["rows"])
 
     def test_fano_entry(self):
         family = lower_bound_family("sparse", 10_000, 17, s=4, lam=0.2, sigma=1.0, seed=0)

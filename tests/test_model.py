@@ -19,8 +19,6 @@ from mixbench.model import (
     LinearClassifier,
     MixtureParams,
     bayes_classifier,
-    dataset_from_csv,
-    dataset_to_csv,
     mixture_log_density,
     sample,
     stream_seed,
@@ -242,26 +240,6 @@ class TestStreamSeed:
 
 
 class TestDatasetSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 1.0)
-        ds = sample(theta, 25, seed=13)
-        path = tmp_path / "data.csv"
-        dataset_to_csv(ds, path)
-        back = dataset_from_csv(path)
-        assert np.array_equal(back.points, ds.points)
-        assert np.array_equal(back.labels, ds.labels)
-        assert back.seed == ds.seed
-        assert np.array_equal(back.theta.mu1, theta.mu1)
-        assert back.theta.sigma == theta.sigma
-
-    def test_csv_without_labels(self, tmp_path):
-        ds = Dataset(points=np.arange(6.0).reshape(3, 2))
-        path = tmp_path / "plain.csv"
-        dataset_to_csv(ds, path)
-        back = dataset_from_csv(path)
-        assert np.array_equal(back.points, ds.points)
-        assert back.labels is None
-
     def test_bad_labels_rejected(self):
         with pytest.raises(InvalidParams):
             Dataset(points=np.zeros((2, 2)), labels=np.array([1, 3]))
