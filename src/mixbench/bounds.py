@@ -9,7 +9,6 @@ but must not clip them.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .errors import (
     TooFewSamples,
 )
 from .estimators import screening_alpha
-from .model import MixtureParams, mixture_log_density, sample
+from .model import MixtureParams, _whole_number, mixture_log_density, sample
 
 __all__ = [
     "theorem_bound",
@@ -54,14 +53,21 @@ def _require(cond: bool, message: str) -> None:
 
 def _checked(name: str, value):
     """A bound parameter checked against its domain, or DomainError naming it:
-    n and d are whole numbers >= 1, s is a whole number, sigma is positive."""
-    if name not in ("n", "d", "s"):
-        if name == "sigma" and not float(value) > 0.0:
-            raise DomainError(f"sigma must be positive, got {value!r}")
-        return float(value)
-    if not (isinstance(value, numbers.Real) and float(value).is_integer() and (name == "s" or value >= 1)):
-        raise DomainError(f"{name} must be a whole number{'' if name == 's' else ' >= 1'}, got {value!r}")
-    return int(value)
+    n and d are whole numbers >= 1, s is a whole number, every other parameter
+    is a finite real, sigma is positive and mu_norm is nonnegative."""
+    if name in ("n", "d", "s"):
+        count = _whole_number(name, value)
+        if name != "s" and count < 1:
+            raise DomainError(f"{name} must be >= 1, got {value!r}")
+        return count
+    x = float(value)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    if name == "sigma" and x <= 0.0:
+        raise DomainError(f"sigma must be positive, got {value!r}")
+    if name == "mu_norm" and x < 0.0:
+        raise DomainError(f"mu_norm must be nonnegative, got {value!r}")
+    return x
 
 
 def theorem_bound(kind: str, n: int = 0, d: int = 0, s: int = 0, lam: float = 0.0, sigma: float = 1.0) -> float:
@@ -142,7 +148,7 @@ def kl_monte_carlo(
         raise ShapeError(f"dimensions differ: {theta.d} vs {theta_prime.d}")
     if theta.sigma != theta_prime.sigma:
         raise PreconditionViolated("the two mixtures must share sigma")
-    n_samples = int(n_samples)
+    n_samples = _whole_number("n_samples", n_samples)
     if n_samples < 10_000:
         raise TooFewSamples(f"need at least 1e4 samples, got {n_samples}")
     ds = sample(theta, n_samples, seed)

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionViolated,
     TooFewSamples,
 )
-from .model import Dataset, LinearClassifier, MixtureParams, _canonical_direction, json_record, sample, stream_seed
+from .model import Dataset, LinearClassifier, MixtureParams, _canonical_direction, _whole_number, json_record, sample, stream_seed
 
 __all__ = [
     "ScreeningResult",
@@ -102,8 +102,8 @@ class DavisKahanReport:
 
 def screening_alpha(n: int, d: int) -> float:
     """alpha = sqrt(6 log(nd)/n) + 2 log(nd)/n (natural log)."""
-    n = int(n)
-    d = int(d)
+    n = _whole_number("n", n)
+    d = _whole_number("d", d)
     if n < 1 or d < 1:
         raise InvalidParams("n and d must be positive")
     lognd = math.log(n * d)
@@ -148,24 +148,32 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
     restart = np.random.Generator(np.random.Philox(_RESTART_KEY)).standard_normal(d)
     v = np.zeros(d)
     v[int(np.argmax(np.diag(m)))] = 1.0
+    # Three d-vectors serve every step. The bits stay those of m @ v and
+    # np.linalg.norm: np.matmul picks the kernel m @ v picks for any layout
+    # of m (np.dot would copy a strided m into BLAS), and sqrt(x.dot(x)) is
+    # what np.linalg.norm computes for a real vector.
+    w = np.empty(d)
+    r = np.empty(d)
     norm_est = 0.0
     restarted = False
     ok = False
     for _ in range(max_iter):
-        w = m @ v
-        nw = float(np.linalg.norm(w))
+        np.matmul(m, v, out=w)
+        nw = math.sqrt(w.dot(w))
         if nw == 0.0:
             if restarted:
                 break
-            v = restart / np.linalg.norm(restart)
+            np.divide(restart, math.sqrt(restart.dot(restart)), out=v)
             restarted = True
             continue
         norm_est = max(norm_est, nw)
-        rho = float(v @ w)
-        if float(np.linalg.norm(w - rho * v)) <= tol * max(norm_est, 1e-300):
+        rho = float(v.dot(w))
+        np.multiply(v, rho, out=r)
+        np.subtract(w, r, out=r)
+        if math.sqrt(r.dot(r)) <= tol * max(norm_est, 1e-300):
             ok = True
             break
-        v = w / nw
+        np.divide(w, nw, out=v)
     if ok:
         # Degeneracy probe: if an independent direction is also an eigenvector
         # at the same eigenvalue, there is no eigengap to converge into.
@@ -200,7 +208,8 @@ def screening(data: Dataset) -> ScreeningResult:
         raise TooFewSamples(f"need n >= 2, got {data.n}")
     x = data.points
     centered = x - x.mean(axis=0)
-    diag = np.mean(centered * centered, axis=0)
+    centered *= centered
+    diag = centered.mean(axis=0)
     alpha = screening_alpha(data.n, data.d)
     tau_hat = (1.0 + alpha) / (1.0 - alpha) * float(diag.min())
     selected = tuple(int(i) for i in np.nonzero(diag > tau_hat)[0])
@@ -256,10 +265,11 @@ def support_recovery_check(theta: MixtureParams, n: int, replicates: int, seed: 
     theoretical floor 1 - 6/n."""
     if theta.d < 2:
         raise InvalidDimension("support recovery needs d >= 2")
+    n = _whole_number("n", n)
+    replicates = _whole_number("replicates", replicates)
     alpha = screening_alpha(n, theta.d)
     if alpha > 0.25:
         raise PreconditionViolated(f"alpha = {alpha:.4f} > 1/4: outside the guarantee's range")
-    replicates = int(replicates)
     if replicates < 1:
         raise InvalidParams(f"need at least one replicate, got {replicates}")
     truth = support_truth(theta, n)
@@ -277,7 +287,7 @@ def support_recovery_check(theta: MixtureParams, n: int, replicates: int, seed: 
         S=truth.S,
         S_tilde=truth.S_tilde,
         replicates=replicates,
-        n=int(n),
+        n=n,
         alpha=alpha,
     )
 

@@ -32,7 +32,7 @@ from .errors import (
     NumericalError,
     TooFewSamples,
 )
-from .model import LinearClassifier, MixtureParams, bayes_classifier, json_record, sample
+from .model import LinearClassifier, MixtureParams, _whole_number, bayes_classifier, json_record, sample
 
 __all__ = [
     "LossEstimate",
@@ -261,7 +261,7 @@ def loss_monte_carlo(theta: MixtureParams, classify, n_samples: int, seed: int) 
     returns min(p, 1-p) with the binomial standard error. Deterministic for a
     fixed seed.
     """
-    n_samples = int(n_samples)
+    n_samples = _whole_number("n_samples", n_samples)
     if n_samples < 100:
         raise TooFewSamples(f"need at least 100 samples, got {n_samples}")
     oracle = bayes_classifier(theta)

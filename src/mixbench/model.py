@@ -8,12 +8,14 @@ vector ``h = (mu2 - mu1)/2``; the signal-to-noise ratio is ``snr = ||h||/sigma``
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (
     DegenerateSeparation,
+    DomainError,
     EmptySample,
     InvalidClassifier,
     InvalidParams,
@@ -64,8 +66,21 @@ def json_record(obj) -> dict:
     return out
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
+def _whole_number(name: str, value) -> int:
+    """A count as an int, or DomainError naming it: never a bool, never
+    truncated (1000.0 is 1000, 2.7 is an error)."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise DomainError(f"{name} must be a whole number, got {value!r}")
+
+
+def _as_readonly(a, dtype=np.float64) -> np.ndarray:
+    """``a`` itself if it is a read-only array of ``dtype`` that owns its data,
+    else a read-only copy. Writing to a taken array through a view made before
+    it was frozen is the caller's fault."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata and not a.flags.writeable:
+        return a
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -191,26 +206,28 @@ class LinearClassifier:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An (n, d) sample matrix with optional latent labels."""
+    """An (n, d) sample matrix with optional latent labels.
+
+    Read-only float64 points (int64 labels) that own their data are taken as
+    they are; anything else, a writeable array or a view included, is copied.
+    """
 
     points: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.array(np.atleast_2d(self.points), dtype=np.float64)
+        pts = _as_readonly(np.atleast_2d(self.points))
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise EmptySample("a dataset needs at least one row")
         if not np.all(np.isfinite(pts)):
             raise InvalidParams("all data rows must be finite")
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            lab = np.array(self.labels, dtype=np.int64)
+            lab = _as_readonly(self.labels, np.int64)
             if lab.shape != (pts.shape[0],):
                 raise ShapeError(f"labels have shape {lab.shape}, expected ({pts.shape[0]},)")
             if not np.all((lab == 1) | (lab == 2)):
                 raise InvalidParams("labels must take values in {1, 2}")
-            lab.setflags(write=False)
             object.__setattr__(self, "labels", lab)
 
     @property
@@ -230,18 +247,22 @@ def sample(theta: MixtureParams, n: int, seed: int) -> Dataset:
     """
     if not isinstance(theta, MixtureParams):
         raise InvalidParams("theta must be a MixtureParams")
-    n = int(n)
+    n = _whole_number("n", n)
     if n < 1:
         raise EmptySample(f"need n >= 1 points, got {n}")
     rng = make_rng(seed)
-    y = rng.integers(0, 2, size=n) * 2 - 1  # -1 or +1
-    # In place, so no (n, d) temporary outlives its step. Each step rounds, so
-    # the order sigma*z, + y*h, + center fixes the bits of every report.
+    labels = rng.integers(0, 2, size=n) + 1  # label 1 is Y = -1, label 2 is Y = +1
+    up = (labels == 2)[:, None]
+    # In place, with no (n, d) temporary. Each step rounds, so the order
+    # sigma*z, +/- h, + center fixes the bits of every report.
     points = rng.standard_normal((n, theta.d))
     points *= theta.sigma
-    points += y[:, None] * theta.half_separation
+    h = theta.half_separation
+    np.add(points, h, out=points, where=up)
+    np.subtract(points, h, out=points, where=~up)
     points += theta.center
-    labels = np.where(y < 0, 1, 2)
+    points.setflags(write=False)
+    labels.setflags(write=False)
     return Dataset(points=points, labels=labels)
 
 

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .loss import g_function, geometry_decomposition, loss_exact_linear
-from .model import LinearClassifier, MixtureParams, bayes_classifier, json_record, make_rng, stream_seed
+from .model import LinearClassifier, MixtureParams, _whole_number, bayes_classifier, json_record, make_rng, stream_seed
 
 __all__ = [
     "BinaryCode",
@@ -155,7 +155,7 @@ def vg_code(m: int) -> BinaryCode:
     the count the greedy argument guarantees for m >= 8. Enumeration is
     capped at m = 24.
     """
-    m = int(m)
+    m = _whole_number("m", m)
     if m < 8:
         raise PreconditionViolated(f"the construction requires m >= 8, got m = {m}")
     if m > 24:
@@ -182,15 +182,15 @@ def sparse_code(m: int, s: int, seed: int = 0, budget: int = 1_000_000) -> Binar
     s <= m/4; exhausting the budget raises ConstructionFailed (existence is
     guaranteed, so failure signals the budget, not the mathematics).
     """
-    m, s = int(m), int(s)
+    m, s, budget = _whole_number("m", m), _whole_number("s", s), _whole_number("budget", budget)
     if s < 1 or s > m / 4:
         raise PreconditionViolated(f"requires 1 <= s <= m/4 = {m / 4:.6g}, got s = {s}")
     target = math.ceil(math.exp((s / 5.0) * math.log(m / s)))
     min_dist_exclusive = s / 2.0
     rng = make_rng(seed)
-    words = np.zeros((min(target, int(budget)), m), dtype=np.int8)
+    words = np.zeros((min(target, budget), m), dtype=np.int8)
     count = 0
-    for _ in range(int(budget)):
+    for _ in range(budget):
         word = np.zeros(m, dtype=np.int8)
         word[rng.choice(m, size=s, replace=False)] = 1
         if count and int(np.sum(words[:count] != word, axis=1).min()) <= min_dist_exclusive:
@@ -237,7 +237,7 @@ def lower_bound_family(
 
     Every member has separation exactly lambda by construction.
     """
-    n, d = int(n), int(d)
+    n, d = _whole_number("n", n), _whole_number("d", d)
     lam, sigma = float(lam), float(sigma)
     if lam <= 0.0 or sigma <= 0.0:
         raise DomainError("lambda and sigma must be positive")
@@ -261,7 +261,7 @@ def lower_bound_family(
     elif regime == "sparse":
         if s is None:
             raise DomainError("sparse regime requires s")
-        s = int(s)
+        s = _whole_number("s", s)
         if not (4 <= s <= (d - 1) / 4.0):
             raise PreconditionViolated(f"sparse regime requires 4 <= s <= (d-1)/4 = {(d - 1) / 4.0:.6g}, got s = {s}")
         eps = min(

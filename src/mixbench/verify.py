@@ -17,7 +17,7 @@ from .bounds import concentration_bound, kl_bound, kl_monte_carlo
 from .errors import DomainError
 from .estimators import davis_kahan_check, support_recovery_check
 from .loss import loss_bounds_symmetric, loss_exact_linear
-from .model import MixtureParams, bayes_classifier, make_rng, stream_seed
+from .model import MixtureParams, _whole_number, bayes_classifier, make_rng, stream_seed
 from .packing import fano_check, local_triangle_check, lower_bound_family
 
 __all__ = [
@@ -80,7 +80,7 @@ def suite_kl(pairs: int = 200, n_samples: int = 100_000, seed: int = 20240) -> l
     against the closed-form bound xi^4 (1 - cos beta)."""
     rng = make_rng(seed)
     out = []
-    for k in range(int(pairs)):
+    for k in range(_whole_number("pairs", pairs)):
         d = int(rng.integers(2, 9))
         xi = float(rng.uniform(0.02, 0.5))
         beta = float(rng.uniform(0.0, math.pi / 2))
@@ -189,10 +189,11 @@ def suite_triangle(seed: int = 0) -> list[dict]:
 
 def suite_davis_kahan(instances: int = 1000, d_max: int = 10, seed: int = 4242) -> list[dict]:
     """Random admissible (a, e) pairs; the perturbation bound must hold on all."""
+    instances = _whole_number("instances", instances)
     rng = make_rng(seed)
     failures = 0
     worst_ratio = 0.0
-    for _ in range(int(instances)):
+    for _ in range(instances):
         d = int(rng.integers(2, d_max + 1))
         q, _ = np.linalg.qr(rng.normal(size=(d, d)))
         evals = np.sort(rng.uniform(-1.0, 1.0, size=d))[::-1]
@@ -211,7 +212,7 @@ def suite_davis_kahan(instances: int = 1000, d_max: int = 10, seed: int = 4242) 
     return [
         {
             "check": "davis_kahan",
-            "instances": int(instances),
+            "instances": instances,
             "failures": failures,
             "worst_ratio": worst_ratio,
             "holds": failures == 0,

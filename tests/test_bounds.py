@@ -98,8 +98,9 @@ class TestTheoremBound:
 
 
 class TestParameterDomain:
-    """n and d are whole numbers >= 1, s is a whole number and sigma is
-    positive; a bad value is rejected by name, not truncated or divided by."""
+    """n and d are whole numbers >= 1, s is a whole number, every real is
+    finite, sigma is positive and mu_norm is nonnegative; a bad value is
+    rejected by name, not truncated, divided by or passed on as NaN."""
 
     @pytest.mark.parametrize(
         "kind, kwargs, name",
@@ -111,6 +112,9 @@ class TestParameterDomain:
             ("thm2_lower", dict(n=10**4, d=10.5, lam=0.2), "d"),
             ("thm3_upper", dict(n=10**4, d=100, s=4.5, lam=1.0), "s"),
             ("thm1_upper", dict(n=10**4, d=10, lam=1.0, sigma=float("nan")), "sigma"),
+            ("thm1_upper", dict(n=10**4, d=10, lam=float("nan")), "lambda"),
+            ("thm2_lower", dict(n=10**4, d=10, lam=0.2, sigma=float("inf")), "sigma"),
+            ("thm2_lower", dict(n=True, d=10, lam=0.2), "n"),
         ],
     )
     def test_theorem_bound_rejects(self, kind, kwargs, name):
@@ -128,6 +132,10 @@ class TestParameterDomain:
             ("chisq_upper", dict(d=2.7, eps=0.5), "d"),
             ("prodnormal", dict(n=2.5, eps=0.5), "n"),
             ("mean_concentration", dict(n=400, d=16, delta=0.01, mu_norm=0.5, sigma=-1.0), "sigma"),
+            ("perdim_variance", dict(n=4000, delta=0.01, mu_i=float("nan"), sigma=1.0), "mu_i"),
+            ("chisq_upper", dict(d=4, eps=float("inf")), "eps"),
+            ("mean_concentration", dict(n=400, d=16, delta=0.01, mu_norm=-5.0, sigma=1.0), "mu_norm"),
+            ("angle_concentration", dict(n=4000, d=16, delta=0.01, mu_norm=-0.4, sigma=1.0), "mu_norm"),
         ],
     )
     def test_concentration_bound_rejects(self, kind, kwargs, name):
@@ -203,6 +211,12 @@ class TestKlMonteCarlo:
             kl_monte_carlo(a, c, n_samples=10**4, seed=0)
         with pytest.raises(TooFewSamples):
             kl_monte_carlo(a, a, n_samples=100, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [10_000.7, True])
+    def test_sample_count_must_be_whole(self, n_samples):
+        a = MixtureParams([-0.5, 0.0], [0.5, 0.0], 1.0)
+        with pytest.raises(DomainError, match="^n_samples "):
+            kl_monte_carlo(a, a, n_samples=n_samples, seed=0)
 
 
 class TestConcentrationBound:

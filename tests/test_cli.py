@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from mixbench.packing import lower_bound_family
-from mixbench.verify import suite_fano
+from mixbench.errors import DomainError
+from mixbench.verify import suite_davis_kahan, suite_fano, suite_kl
 
 SMOKE_CONFIG = {
     "estimator": "dense_pca",
@@ -186,6 +187,12 @@ class TestRatesCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize(
+        "suite, kwargs, name", [(suite_kl, {"pairs": 2.9}, "pairs"), (suite_davis_kahan, {"instances": True}, "instances")]
+    )
+    def test_suite_counts_must_be_whole(self, suite, kwargs, name):
+        with pytest.raises(DomainError, match=f"^{name} "):
+            suite(**kwargs)
     def test_loss_sandwich_suite(self):
         proc = run_cli("verify", "--suite", "loss-sandwich")
         assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -265,6 +272,21 @@ class TestReportBytes:
         "json": "a6406dd74be62928ceab84db9c6a717ba2a3a6e96f43ff9c550aa429283dbffa",
     }
 
+    # Dense PCA up to d = 256: the power iteration's longest solves.
+    DENSE_CONFIG = {
+        "estimator": "dense_pca",
+        "n": 2000,
+        "d": 8,
+        "lambda": 1.0,
+        "replicates": 3,
+        "master_seed": 5,
+        "sweep": {"axis": "d", "values": [8, 64, 256]},
+    }
+    DENSE_DIGESTS = {
+        "csv": "931b11fd7c03fdece819ca4157e0e5576ce9324b200409c20cc793e3e63258ef",
+        "json": "ca94021d103fb02c9d2ac855a7e4032d98fd314d49a1cbf92c04c58c703aaa8c",
+    }
+
     @staticmethod
     def simulate(tmp_path, config, fmt):
         cfg = write_config(tmp_path, config)
@@ -285,6 +307,11 @@ class TestReportBytes:
         if fmt == "json":
             # An empty selection would make the row degenerate.
             assert not any(row["degenerate"] for row in json.loads(out.read_text())["rows"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dense_report(self, tmp_path, fmt):
+        out = self.simulate(tmp_path, self.DENSE_CONFIG, fmt)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DENSE_DIGESTS[fmt]
 
     def test_fano_entry(self):
         family = lower_bound_family("sparse", 10_000, 17, s=4, lam=0.2, sigma=1.0, seed=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mixbench.errors import (
+    DomainError,
     InvalidDimension,
     InvalidMatrix,
     InvalidParams,
@@ -13,6 +14,8 @@ from mixbench.errors import (
     TooFewSamples,
 )
 from mixbench.estimators import (
+    _RESTART_KEY,
+    _check_symmetric,
     davis_kahan_check,
     oracle_support_pca,
     pca_classifier,
@@ -25,7 +28,88 @@ from mixbench.estimators import (
     top_eigenvector,
 )
 from mixbench.loss import loss_exact_linear
-from mixbench.model import Dataset, MixtureParams, sample, stream_seed
+from mixbench.harness import signal_vector
+from mixbench.model import Dataset, MixtureParams, _canonical_direction, sample, stream_seed
+
+
+def _reference_top_eigenvector(m, tol=1e-10, max_iter=None):
+    """The power iteration as it was written before its loop reused buffers:
+    a new array per step and np.linalg.norm for every norm."""
+    m = _check_symmetric(m)
+    d = m.shape[0]
+    if d == 1:
+        return np.array([1.0]), True
+    if max_iter is None:
+        max_iter = int(10 * d * math.log(d)) + 500
+    restart = np.random.Generator(np.random.Philox(_RESTART_KEY)).standard_normal(d)
+    v = np.zeros(d)
+    v[int(np.argmax(np.diag(m)))] = 1.0
+    norm_est = 0.0
+    restarted = False
+    ok = False
+    for _ in range(max_iter):
+        w = m @ v
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            if restarted:
+                break
+            v = restart / np.linalg.norm(restart)
+            restarted = True
+            continue
+        norm_est = max(norm_est, nw)
+        rho = float(v @ w)
+        if float(np.linalg.norm(w - rho * v)) <= tol * max(norm_est, 1e-300):
+            ok = True
+            break
+        v = w / nw
+    if ok:
+        # Degeneracy probe: if an independent direction is also an eigenvector
+        # at the same eigenvalue, there is no eigengap to converge into.
+        u = restart - (restart @ v) * v
+        nu = float(np.linalg.norm(u))
+        if nu > 0.0:
+            u = u / nu
+            mu_ = m @ u
+            rho_u = float(u @ mu_)
+            resid_u = float(np.linalg.norm(mu_ - rho_u * u))
+            scale = max(norm_est, 1e-300)
+            ok = not (resid_u <= tol * scale and abs(rho_u - rho) <= tol * scale)
+    v, _ = _canonical_direction(v / np.linalg.norm(v), 0.0)
+    return v, ok
+
+
+@pytest.fixture(scope="module")
+def eigen_corpus():
+    """Matrices on which the power iteration must keep every bit."""
+    rng = np.random.default_rng(2013)
+    corpus = []
+    # Sample covariances at the benchmark sweeps' shapes: d = 32 with
+    # n = 256, 512, 1024 (three estimators' sweep), and n = 20000 with d up to 256.
+    for n in (256, 512, 1024):
+        for estimator_s in (4, 32):
+            h = signal_vector("equal_coords", 32, 1.6, s=estimator_s)
+            for seed in range(3):
+                corpus.append(sample_mean_cov(sample(MixtureParams(-h, h, 1.0), n, seed))[1])
+    for d in (8, 32, 128, 256):
+        h = signal_vector("equal_coords", d, 1.0)
+        corpus.append(sample_mean_cov(sample(MixtureParams(-h, h, 1.0), 20_000, d))[1])
+    for d in (2, 3, 5, 8, 16, 32):
+        a = rng.standard_normal((d, d))
+        corpus.append((a + a.T) / 2.0)  # indefinite
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        for gap in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):  # tied and near-tied
+            ev = np.sort(rng.uniform(0.1, 1.0, d))[::-1]
+            ev[1] = ev[0] * (1.0 - gap)
+            b = q @ np.diag(ev) @ q.T
+            corpus.append((b + b.T) / 2.0)
+        corpus.append(np.zeros((d, d)))
+        corpus.append(2.5 * np.eye(d))
+    # The same answer whatever the memory layout of the matrix.
+    corpus.append(np.asfortranarray(corpus[0]))
+    wide = np.zeros((64, 64))
+    wide[::2, ::2] = corpus[0]
+    corpus.append(wide[::2, ::2])
+    return corpus
 
 
 class TestSampleMeanCov:
@@ -110,6 +194,18 @@ class TestTopEigenvector:
         v, _ = top_eigenvector(m)
         assert v[np.argmax(np.abs(v))] >= 0.0
 
+    @pytest.mark.parametrize("settings", [{}, {"max_iter": 7}, {"tol": 1e-6}], ids=["default", "max_iter", "tol"])
+    def test_bits_equal_reference_loop(self, eigen_corpus, settings):
+        flags = []
+        for m in eigen_corpus:
+            v, ok = top_eigenvector(m, **settings)
+            v_ref, ok_ref = _reference_top_eigenvector(m, **settings)
+            assert (v.tobytes(), ok) == (v_ref.tobytes(), ok_ref)
+            flags.append(ok)
+        if not settings:
+            # Converged and flagged solves are both in the corpus.
+            assert any(flags) and not all(flags)
+
     def test_matches_eigh_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
@@ -168,6 +264,12 @@ class TestScreening:
 
     def test_alpha_monotone_in_n(self):
         assert screening_alpha(4000, 100) < screening_alpha(1000, 100)
+
+    @pytest.mark.parametrize("n, d, name", [(1000.9, 10, "n"), (1000, True, "d"), (1000, 10.5, "d")])
+    def test_alpha_counts_must_be_whole(self, n, d, name):
+        with pytest.raises(DomainError, match=f"^{name} "):
+            screening_alpha(n, d)
+        assert screening_alpha(1000.0, 10.0) == screening_alpha(1000, 10)
 
     def test_dimension_and_sample_guards(self):
         with pytest.raises(InvalidDimension):
@@ -316,6 +418,14 @@ class TestSupportRecovery:
         theta = MixtureParams(-h, h, 1.0)
         with pytest.raises(InvalidParams):
             support_recovery_check(theta, 4000, 0, seed=0)
+
+    @pytest.mark.parametrize("n, replicates, name", [(4000, 2.9, "replicates"), (4000, True, "replicates"), (4000.5, 2, "n")])
+    def test_counts_must_be_whole(self, n, replicates, name):
+        h = np.zeros(16)
+        h[0] = 1.0
+        theta = MixtureParams(-h, h, 1.0)
+        with pytest.raises(DomainError, match=f"^{name} "):
+            support_recovery_check(theta, n, replicates, seed=0)
 
     def test_null_case_frequency(self):
         theta = MixtureParams(np.zeros(8), np.zeros(8), 1.0)

@@ -286,6 +286,13 @@ class TestLossMonteCarlo:
         with pytest.raises(TooFewSamples):
             loss_monte_carlo(theta, bayes_classifier(theta).predict, 99, seed=0)
 
+    @pytest.mark.parametrize("n_samples", [150.9, True, float("nan")])
+    def test_sample_count_must_be_whole(self, n_samples):
+        theta = MixtureParams([-1.0], [1.0], 1.0)
+        with pytest.raises(DomainError, match="^n_samples "):
+            loss_monte_carlo(theta, bayes_classifier(theta).predict, n_samples, seed=0)
+        assert loss_monte_carlo(theta, bayes_classifier(theta).predict, 150.0, seed=0).n_samples == 150
+
     def test_nonlinear_rule(self):
         # quadrant rule in 2-D: still a valid clustering for the MC path
         theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 1.0)

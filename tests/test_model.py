@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixbench import model
 from mixbench.errors import (
     DegenerateSeparation,
+    DomainError,
     EmptySample,
     InvalidClassifier,
     InvalidParams,
@@ -118,6 +120,29 @@ class TestSample:
         theta = MixtureParams([-1.0], [1.0], 1.0)
         with pytest.raises(EmptySample):
             sample(theta, 0, seed=0)
+
+    @pytest.mark.parametrize("n", [2.7, True, float("inf")])
+    def test_count_must_be_whole(self, n):
+        theta = MixtureParams([-1.0], [1.0], 1.0)
+        with pytest.raises(DomainError, match="^n "):
+            sample(theta, n, seed=1)
+        assert sample(theta, 3.0, seed=1).n == 3
+
+    def test_points_read_only_and_taken_without_copy(self, monkeypatch):
+        handed = []
+
+        class Recording(Dataset):
+            def __post_init__(self):
+                handed.append((self.points, self.labels))
+                super().__post_init__()
+
+        monkeypatch.setattr(model, "Dataset", Recording)
+        theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 1.0)
+        ds = sample(theta, 50, seed=4)
+        assert ds.points is handed[0][0] and ds.labels is handed[0][1]
+        assert not ds.points.flags.writeable and not ds.labels.flags.writeable
+        with pytest.raises(ValueError):
+            ds.points[0, 0] = 1.0
 
     def test_label_frequencies(self):
         theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 2.0)
@@ -237,6 +262,53 @@ class TestStreamSeed:
 
     def test_nested_paths(self):
         assert stream_seed(42, 1, 0) != stream_seed(42, 1, 1)
+
+
+class TestDatasetCopies:
+    """Dataset takes a read-only float64 array that owns its data as it is and
+    copies anything else, so no caller can change a dataset after the fact."""
+
+    def test_read_only_owner_taken_as_is(self):
+        pts = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        pts.setflags(write=False)
+        assert Dataset(points=pts).points is pts
+
+    def test_writeable_input_copied(self):
+        pts = np.arange(6.0).reshape(3, 2)
+        ds = Dataset(points=pts)
+        pts[0, 0] = 99.0
+        assert ds.points is not pts
+        assert ds.points[0, 0] == 0.0
+        assert not ds.points.flags.writeable
+
+    def test_read_only_view_of_writeable_base_copied(self):
+        base = np.arange(8.0).reshape(4, 2)
+        view = base[:3]
+        view.setflags(write=False)
+        ds = Dataset(points=view)
+        base[0, 0] = 99.0
+        assert ds.points is not view
+        assert ds.points[0, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        "pts", [[[0.0, 1.0], [2.0, 3.0]], np.arange(4, dtype=np.float32).reshape(2, 2), np.arange(4).reshape(2, 2)]
+    )
+    def test_lists_and_other_dtypes_copied(self, pts):
+        if isinstance(pts, np.ndarray):
+            pts.setflags(write=False)
+        ds = Dataset(points=pts)
+        assert ds.points.dtype == np.float64 and ds.points is not pts
+        assert np.array_equal(ds.points, np.asarray(pts, dtype=np.float64))
+
+    def test_checks_still_run_on_taken_arrays(self):
+        pts = np.array([[0.0, np.nan]])
+        pts.setflags(write=False)
+        with pytest.raises(InvalidParams):
+            Dataset(points=pts)
+        labels = np.array([1, 3])
+        labels.setflags(write=False)
+        with pytest.raises(InvalidParams):
+            Dataset(points=np.zeros((2, 2)), labels=labels)
 
 
 class TestDatasetSerialization:

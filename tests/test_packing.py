@@ -56,6 +56,11 @@ class TestVgCode:
         with pytest.raises(BudgetExceeded):
             vg_code(25)
 
+    @pytest.mark.parametrize("m", [8.5, True])
+    def test_length_must_be_whole(self, m):
+        with pytest.raises(DomainError, match="^m "):
+            vg_code(m)
+
     def test_deterministic(self):
         a = vg_code(12)
         b = vg_code(12)
@@ -95,6 +100,11 @@ class TestSparseCode:
     def test_budget_exhaustion(self):
         with pytest.raises(ConstructionFailed):
             sparse_code(16, 4, seed=0, budget=2)
+
+    @pytest.mark.parametrize("m, s, budget, name", [(16.5, 4, 100, "m"), (16, 4.5, 100, "s"), (16, 4, 2.5, "budget")])
+    def test_counts_must_be_whole(self, m, s, budget, name):
+        with pytest.raises(DomainError, match=f"^{name} "):
+            sparse_code(m, s, seed=0, budget=budget)
 
     def test_deterministic(self):
         a = sparse_code(32, 8, seed=5)
@@ -173,6 +183,14 @@ class TestLowerBoundFamily:
             lower_bound_family("sparse", 100, 17, s=5, lam=0.2, sigma=1.0)
         with pytest.raises(DomainError):
             lower_bound_family("other", 100, 9, lam=0.2, sigma=1.0)
+
+    @pytest.mark.parametrize(
+        "regime, n, d, s, name",
+        [("dense", 10_000.9, 9, None, "n"), ("dense", 10_000, 9.5, None, "d"), ("sparse", 10_000, 17, 4.5, "s")],
+    )
+    def test_counts_must_be_whole(self, regime, n, d, s, name):
+        with pytest.raises(DomainError, match=f"^{name} "):
+            lower_bound_family(regime, n, d, s=s, lam=0.2, sigma=1.0)
 
 
 def inflate_epsilon(fam: PackingFamily, factor: float) -> PackingFamily:
