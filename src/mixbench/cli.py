@@ -19,7 +19,7 @@ import json
 import sys
 
 from .bounds import THEOREM_KINDS, theorem_bound
-from .errors import ConfigError, MixbenchError
+from .errors import ConfigError, DomainError, MixbenchError
 from .harness import AXES, emit_report, load_config, read_json, run_experiment, write_atomic
 from .packing import family_from_json_dict, family_to_json_dict, lower_bound_family
 from .verify import SUITES, suite_fano
@@ -131,7 +131,7 @@ def _cmd_verify(args) -> int:
     if args.family:
         try:
             family = family_from_json_dict(read_json(args.family))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, DomainError) as exc:
             raise ConfigError(f"family file {args.family} is malformed: {exc!r}") from None
         entries = suite_fano([family])
     else:

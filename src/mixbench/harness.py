@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import stdtrit
 
 from .errors import ConfigError, DomainError, TooFewPoints
 from .estimators import oracle_support_pca, pca_classifier, sparse_pca_classifier
@@ -321,7 +321,7 @@ def fit_rate(points) -> tuple[float, float, tuple[float, float]]:
     se = math.sqrt(s2 / sxx)
     if se == 0.0:
         return slope, intercept, (slope, slope)
-    tq = float(_stats.t.ppf(0.975, dof))
+    tq = float(stdtrit(dof, 0.975))  # Student's t quantile: the bits of stats.t.ppf, without importing scipy.stats
     return slope, intercept, (slope - tq * se, slope + tq * se)
 
 

@@ -226,7 +226,8 @@ class Dataset:
             lab = _as_readonly(self.labels, np.int64)
             if lab.shape != (pts.shape[0],):
                 raise ShapeError(f"labels have shape {lab.shape}, expected ({pts.shape[0]},)")
-            if not np.all((lab == 1) | (lab == 2)):
+            # A label that the int64 cast changed (1.7 -> 1) is rejected, not truncated.
+            if not (np.all((lab == 1) | (lab == 2)) and (lab is self.labels or np.array_equal(lab, self.labels))):
                 raise InvalidParams("labels must take values in {1, 2}")
             object.__setattr__(self, "labels", lab)
 

@@ -433,12 +433,19 @@ def family_to_json_dict(family: PackingFamily) -> dict:
     }
 
 
+def _optional_whole(obj: dict, key: str) -> int | None:
+    value = obj.get(key)
+    return None if value is None else _whole_number(key, value)
+
+
 def family_from_json_dict(obj: dict) -> PackingFamily:
+    """The family that ``family_to_json_dict`` wrote; a count that is not a
+    whole number is a DomainError naming its key, never truncated."""
     code = BinaryCode(
         length=len(obj["codewords"][0]),
         words=np.asarray(obj["codewords"], dtype=np.int8),
-        min_distance=int(obj["code_min_distance"]),
-        weight=obj.get("code_weight"),
+        min_distance=_whole_number("code_min_distance", obj["code_min_distance"]),
+        weight=_optional_whole(obj, "code_weight"),
     )
     thetas = tuple(MixtureParams.from_json_dict(t) for t in obj["thetas"])
     return PackingFamily(
@@ -448,9 +455,9 @@ def family_from_json_dict(obj: dict) -> PackingFamily:
         lambda0=float(obj["lambda0"]),
         gamma=float(obj["gamma"]),
         regime=obj["regime"],
-        n=int(obj["n"]),
-        d=int(obj["d"]),
-        s=obj.get("s"),
+        n=_whole_number("n", obj["n"]),
+        d=_whole_number("d", obj["d"]),
+        s=_optional_whole(obj, "s"),
         lam=float(obj["lambda"]),
         sigma=float(obj["sigma"]),
     )

@@ -10,6 +10,7 @@ import types
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mixbench import estimators, harness
 from mixbench.errors import ConfigError, DomainError, TooFewPoints
@@ -290,6 +291,15 @@ class TestFitRate:
             fit_rate([(1.0, 0.0), (2.0, 1.0)])
         with pytest.raises(DomainError):
             fit_rate([(-1.0, 1.0), (2.0, 1.0)])
+
+    def test_interval_bits_equal_scipy_stats(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        pts = [(float(x), float(x**-0.5 * math.exp(0.1 * rng.normal()))) for x in range(1, 503)]
+        fits = [fit_rate(pts[: dof + 2]) for dof in range(1, 501)]
+        monkeypatch.setattr(harness, "stdtrit", lambda dof, p: stats.t.ppf(p, dof))
+        for dof, fit in enumerate(fits, start=1):
+            assert fit[2][0] < fit[2][1]
+            assert fit_rate(pts[: dof + 2]) == fit, dof
 
     def test_x_rescaling_invariance(self):
         pts = [(1.0, 3.0), (2.0, 2.0), (4.0, 1.5), (8.0, 1.2)]

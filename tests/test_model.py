@@ -312,6 +312,17 @@ class TestDatasetCopies:
 
 
 class TestDatasetSerialization:
+    @pytest.mark.parametrize("labels", [np.array([1.7, 2.2]), [1.0, 2.5], np.array([1.0, 2.0000001])])
+    def test_fractional_labels_rejected(self, labels):
+        with pytest.raises(InvalidParams):
+            Dataset(points=np.zeros((2, 2)), labels=labels)
+
+    @pytest.mark.parametrize("labels", [np.array([1.0, 2.0]), [2.0, 1.0], np.array([1, 2], dtype=np.int8)])
+    def test_whole_valued_labels_accepted(self, labels):
+        ds = Dataset(points=np.zeros((2, 2)), labels=labels)
+        assert ds.labels.dtype == np.int64
+        assert np.array_equal(ds.labels, np.asarray(labels))
+
     def test_bad_labels_rejected(self):
         with pytest.raises(InvalidParams):
             Dataset(points=np.zeros((2, 2)), labels=np.array([1, 3]))

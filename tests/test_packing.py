@@ -341,6 +341,32 @@ class TestLocalTriangle:
 
 
 class TestFamilySerialization:
+    @pytest.mark.parametrize("regime, d, kwargs", [("sparse", 17, {"s": 4}), ("dense", 9, {})])
+    def test_round_trip_keeps_every_count(self, regime, d, kwargs):
+        fam = lower_bound_family(regime, 10**4, d, lam=0.2, sigma=1.0, seed=2, **kwargs)
+        back = family_from_json_dict(family_to_json_dict(fam))
+        for a, b in [(back.n, fam.n), (back.d, fam.d), (back.s, fam.s),
+                     (back.code.min_distance, fam.code.min_distance), (back.code.weight, fam.code.weight)]:
+            assert a == b and type(a) is type(b)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", 10000.7), ("d", 17.5), ("s", 2.5), ("s", True), ("code_min_distance", 1.5), ("code_weight", 4.2)],
+    )
+    def test_fractional_counts_rejected(self, key, value):
+        obj = family_to_json_dict(lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2))
+        obj[key] = value
+        with pytest.raises(DomainError, match=f"^{key} must be a whole number"):
+            family_from_json_dict(obj)
+
+    def test_whole_valued_floats_accepted(self):
+        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2)
+        obj = family_to_json_dict(fam)
+        obj.update(n=1e4, s=4.0, code_weight=float(fam.code.weight))
+        back = family_from_json_dict(obj)
+        assert (back.n, back.s, back.code.weight) == (10**4, 4, fam.code.weight)
+        assert type(back.n) is int and type(back.s) is int
+
     def test_json_round_trip(self):
         fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2)
         obj = family_to_json_dict(fam)
