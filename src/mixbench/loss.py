@@ -160,13 +160,12 @@ def loss_bounds_symmetric(xi: float, beta: float) -> tuple[float, float]:
 
 def geometry_decomposition(theta: MixtureParams, clf: LinearClassifier) -> GeometryDecomposition:
     """Reduce (theta, clf) to the 2-D quantities that determine the loss."""
-    h = theta.half_separation
-    nh = float(np.linalg.norm(h))
+    nh = theta.half_separation_norm
     if nh == 0.0:
         raise DegenerateSeparation("mu1 == mu2: loss relative to the optimal rule is undefined")
     if clf.d != theta.d:
         raise InvalidClassifier(f"classifier dimension {clf.d} != mixture dimension {theta.d}")
-    cos_beta = float(abs(clf.v @ h) / nh)
+    cos_beta = float(abs(clf.v @ theta.half_separation) / nh)
     # Values within a couple of ulps of 1 are rounding noise from the unit
     # normalization; snapping keeps the aligned case exact.
     cos_beta = 1.0 if cos_beta >= 1.0 - 1e-15 else min(cos_beta, 1.0)

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .loss import g_function, geometry_decomposition, loss_exact_linear
-from .model import LinearClassifier, MixtureParams, _whole_number, bayes_classifier, json_record, make_rng, stream_seed
+from .model import LinearClassifier, MixtureParams, _real_number, _whole_number, bayes_classifier, json_record, make_rng, stream_seed
 
 __all__ = [
     "BinaryCode",
@@ -394,12 +394,12 @@ def local_triangle_check(
         raise PreconditionViolated("the pair must share sigma")
     if not np.allclose(theta.center, theta_prime.center, atol=1e-12):
         raise PreconditionViolated("the pair must share the center mu0")
-    h1 = np.linalg.norm(theta.half_separation)
-    h2 = np.linalg.norm(theta_prime.half_separation)
+    h1 = theta.half_separation_norm
+    h2 = theta_prime.half_separation_norm
     if abs(h1 - h2) > 1e-12 * max(h1, h2, 1.0):
         raise PreconditionViolated("the pair must have equal separations")
 
-    xi = float(h1) / theta.sigma
+    xi = h1 / theta.sigma
     kl = kl_bound(xi, _pair_cos_beta(theta, theta_prime))
     loss_cross = loss_exact_linear(theta, bayes_classifier(theta_prime), tol=_QUAD_TOL).value
     loss_clf = loss_exact_linear(theta, clf, tol=_QUAD_TOL).value
@@ -439,25 +439,40 @@ def _optional_whole(obj: dict, key: str) -> int | None:
 
 
 def family_from_json_dict(obj: dict) -> PackingFamily:
-    """The family that ``family_to_json_dict`` wrote; a count that is not a
-    whole number is a DomainError naming its key, never truncated."""
-    code = BinaryCode(
-        length=len(obj["codewords"][0]),
-        words=np.asarray(obj["codewords"], dtype=np.int8),
-        min_distance=_whole_number("code_min_distance", obj["code_min_distance"]),
-        weight=_optional_whole(obj, "code_weight"),
-    )
+    """The family that ``family_to_json_dict`` wrote. A DomainError names the
+    key of a count that is not whole (never truncated), of a number given as a
+    string or bool, of a codeword entry not 0 or 1, or of a header value (d,
+    sigma, lambda, codewords) that disagrees with the members."""
+    words = np.asarray(obj["codewords"])
+    if words.dtype.kind not in "iuf" or not np.all((words == 0) | (words == 1)):
+        raise DomainError(f"codewords must hold only the bits 0 and 1, got {obj['codewords']!r}")
+    d = _whole_number("d", obj["d"])
+    lam, sigma = _real_number("lambda", obj["lambda"]), _real_number("sigma", obj["sigma"])
     thetas = tuple(MixtureParams.from_json_dict(t) for t in obj["thetas"])
+    for theta in thetas:
+        if theta.d != d:
+            raise DomainError(f"d is {d} but a member has dimension {theta.d}")
+        if theta.sigma != sigma:
+            raise DomainError(f"sigma is {sigma} but a member has sigma {theta.sigma}")
+        if not abs(theta.separation - lam) <= 1e-12 * lam:
+            raise DomainError(f"lambda is {lam} but a member has separation {theta.separation}")
+    if words.shape != (len(thetas), d - 1):
+        raise DomainError(f"codewords must be one word of length d - 1 = {d - 1} per member ({len(thetas)}), got {words.shape}")
     return PackingFamily(
         thetas=thetas,
-        code=code,
-        epsilon=float(obj["epsilon"]),
-        lambda0=float(obj["lambda0"]),
-        gamma=float(obj["gamma"]),
+        code=BinaryCode(
+            length=d - 1,
+            words=words.astype(np.int8),
+            min_distance=_whole_number("code_min_distance", obj["code_min_distance"]),
+            weight=_optional_whole(obj, "code_weight"),
+        ),
+        epsilon=_real_number("epsilon", obj["epsilon"]),
+        lambda0=_real_number("lambda0", obj["lambda0"]),
+        gamma=_real_number("gamma", obj["gamma"]),
         regime=obj["regime"],
         n=_whole_number("n", obj["n"]),
-        d=_whole_number("d", obj["d"]),
+        d=d,
         s=_optional_whole(obj, "s"),
-        lam=float(obj["lambda"]),
-        sigma=float(obj["sigma"]),
+        lam=lam,
+        sigma=sigma,
     )

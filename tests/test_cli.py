@@ -233,6 +233,18 @@ class TestVerifyCommand:
         assert f"{key} must be a whole number, got {value}" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("key, value", [("sigma", 3.0), ("d", 12), ("sigma", "1.0"), ("lambda", True)])
+    def test_family_header_not_matching_members_exits_2(self, tmp_path, key, value):
+        obj = family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0))
+        obj[key] = value
+        path = write_config(tmp_path, obj, name="family.json")
+        proc = run_cli("verify", "--suite", "fano", "--family", str(path))
+        assert proc.returncode == 2
+        prefix = f"error: family file {path} is malformed: DomainError("
+        assert proc.stderr.startswith(prefix)
+        assert proc.stderr[len(prefix) + 1 :].startswith(f"{key} ")  # after the message's opening quote
+        assert proc.stdout == ""
+
     def test_family_outside_fano_suite_exits_2(self):
         proc = run_cli("verify", "--suite", "loss-sandwich", "--family", "/nonexistent.json")
         assert proc.returncode == 2
@@ -357,6 +369,11 @@ class TestReportBytes:
         (entry,) = suite_fano([family])
         text = json.dumps(entry, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == "f71f149dd1eef99ee3908594a47b047d396bb06f5ff46fde720d7c1518db98b8"
+
+    def test_kl_suite(self):
+        # 20 pairs over d = 2 to 8: the row-blocked sample and log-density passes.
+        text = json.dumps(suite_kl(pairs=20), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == "afb819164e615567723ddb2621382a732882afc083be3fffb9e4d9727cb4b087"
 
     @pytest.mark.parametrize(
         "args, digest",

@@ -1,6 +1,7 @@
 """Tests for the mixture model types and sampling."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -17,14 +18,68 @@ from mixbench.errors import (
     ShapeError,
 )
 from mixbench.model import (
+    _LOG_2PI,
     Dataset,
     LinearClassifier,
     MixtureParams,
+    _block_rows,
+    _whole_number,
     bayes_classifier,
+    make_rng,
     mixture_log_density,
     sample,
     stream_seed,
 )
+
+
+def _reference_sample(theta: MixtureParams, n: int, seed: int) -> Dataset:
+    """sample as it was written before its passes walked row blocks: masked
+    whole-array +/- h passes, then the center."""
+    if not isinstance(theta, MixtureParams):
+        raise InvalidParams("theta must be a MixtureParams")
+    n = _whole_number("n", n)
+    if n < 1:
+        raise EmptySample(f"need n >= 1 points, got {n}")
+    rng = make_rng(seed)
+    labels = rng.integers(0, 2, size=n) + 1  # label 1 is Y = -1, label 2 is Y = +1
+    up = (labels == 2)[:, None]
+    # In place, with no (n, d) temporary. Each step rounds, so the order
+    # sigma*z, +/- h, + center fixes the bits of every report.
+    points = rng.standard_normal((n, theta.d))
+    points *= theta.sigma
+    h = theta.half_separation
+    np.add(points, h, out=points, where=up)
+    np.subtract(points, h, out=points, where=~up)
+    points += theta.center
+    points.setflags(write=False)
+    labels.setflags(write=False)
+    return Dataset(points=points, labels=labels)
+
+
+def _reference_mixture_log_density(theta: MixtureParams, x: np.ndarray) -> float | np.ndarray:
+    """mixture_log_density as it was written before it walked row blocks:
+    whole-array broadcasts, one (n, d) temporary per component."""
+    arr = np.asarray(x, dtype=np.float64)
+    single = arr.ndim == 1
+    pts = np.atleast_2d(arr)
+    if pts.shape[1] != theta.d:
+        raise ShapeError(f"x has dimension {pts.shape[1]}, theta has {theta.d}")
+    s2 = theta.sigma**2
+    norm_const = -0.5 * theta.d * (_LOG_2PI + np.log(s2))
+    q1 = np.sum((pts - theta.mu1) ** 2, axis=1) / (2.0 * s2)
+    q2 = np.sum((pts - theta.mu2) ** 2, axis=1) / (2.0 * s2)
+    out = norm_const + np.logaddexp(-q1, -q2) - np.log(2.0)
+    return float(out[0]) if single else out
+
+
+# Around the block edges of every dimension: one row, a block short of one
+# row, one block, one row over, and a ragged last block.
+_BLOCK_EDGE_DIMS = (1, 2, 3, 7, 8, 9, 31, 32, 33, 256)
+
+
+def _block_edge_counts(d: int) -> tuple[int, ...]:
+    step = _block_rows(10**9, d)
+    return (1, step - 1, step, step + 1, 3 * step + 5)
 
 
 class TestMixtureParams:
@@ -67,6 +122,20 @@ class TestMixtureParams:
         theta = MixtureParams([0.0], [1.0], 1.0)
         with pytest.raises(ValueError):
             theta.mu1[0] = 5.0
+
+    def test_derived_vectors_read_only_and_computed_once(self):
+        theta = MixtureParams([0.0, 1.0, -3.0], [2.0, 5.0, 1.0], 1.5)
+        for name, expected in [("center", [1.0, 3.0, -1.0]), ("half_separation", [1.0, 2.0, 2.0])]:
+            v = getattr(theta, name)
+            assert v is getattr(theta, name)
+            assert not v.flags.writeable and np.array_equal(v, expected)
+            with pytest.raises(ValueError):
+                v[0] = 7.0
+            with pytest.raises(FrozenInstanceError):
+                setattr(theta, name, np.zeros(3))
+        assert theta.half_separation_norm == 3.0 and theta.snr == 2.0
+        # Not fields: the JSON record and equality see only mu1, mu2 and sigma.
+        assert set(theta.to_json_dict()) == {"mu1", "mu2", "sigma"}
 
 
 class TestLinearClassifier:
@@ -171,6 +240,16 @@ class TestSample:
         b = sample(theta.shifted(c), 200, seed=5)
         np.testing.assert_allclose(b.points, a.points + c, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d", _BLOCK_EDGE_DIMS)
+    def test_bits_equal_whole_array_reference(self, d):
+        rng = np.random.default_rng(d)
+        theta = MixtureParams(rng.normal(size=d) + 2.0, rng.normal(size=d) - 1.0, 1.7)
+        for n in _block_edge_counts(d):
+            ds = sample(theta, n, seed=n)
+            ref = _reference_sample(theta, n, seed=n)
+            assert ds.points.tobytes() == ref.points.tobytes()
+            assert ds.labels.tobytes() == ref.labels.tobytes()
+
     def test_labels_match_components(self):
         h = np.array([10.0, 0.0])
         theta = MixtureParams(-h, h, 0.1)
@@ -243,6 +322,19 @@ class TestMixtureLogDensity:
         theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 1.0)
         with pytest.raises(ShapeError):
             mixture_log_density(theta, np.zeros(3))
+
+    @pytest.mark.parametrize("d", _BLOCK_EDGE_DIMS)
+    def test_bits_equal_whole_array_reference(self, d):
+        rng = np.random.default_rng(100 + d)
+        theta = MixtureParams(rng.normal(size=d) + 2.0, rng.normal(size=d) - 1.0, 1.7)
+        other = MixtureParams(rng.normal(size=d), rng.normal(size=d), 1.7)
+        for n in _block_edge_counts(d):
+            pts = sample(theta, n, seed=n).points
+            for t in (theta, other):
+                got = mixture_log_density(t, pts)
+                assert got.tobytes() == _reference_mixture_log_density(t, pts).tobytes()
+                single = mixture_log_density(t, pts[-1])
+                assert type(single) is float and single == _reference_mixture_log_density(t, pts[-1])
 
     def test_integrates_to_one(self):
         # 1-D Riemann check as an independent oracle

@@ -359,12 +359,70 @@ class TestFamilySerialization:
         with pytest.raises(DomainError, match=f"^{key} must be a whole number"):
             family_from_json_dict(obj)
 
+    @staticmethod
+    def written(regime="sparse"):
+        if regime == "dense":
+            return family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0, seed=2))
+        return family_to_json_dict(lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sigma", "1.0"), ("lambda", True), ("epsilon", "0.01"), ("lambda0", None), ("gamma", [0.1])],
+    )
+    def test_header_numbers_must_be_numbers(self, key, value):
+        obj = self.written()
+        obj[key] = value
+        with pytest.raises(DomainError, match=f"^{key} must be a number"):
+            family_from_json_dict(obj)
+
+    @pytest.mark.parametrize("key, value", [("mu1", "strings"), ("mu2", "strings"), ("sigma", "1.0"), ("sigma", False)])
+    def test_member_numbers_must_be_numbers(self, key, value):
+        obj = self.written()
+        member = obj["thetas"][2]
+        member[key] = [str(x) for x in member[key]] if value == "strings" else value
+        with pytest.raises(DomainError, match=f"^{key} must be a (list of )?number"):
+            family_from_json_dict(obj)
+
+    @pytest.mark.parametrize("bit", [0.7, 2, -1, "1"])
+    def test_codewords_must_be_bits(self, bit):
+        obj = self.written()
+        obj["codewords"][1][0] = bit
+        with pytest.raises(DomainError, match="^codewords must hold only the bits 0 and 1"):
+            family_from_json_dict(obj)
+
+    @pytest.mark.parametrize(
+        "regime, edit, key",
+        [
+            ("dense", lambda obj: obj.update(d=12), "d"),
+            ("sparse", lambda obj: obj["thetas"][2].update({k: obj["thetas"][2][k] + [0.0] for k in ("mu1", "mu2")}), "d"),
+            ("dense", lambda obj: obj.update(sigma=3.0), "sigma"),
+            ("sparse", lambda obj: obj["thetas"][2].update(sigma=2.0), "sigma"),
+            ("dense", lambda obj: obj.update(**{"lambda": 0.2 * (1.0 + 1e-9)}), "lambda"),
+            ("sparse", lambda obj: obj["thetas"].pop(), "codewords"),
+            ("sparse", lambda obj: obj["codewords"].pop(), "codewords"),
+            ("dense", lambda obj: obj.update(codewords=[w[:-1] for w in obj["codewords"]]), "codewords"),
+        ],
+        ids=["d", "member-d", "sigma", "member-sigma", "lambda", "fewer-members", "fewer-words", "word-length"],
+    )
+    def test_header_must_agree_with_members(self, regime, edit, key):
+        obj = self.written(regime)
+        edit(obj)
+        with pytest.raises(DomainError, match=f"^{key} "):
+            family_from_json_dict(obj)
+
+    @pytest.mark.parametrize("regime", ["sparse", "dense"])
+    def test_separation_agrees_within_rounding(self, regime):
+        obj = self.written(regime)
+        obj["lambda"] *= 1.0 + 1e-13
+        assert family_from_json_dict(obj).lam == obj["lambda"]
+
     def test_whole_valued_floats_accepted(self):
         fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2)
         obj = family_to_json_dict(fam)
-        obj.update(n=1e4, s=4.0, code_weight=float(fam.code.weight))
+        obj.update(n=1e4, s=4.0, code_weight=float(fam.code.weight), codewords=fam.code.words.astype(float).tolist())
         back = family_from_json_dict(obj)
         assert (back.n, back.s, back.code.weight) == (10**4, 4, fam.code.weight)
+        assert np.array_equal(back.code.words, fam.code.words)
         assert type(back.n) is int and type(back.s) is int
 
     def test_json_round_trip(self):
