@@ -19,7 +19,7 @@ from .errors import (
     TooFewSamples,
 )
 from .estimators import screening_alpha
-from .model import MixtureParams, _whole_number, mixture_log_density, sample
+from .model import MixtureParams, _real_number, _whole_number, mixture_log_density, sample
 
 __all__ = [
     "theorem_bound",
@@ -60,9 +60,7 @@ def _checked(name: str, value):
         if name != "s" and count < 1:
             raise DomainError(f"{name} must be >= 1, got {value!r}")
         return count
-    x = float(value)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+    x = _real_number(name, value)
     if name == "sigma" and x <= 0.0:
         raise DomainError(f"sigma must be positive, got {value!r}")
     if name == "mu_norm" and x < 0.0:
@@ -258,8 +256,8 @@ def general_loss_upper(eps1: float, eps2: float, sin_beta: float, mu_over_sigma:
     ``mu_over_sigma`` is the half-separation in noise units. Requires
     eps1 >= 0, 0 <= eps2 <= 1/4 and sin_beta <= 1/sqrt(5).
     """
-    eps1, eps2 = float(eps1), float(eps2)
-    sin_beta, m = float(sin_beta), float(mu_over_sigma)
+    eps1, eps2 = _real_number("eps1", eps1), _real_number("eps2", eps2)
+    sin_beta, m = _real_number("sin_beta", sin_beta), _real_number("mu_over_sigma", mu_over_sigma)
     if eps1 < 0.0:
         raise PreconditionViolated(f"eps1 must be nonnegative, got {eps1}")
     if not (0.0 <= eps2 <= 0.25):

@@ -19,7 +19,7 @@ import json
 import sys
 
 from .bounds import THEOREM_KINDS, theorem_bound
-from .errors import ConfigError, DomainError, MixbenchError
+from .errors import ConfigError, MixbenchError
 from .harness import AXES, emit_report, load_config, read_json, run_experiment, write_atomic
 from .packing import family_from_json_dict, family_to_json_dict, lower_bound_family
 from .verify import SUITES, suite_fano
@@ -129,9 +129,10 @@ def _cmd_verify(args) -> int:
     if args.family and args.suite != "fano":
         raise ConfigError(f"--family applies to --suite fano only, not {args.suite}")
     if args.family:
+        obj = read_json(args.family)
         try:
-            family = family_from_json_dict(read_json(args.family))
-        except (KeyError, IndexError, TypeError, ValueError, DomainError) as exc:
+            family = family_from_json_dict(obj)
+        except (KeyError, IndexError, TypeError, ValueError, MixbenchError) as exc:
             raise ConfigError(f"family file {args.family} is malformed: {exc!r}") from None
         entries = suite_fano([family])
     else:

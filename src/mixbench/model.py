@@ -8,6 +8,7 @@ vector ``h = (mu2 - mu1)/2``; the signal-to-noise ratio is ``snr = ||h||/sigma``
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -81,10 +82,14 @@ def _whole_number(name: str, value) -> int:
 
 
 def _real_number(name: str, value) -> float:
-    """A JSON number as a float, or DomainError naming it: never a bool or a string."""
-    if not isinstance(value, bool) and isinstance(value, numbers.Real):
-        return float(value)
-    raise DomainError(f"{name} must be a number, got {value!r}")
+    """A finite real as a float, or DomainError naming it: never a bool, a
+    string, NaN or an infinity."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return x
 
 
 def _block_rows(n: int, d: int) -> int:
@@ -138,8 +143,8 @@ class MixtureParams:
             raise ShapeError(f"mean shapes differ: {mu1.shape} vs {mu2.shape}")
         if not (np.all(np.isfinite(mu1)) and np.all(np.isfinite(mu2))):
             raise InvalidParams("component means must be finite")
-        sigma = float(self.sigma)
-        if not np.isfinite(sigma) or sigma <= 0.0:
+        sigma = _real_number("sigma", self.sigma)
+        if sigma <= 0.0:
             raise InvalidParams(f"sigma must be a positive real, got {sigma}")
         h = _as_readonly((mu2 - mu1) / 2.0)
         object.__setattr__(self, "mu1", mu1)
@@ -179,16 +184,6 @@ class MixtureParams:
 
     to_json_dict = json_record
 
-    @staticmethod
-    def from_json_dict(obj: dict) -> "MixtureParams":
-        """The parameters that ``to_json_dict`` wrote; a value that is not a
-        number (or list of numbers) is a DomainError naming its key."""
-        means = [np.asarray(obj[key]) for key in ("mu1", "mu2")]
-        for key, mu in zip(("mu1", "mu2"), means):
-            if mu.dtype.kind not in "iuf":
-                raise DomainError(f"{key} must be a list of numbers, got {obj[key]!r}")
-        return MixtureParams(*means, _real_number("sigma", obj["sigma"]))
-
 
 @dataclass(frozen=True)
 class LinearClassifier:
@@ -210,7 +205,7 @@ class LinearClassifier:
         nv = float(np.linalg.norm(v))
         if not np.isfinite(nv) or abs(nv - 1.0) > 1e-12:
             raise InvalidClassifier(f"direction must be a unit vector, |v| = {nv}")
-        v, t = _canonical_direction(v, float(self.t))
+        v, t = _canonical_direction(v, _real_number("t", self.t))
         v = _as_readonly(v)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "t", float(t))
@@ -243,7 +238,11 @@ class Dataset:
         pts = _as_readonly(np.atleast_2d(self.points))
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise EmptySample("a dataset needs at least one row")
-        if not np.all(np.isfinite(pts)):
+        # A finite sum means every entry is finite, and needs no (n, d) bool
+        # temporary; only a non-finite sum (or one that overflows) looks closer.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = pts.sum()
+        if not (np.isfinite(total) or np.all(np.isfinite(pts))):
             raise InvalidParams("all data rows must be finite")
         object.__setattr__(self, "points", pts)
         if self.labels is not None:

@@ -209,10 +209,8 @@ def sparse_code(m: int, s: int, seed: int = 0, budget: int = 1_000_000) -> Binar
     return BinaryCode(length=m, words=words, min_distance=declared, weight=s)
 
 
-def _gamma_value(regime: str, xi: float, k_eff: float, eps: float, lam: float) -> float:
-    if regime == "dense":
-        return 0.25 * (g_function(xi) - 2.0 * xi**2) * math.sqrt(k_eff) * eps / lam
-    return 0.25 * (g_function(xi) - math.sqrt(2.0) * xi**2) * math.sqrt(k_eff) * eps / lam
+# Per regime: the xi^2 coefficient of gamma and the constant of the loss window's upper end.
+_REGIME_CONSTANTS = {"dense": (2.0, 4.0 / math.pi), "sparse": (math.sqrt(2.0), 2.0 * math.sqrt(2.0) / math.pi)}
 
 
 def lower_bound_family(
@@ -237,8 +235,14 @@ def lower_bound_family(
 
     Every member has separation exactly lambda by construction.
     """
+    return _family(regime, n, d, s, lam, sigma, seed, None)
+
+
+def _family(regime, n, d, s, lam, sigma, seed: int, code: BinaryCode | None) -> PackingFamily:
+    """The family of ``lower_bound_family`` on ``code`` (a sparse one of weight
+    s), or on the regime's code made from ``seed`` when ``code`` is None."""
     n, d = _whole_number("n", n), _whole_number("d", d)
-    lam, sigma = float(lam), float(sigma)
+    lam, sigma = _real_number("lambda", lam), _real_number("sigma", sigma)
     if lam <= 0.0 or sigma <= 0.0:
         raise DomainError("lambda and sigma must be positive")
     if n < 1:
@@ -253,11 +257,10 @@ def lower_bound_family(
             lam / (4.0 * math.sqrt(d - 1.0)),
         )
         lambda0_sq = lam**2 - (d - 1) * eps**2
-        assert lambda0_sq >= (15.0 / 16.0) * lam**2 - 1e-12  # eps cap guarantees this
-        code = vg_code(d - 1)
+        code = vg_code(d - 1) if code is None else code
         signs = 2.0 * code.words.astype(np.float64) - 1.0
         k_eff = float(d - 1)
-        s_val = None
+        s = None
     elif regime == "sparse":
         if s is None:
             raise DomainError("sparse regime requires s")
@@ -269,11 +272,11 @@ def lower_bound_family(
             0.5 * lam / math.sqrt(s),
         )
         lambda0_sq = lam**2 - s * eps**2
-        assert lambda0_sq >= 0.75 * lam**2 - 1e-12
-        code = sparse_code(d - 1, s, seed=seed)
+        code = sparse_code(d - 1, s, seed=seed) if code is None else code
+        if code.weight != s:
+            raise DomainError(f"code_weight must be s = {s} in the sparse regime, got {code.weight!r}")
         signs = code.words.astype(np.float64)
         k_eff = float(s)
-        s_val = s
     else:
         raise DomainError(f"unknown regime {regime!r}")
 
@@ -284,7 +287,7 @@ def lower_bound_family(
         mu[: d - 1] = row * eps
         mu[d - 1] = lambda0
         thetas.append(MixtureParams(-mu / 2.0, mu / 2.0, sigma))
-    gamma = _gamma_value(regime, xi, k_eff, eps, lam)
+    gamma = 0.25 * (g_function(xi) - _REGIME_CONSTANTS[regime][0] * xi**2) * math.sqrt(k_eff) * eps / lam
     return PackingFamily(
         thetas=tuple(thetas),
         code=code,
@@ -294,16 +297,16 @@ def lower_bound_family(
         regime=regime,
         n=n,
         d=d,
-        s=s_val,
+        s=s,
         lam=lam,
         sigma=sigma,
     )
 
 
 def _pair_cos_beta(t1: MixtureParams, t2: MixtureParams) -> float:
-    mu1 = t1.mu2 - t1.mu1
-    mu2 = t2.mu2 - t2.mu1
-    c = float(abs(mu1 @ mu2) / (np.linalg.norm(mu1) * np.linalg.norm(mu2)))
+    # The bits of the same ratio taken over mu2 - mu1 = 2h: scaling by 2 is exact.
+    h1, h2 = t1.half_separation, t2.half_separation
+    c = float(abs(h1 @ h2) / (t1.half_separation_norm * t2.half_separation_norm))
     return min(c, 1.0)
 
 
@@ -341,10 +344,7 @@ def fano_check(
     k_eff = float(family.d - 1) if family.regime == "dense" else float(family.s)
     scale = math.sqrt(k_eff) * family.epsilon / family.lam
     window_low = 0.5 * g_function(xi) * scale
-    if family.regime == "dense":
-        window_high = (4.0 / math.pi) * scale
-    else:
-        window_high = (2.0 * math.sqrt(2.0) / math.pi) * scale
+    window_high = _REGIME_CONSTANTS[family.regime][1] * scale
 
     rules = [bayes_classifier(theta) for theta in family.thetas]
     # loss_exact_linear reads a pair only through its geometry and sigma (tol
@@ -439,40 +439,26 @@ def _optional_whole(obj: dict, key: str) -> int | None:
 
 
 def family_from_json_dict(obj: dict) -> PackingFamily:
-    """The family that ``family_to_json_dict`` wrote. A DomainError names the
-    key of a count that is not whole (never truncated), of a number given as a
-    string or bool, of a codeword entry not 0 or 1, or of a header value (d,
-    sigma, lambda, codewords) that disagrees with the members."""
+    """The family that ``family_to_json_dict`` wrote, rebuilt by the construction
+    from its regime, n, d, s, lambda, sigma and code. The code must have its
+    declared distance and weight, and the record must equal the rebuilt one
+    exactly. A DomainError names the first key that differs, or the key of a
+    value that is not a (whole) number or a codeword entry not 0 or 1."""
+    for key in ("epsilon", "lambda0", "gamma"):
+        _real_number(key, obj[key])
     words = np.asarray(obj["codewords"])
     if words.dtype.kind not in "iuf" or not np.all((words == 0) | (words == 1)):
         raise DomainError(f"codewords must hold only the bits 0 and 1, got {obj['codewords']!r}")
     d = _whole_number("d", obj["d"])
-    lam, sigma = _real_number("lambda", obj["lambda"]), _real_number("sigma", obj["sigma"])
-    thetas = tuple(MixtureParams.from_json_dict(t) for t in obj["thetas"])
-    for theta in thetas:
-        if theta.d != d:
-            raise DomainError(f"d is {d} but a member has dimension {theta.d}")
-        if theta.sigma != sigma:
-            raise DomainError(f"sigma is {sigma} but a member has sigma {theta.sigma}")
-        if not abs(theta.separation - lam) <= 1e-12 * lam:
-            raise DomainError(f"lambda is {lam} but a member has separation {theta.separation}")
-    if words.shape != (len(thetas), d - 1):
-        raise DomainError(f"codewords must be one word of length d - 1 = {d - 1} per member ({len(thetas)}), got {words.shape}")
-    return PackingFamily(
-        thetas=thetas,
-        code=BinaryCode(
-            length=d - 1,
-            words=words.astype(np.int8),
-            min_distance=_whole_number("code_min_distance", obj["code_min_distance"]),
-            weight=_optional_whole(obj, "code_weight"),
-        ),
-        epsilon=_real_number("epsilon", obj["epsilon"]),
-        lambda0=_real_number("lambda0", obj["lambda0"]),
-        gamma=_real_number("gamma", obj["gamma"]),
-        regime=obj["regime"],
-        n=_whole_number("n", obj["n"]),
-        d=d,
-        s=_optional_whole(obj, "s"),
-        lam=lam,
-        sigma=sigma,
-    )
+    if words.ndim != 2 or words.shape[1] != d - 1:
+        raise DomainError(f"codewords must be words of length d - 1 = {d - 1}, got shape {words.shape}")
+    min_distance = _whole_number("code_min_distance", obj["code_min_distance"])
+    code = BinaryCode(d - 1, words, min_distance, _optional_whole(obj, "code_weight"))
+    if not code.verify():
+        raise DomainError("codewords do not have the declared code_min_distance and code_weight, or repeat a word")
+    family = _family(obj["regime"], obj["n"], d, _optional_whole(obj, "s"), obj["lambda"], obj["sigma"], 0, code)
+    rebuilt = family_to_json_dict(family)
+    for key in [*rebuilt, *obj]:
+        if key not in obj or key not in rebuilt or obj[key] != rebuilt[key]:
+            raise DomainError(f"{key} differs from the family that the construction builds from this file's inputs and code")
+    return family

@@ -115,6 +115,7 @@ class TestParameterDomain:
             ("thm1_upper", dict(n=10**4, d=10, lam=float("nan")), "lambda"),
             ("thm2_lower", dict(n=10**4, d=10, lam=0.2, sigma=float("inf")), "sigma"),
             ("thm2_lower", dict(n=True, d=10, lam=0.2), "n"),
+            ("thm1_upper", dict(n=10**4, d=10, lam="1.0"), "lambda"),
         ],
     )
     def test_theorem_bound_rejects(self, kind, kwargs, name):
@@ -321,6 +322,19 @@ class TestGeneralLossUpper:
             general_loss_upper(0.1, 0.1, 0.5, 1.0)
         with pytest.raises(PreconditionViolated):
             general_loss_upper(-0.1, 0.1, 0.2, 1.0)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((float("nan"), 0.1, 0.2, 1.0), "eps1"),
+            ((0.1, 0.1, 0.2, float("nan")), "mu_over_sigma"),
+            ((0.1, 0.1, 0.2, float("inf")), "mu_over_sigma"),
+            ((0.1, "0.1", 0.2, 1.0), "eps2"),
+        ],
+    )
+    def test_rejects_non_finite_or_non_numbers(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be (a number|finite)"):
+            general_loss_upper(*args)
 
     def test_dominates_exact_loss(self):
         # 200 random admissible configurations: the bound evaluated at the

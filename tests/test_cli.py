@@ -1,11 +1,15 @@
 """End-to-end tests of the mixbench command line."""
 
+import ast
 import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
+
+import mixbench
 
 from mixbench.packing import family_to_json_dict, lower_bound_family
 from mixbench.errors import DomainError
@@ -76,6 +80,16 @@ class TestPackingCommand:
         assert check.returncode == 0, check.stdout + check.stderr
         entries = json.loads(check.stdout)
         assert len(entries) == 1 and entries[0]["holds"]
+
+    @pytest.mark.parametrize("flag, name", [("--lambda", "lambda"), ("--sigma", "sigma")])
+    def test_nan_parameter_exits_2_naming_it(self, tmp_path, flag, name):
+        args = {"--lambda": "0.2", "--sigma": "1.0", flag: "nan"}
+        proc = run_cli(
+            "packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", args["--lambda"],
+            "--sigma", args["--sigma"], "--out", str(tmp_path / "family.json"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {name} must be finite, got nan\n"
 
     def test_sparse_needs_s(self, tmp_path):
         out = tmp_path / "family.json"
@@ -233,8 +247,12 @@ class TestVerifyCommand:
         assert f"{key} must be a whole number, got {value}" in proc.stderr
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("key, value", [("sigma", 3.0), ("d", 12), ("sigma", "1.0"), ("lambda", True)])
-    def test_family_header_not_matching_members_exits_2(self, tmp_path, key, value):
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [("sigma", 3.0, "epsilon"), ("d", 12, "codewords"), ("sigma", "1.0", "sigma"), ("lambda", True, "lambda")],
+        ids=["sigma-3.0", "d-12", "sigma-1.0", "lambda-True"],
+    )
+    def test_family_header_not_matching_members_exits_2(self, tmp_path, key, value, named):
         obj = family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0))
         obj[key] = value
         path = write_config(tmp_path, obj, name="family.json")
@@ -242,8 +260,35 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         prefix = f"error: family file {path} is malformed: DomainError("
         assert proc.stderr.startswith(prefix)
-        assert proc.stderr[len(prefix) + 1 :].startswith(f"{key} ")  # after the message's opening quote
+        assert proc.stderr[len(prefix) + 1 :].startswith(f"{named} ")  # after the message's opening quote
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: obj.update(epsilon=3.0 * obj["epsilon"]),
+            lambda obj: obj.update(gamma=100.0 * obj["gamma"]),
+            lambda obj: obj.update(lambda0=obj["lambda0"] * (1.0 - 1e-6)),
+            lambda obj: obj.update(n=10**6),
+            lambda obj: obj.update(regime="sparse", s=8),
+            lambda obj: obj.update(code_min_distance=2),
+        ],
+        ids=["epsilon-x3", "gamma-x100", "lambda0", "n", "sparse-s8", "min-distance"],
+    )
+    def test_family_not_rebuilt_by_construction_exits_2(self, tmp_path, edit):
+        obj = family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0))
+        edit(obj)
+        path = write_config(tmp_path, obj, name="family.json")
+        proc = run_cli("verify", "--suite", "fano", "--family", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: family file {path} is malformed: ")
+        assert proc.stdout == ""
+
+    def test_missing_family_file_keeps_its_own_error(self, tmp_path):
+        path = tmp_path / "absent.json"
+        proc = run_cli("verify", "--suite", "fano", "--family", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot read {path}")
 
     def test_family_outside_fano_suite_exits_2(self):
         proc = run_cli("verify", "--suite", "loss-sandwich", "--family", "/nonexistent.json")
@@ -256,6 +301,19 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--suite", "loss-sandwich", "--out", str(out))
         assert proc.returncode == 0
         assert len(json.loads(out.read_text())) == 20
+
+
+class TestPackageSource:
+    def test_no_assert_statements(self):
+        # python -O drops assert statements, so a check written as one is not a check.
+        src = pathlib.Path(mixbench.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestImportPath:

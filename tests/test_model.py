@@ -1,6 +1,7 @@
 """Tests for the mixture model types and sampling."""
 
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -118,6 +119,11 @@ class TestMixtureParams:
         with pytest.raises(ShapeError):
             MixtureParams([0.0, 1.0], [1.0], 1.0)
 
+    @pytest.mark.parametrize("sigma", ["2.0", True, float("nan"), float("inf")])
+    def test_sigma_must_be_a_finite_number(self, sigma):
+        with pytest.raises(DomainError, match="^sigma must be (a number|finite)"):
+            MixtureParams([0.0], [1.0], sigma)
+
     def test_immutability(self):
         theta = MixtureParams([0.0], [1.0], 1.0)
         with pytest.raises(ValueError):
@@ -148,6 +154,11 @@ class TestLinearClassifier:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(InvalidClassifier):
             LinearClassifier(np.array([1.0, 1.0]), 0.0)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("-inf"), "0.5", True])
+    def test_threshold_must_be_a_finite_number(self, t):
+        with pytest.raises(DomainError, match="^t must be (a number|finite)"):
+            LinearClassifier(np.array([1.0, 0.0]), t)
 
     def test_ties_classify_as_label_one(self):
         clf = LinearClassifier(np.array([1.0, 0.0]), 0.25)
@@ -364,6 +375,28 @@ class TestDatasetCopies:
         pts = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
         pts.setflags(write=False)
         assert Dataset(points=pts).points is pts
+
+    def test_finite_points_whose_sum_overflows_accepted(self):
+        ds = Dataset(points=[[1e308, 1e308]])
+        assert np.array_equal(ds.points, [[1e308, 1e308]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 1), (4, 2)])
+    def test_any_non_finite_entry_rejected(self, bad, where):
+        pts = np.ones((5, 3))
+        pts[where] = bad
+        with pytest.raises(InvalidParams):
+            Dataset(points=pts)
+
+    def test_sample_makes_no_points_sized_temporary(self):
+        tracemalloc.start()
+        try:
+            ds = sample(MixtureParams(np.zeros(256), np.ones(256), 1.0), 20000, seed=1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.points.nbytes <= kept
+        assert peak < kept + 2**20
 
     def test_writeable_input_copied(self):
         pts = np.arange(6.0).reshape(3, 2)

@@ -380,7 +380,7 @@ class TestFamilySerialization:
         obj = self.written()
         member = obj["thetas"][2]
         member[key] = [str(x) for x in member[key]] if value == "strings" else value
-        with pytest.raises(DomainError, match=f"^{key} must be a (list of )?number"):
+        with pytest.raises(DomainError, match="^thetas "):
             family_from_json_dict(obj)
 
     @pytest.mark.parametrize("bit", [0.7, 2, -1, "1"])
@@ -393,13 +393,13 @@ class TestFamilySerialization:
     @pytest.mark.parametrize(
         "regime, edit, key",
         [
-            ("dense", lambda obj: obj.update(d=12), "d"),
-            ("sparse", lambda obj: obj["thetas"][2].update({k: obj["thetas"][2][k] + [0.0] for k in ("mu1", "mu2")}), "d"),
-            ("dense", lambda obj: obj.update(sigma=3.0), "sigma"),
-            ("sparse", lambda obj: obj["thetas"][2].update(sigma=2.0), "sigma"),
-            ("dense", lambda obj: obj.update(**{"lambda": 0.2 * (1.0 + 1e-9)}), "lambda"),
-            ("sparse", lambda obj: obj["thetas"].pop(), "codewords"),
-            ("sparse", lambda obj: obj["codewords"].pop(), "codewords"),
+            ("dense", lambda obj: obj.update(d=12), "codewords"),
+            ("sparse", lambda obj: obj["thetas"][2].update({k: obj["thetas"][2][k] + [0.0] for k in ("mu1", "mu2")}), "thetas"),
+            ("dense", lambda obj: obj.update(sigma=3.0), "epsilon"),
+            ("sparse", lambda obj: obj["thetas"][2].update(sigma=2.0), "thetas"),
+            ("dense", lambda obj: obj.update(**{"lambda": 0.2 * (1.0 + 1e-9)}), "epsilon"),
+            ("sparse", lambda obj: obj["thetas"].pop(), "thetas"),
+            ("sparse", lambda obj: obj["codewords"].pop(), "thetas"),
             ("dense", lambda obj: obj.update(codewords=[w[:-1] for w in obj["codewords"]]), "codewords"),
         ],
         ids=["d", "member-d", "sigma", "member-sigma", "lambda", "fewer-members", "fewer-words", "word-length"],
@@ -414,7 +414,8 @@ class TestFamilySerialization:
     def test_separation_agrees_within_rounding(self, regime):
         obj = self.written(regime)
         obj["lambda"] *= 1.0 + 1e-13
-        assert family_from_json_dict(obj).lam == obj["lambda"]
+        with pytest.raises(DomainError, match="^epsilon "):
+            family_from_json_dict(obj)
 
     def test_whole_valued_floats_accepted(self):
         fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2)
@@ -437,3 +438,47 @@ class TestFamilySerialization:
             assert np.array_equal(a.mu1, b.mu1)
             assert np.array_equal(a.mu2, b.mu2)
             assert a.sigma == b.sigma
+
+    @pytest.mark.parametrize(
+        "edit, error, match",
+        [
+            (lambda obj: obj.update(epsilon=3.0 * obj["epsilon"]), DomainError, "^epsilon "),
+            (lambda obj: obj.update(gamma=100.0 * obj["gamma"]), DomainError, "^gamma "),
+            (lambda obj: obj.update(lambda0=obj["lambda0"] * (1.0 - 1e-6)), DomainError, "^lambda0 "),
+            (lambda obj: obj.update(n=10**6), DomainError, "^epsilon "),
+            (lambda obj: obj.update(regime="sparse", s=8), PreconditionViolated, "^sparse regime requires 4 <= s"),
+            (lambda obj: obj.update(code_min_distance=2), DomainError, "^codewords "),
+        ],
+        ids=["epsilon-x3", "gamma-x100", "lambda0", "n", "sparse-s8", "min-distance"],
+    )
+    def test_header_values_are_rebuilt_not_trusted(self, edit, error, match):
+        # Each of these once loaded, and the certificate read the edited value.
+        obj = self.written("dense")
+        edit(obj)
+        with pytest.raises(error, match=match):
+            family_from_json_dict(obj)
+
+    def test_word_of_wrong_weight_rejected_with_matching_members(self):
+        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2)
+        obj = family_to_json_dict(fam)
+        word = obj["codewords"][1]
+        word[word.index(0)] = 1  # weight s + 1
+        mu = np.append(np.array(word) * fam.epsilon, fam.lambda0)
+        obj["thetas"][1] = MixtureParams(-mu / 2.0, mu / 2.0, fam.sigma).to_json_dict()
+        with pytest.raises(DomainError, match="^codewords "):
+            family_from_json_dict(obj)
+
+    @pytest.mark.parametrize(
+        "regime, d, s", [("dense", 9, None), ("dense", 17, None), ("sparse", 17, 4), ("sparse", 161, 8)]
+    )
+    def test_record_round_trip_is_exact(self, regime, d, s):
+        obj = family_to_json_dict(lower_bound_family(regime, 10**4, d, s=s, lam=0.2, sigma=1.0, seed=3))
+        assert family_to_json_dict(family_from_json_dict(obj)) == obj
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"lam": math.nan}, "lambda"), ({"sigma": math.inf}, "sigma"), ({"lam": "0.2"}, "lambda"), ({"sigma": True}, "sigma")],
+    )
+    def test_lambda_and_sigma_must_be_finite_numbers(self, kwargs, name):
+        with pytest.raises(DomainError, match=f"^{name} must be (a number|finite)"):
+            lower_bound_family("dense", 10**4, 9, **kwargs)
