@@ -15,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DomainError,
     InvalidDimension,
     InvalidMatrix,
     InvalidParams,
     PreconditionViolated,
     TooFewSamples,
 )
-from .model import Dataset, LinearClassifier, MixtureParams, _canonical_direction, _whole_number, json_record, sample, stream_seed
+from .model import Dataset, LinearClassifier, MixtureParams, _canonical_direction, _real_number, _whole_number, json_record, sample, stream_seed
 
 __all__ = [
     "ScreeningResult",
@@ -43,6 +44,7 @@ __all__ = [
 # Fixed pseudorandom restart direction source for power iteration; keyed so
 # reruns are bit-identical.
 _RESTART_KEY = 0x5EED0F
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -135,31 +137,44 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
 
     Starts at the basis vector of the largest diagonal entry, with one fixed
     pseudorandom restart if that start sits in the nullspace. On convergence
-    the residual ||m v - (v' m v) v|| is below tol * ||m||_2. When the top
-    eigenvalue is (numerically) not unique the flag comes back False; the
-    returned vector is still a canonical unit vector.
+    the residual ||m v - (v' m v) v|| is below tol * ||m||_2 (tol a finite
+    real > 0, max_iter a whole number >= 1). The flag comes back False without
+    convergence, or when the probe finds a tied top eigenvalue, which it sees
+    only in 2-D or for a multiple of the identity, not in general for d > 2.
     """
     m = _check_symmetric(m)
+    tol = _real_number("tol", tol)
+    if tol <= 0.0:
+        raise DomainError(f"tol must be > 0, got {tol!r}")
     d = m.shape[0]
+    max_iter = _whole_number("max_iter", int(10 * d * math.log(d)) + 500 if max_iter is None else max_iter)
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter!r}")
     if d == 1:
         return np.array([1.0]), True
-    if max_iter is None:
-        max_iter = int(10 * d * math.log(d)) + 500
     restart = np.random.Generator(np.random.Philox(_RESTART_KEY)).standard_normal(d)
     v = np.zeros(d)
     v[int(np.argmax(np.diag(m)))] = 1.0
     # Three d-vectors serve every step. The bits stay those of m @ v and
-    # np.linalg.norm: np.matmul picks the kernel m @ v picks for any layout
-    # of m (np.dot would copy a strided m into BLAS), and sqrt(x.dot(x)) is
-    # what np.linalg.norm computes for a real vector.
+    # np.linalg.norm: m.dot calls the gemv that m @ v calls for a C- or
+    # F-ordered m, np.matmul keeps other layouts off a copy into BLAS, and
+    # sqrt(x.dot(x)) is what np.linalg.norm computes for a real vector.
+    mv = m.dot if m.flags.forc else lambda x, out: np.matmul(m, x, out=out)
     w = np.empty(d)
     r = np.empty(d)
+    # For a unit v, ||w||^2 - rho^2 is ||w - rho v||^2 within (5d + 14) eps
+    # ||w||^2 (CHANGES.md); slack is over 4x that. So the exact residual is
+    # formed only where this allows convergence, or where ||w||^2 of this step
+    # or of the one that made v is outside (1e-250, 1e250), beyond that bound.
+    slack = 32.0 * (d + 2) * _EPS
+    in_range = True
     norm_est = 0.0
     restarted = False
     ok = False
     for _ in range(max_iter):
-        np.matmul(m, v, out=w)
-        nw = math.sqrt(w.dot(w))
+        mv(v, out=w)
+        ww = float(w.dot(w))
+        nw = math.sqrt(ww)
         if nw == 0.0:
             if restarted:
                 break
@@ -168,11 +183,14 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
             continue
         norm_est = max(norm_est, nw)
         rho = float(v.dot(w))
-        np.multiply(v, rho, out=r)
-        np.subtract(w, r, out=r)
-        if math.sqrt(r.dot(r)) <= tol * max(norm_est, 1e-300):
-            ok = True
-            break
+        bound = tol * max(norm_est, 1e-300)
+        v_in_range, in_range = in_range, 1e-250 < ww < 1e250
+        if not (v_in_range and in_range and ww - rho * rho > bound * bound + slack * ww):
+            np.multiply(v, rho, out=r)
+            np.subtract(w, r, out=r)
+            if math.sqrt(r.dot(r)) <= bound:
+                ok = True
+                break
         np.divide(w, nw, out=v)
     if ok:
         # Degeneracy probe: if an independent direction is also an eigenvector
