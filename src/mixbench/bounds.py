@@ -125,9 +125,9 @@ def kl_bound(xi: float, cos_beta: float) -> float:
     ``xi`` is ||h||/sigma and ``cos_beta`` the absolute cosine between the
     two signal directions (so it must lie in [0, 1]).
     """
-    xi = float(xi)
-    cos_beta = float(cos_beta)
-    if not np.isfinite(xi) or xi < 0.0:
+    xi = _real_number("xi", xi)
+    cos_beta = _real_number("cos_beta", cos_beta)
+    if xi < 0.0:
         raise DomainError(f"xi must be nonnegative, got {xi}")
     if not (0.0 <= cos_beta <= 1.0):
         raise DomainError(f"cos_beta must lie in [0, 1] (it is an absolute cosine), got {cos_beta}")

@@ -124,10 +124,12 @@ def sample_mean_cov(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidMatrix(f"{name} must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise InvalidMatrix(f"{name} must be square and non-empty, got shape {m.shape}")
+    top = float(np.max(np.abs(m)))
+    if not math.isfinite(top):
+        raise InvalidMatrix(f"{name} has a non-finite entry")
+    if float(np.max(np.abs(m - m.T))) > 1e-10 * max(1.0, top):
         raise InvalidMatrix(f"{name} is not symmetric within 1e-10")
     return m
 
@@ -137,10 +139,11 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
 
     Starts at the basis vector of the largest diagonal entry, with one fixed
     pseudorandom restart if that start sits in the nullspace. On convergence
-    the residual ||m v - (v' m v) v|| is below tol * ||m||_2 (tol a finite
-    real > 0, max_iter a whole number >= 1). The flag comes back False without
-    convergence, or when the probe finds a tied top eigenvalue, which it sees
-    only in 2-D or for a multiple of the identity, not in general for d > 2.
+    the residual ||m v - rho v||, rho = v' m v, is below tol * ||m||_2 (tol a
+    finite real > 0, max_iter a whole number >= 1). The flag comes back False
+    without convergence, or when a second eigenvalue of m (by eigvalsh) lies
+    within that bound of rho: a tied top eigenvalue, at any d >= 2, leaves the
+    direction undefined.
     """
     m = _check_symmetric(m)
     tol = _real_number("tol", tol)
@@ -152,7 +155,6 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
         raise DomainError(f"max_iter must be >= 1, got {max_iter!r}")
     if d == 1:
         return np.array([1.0]), True
-    restart = np.random.Generator(np.random.Philox(_RESTART_KEY)).standard_normal(d)
     v = np.zeros(d)
     v[int(np.argmax(np.diag(m)))] = 1.0
     # Three d-vectors serve every step. The bits stay those of m @ v and
@@ -178,6 +180,7 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
         if nw == 0.0:
             if restarted:
                 break
+            restart = np.random.Generator(np.random.Philox(_RESTART_KEY)).standard_normal(d)
             np.divide(restart, math.sqrt(restart.dot(restart)), out=v)
             restarted = True
             continue
@@ -193,17 +196,8 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
                 break
         np.divide(w, nw, out=v)
     if ok:
-        # Degeneracy probe: if an independent direction is also an eigenvector
-        # at the same eigenvalue, there is no eigengap to converge into.
-        u = restart - (restart @ v) * v
-        nu = float(np.linalg.norm(u))
-        if nu > 0.0:
-            u = u / nu
-            mu_ = m @ u
-            rho_u = float(u @ mu_)
-            resid_u = float(np.linalg.norm(mu_ - rho_u * u))
-            scale = max(norm_est, 1e-300)
-            ok = not (resid_u <= tol * scale and abs(rho_u - rho) <= tol * scale)
+        # A second eigenvalue within the residual bound of rho: no eigengap.
+        ok = bool(np.partition(np.abs(np.linalg.eigvalsh(m) - rho), 1)[1] > bound)
     v, _ = _canonical_direction(v / np.linalg.norm(v), 0.0)
     return v, ok
 

@@ -32,7 +32,7 @@ from .errors import (
     NumericalError,
     TooFewSamples,
 )
-from .model import LinearClassifier, MixtureParams, _whole_number, bayes_classifier, json_record, sample
+from .model import LinearClassifier, MixtureParams, _real_number, _whole_number, bayes_classifier, json_record, sample
 
 __all__ = [
     "LossEstimate",
@@ -131,8 +131,8 @@ def g_function(x: float) -> float:
     Evaluated as phi(x)^2 * (1 - x * sqrt(pi/2) * erfcx(x / sqrt(2))) to
     avoid the catastrophic cancellation of the naive form in the far tail.
     """
-    x = float(x)
-    if not np.isfinite(x) or x < 0.0:
+    x = _real_number("x", x)
+    if x < 0.0:
         raise DomainError(f"g is defined for x >= 0, got {x}")
     phi_sq = math.exp(-x * x) / (2.0 * math.pi)
     mills_part = 1.0 - x * math.sqrt(math.pi / 2.0) * float(erfcx(x / math.sqrt(2.0)))
@@ -147,11 +147,11 @@ def loss_bounds_symmetric(xi: float, beta: float) -> tuple[float, float]:
 
     ``xi`` is the half-separation in noise units (||h||/sigma).
     """
-    xi = float(xi)
-    beta = float(beta)
-    if not np.isfinite(xi) or xi <= 0.0:
+    xi = _real_number("xi", xi)
+    beta = _real_number("beta", beta)
+    if xi <= 0.0:
         raise DomainError(f"xi must be positive, got {xi}")
-    if not np.isfinite(beta) or beta < 0.0 or beta >= math.pi / 2.0:
+    if beta < 0.0 or beta >= math.pi / 2.0:
         raise DomainError(f"beta must lie in [0, pi/2), got {beta}")
     lower = 2.0 * g_function(xi) * math.sin(beta) * math.cos(beta)
     upper = math.tan(beta) / math.pi
@@ -229,7 +229,7 @@ def loss_exact_linear(theta: MixtureParams, clf: LinearClassifier, tol: float = 
     aligned-orientation integral is already <= 1/2). A direction exactly
     orthogonal to h gives 1/2 by symmetry.
     """
-    tol = float(tol)
+    tol = _real_number("tol", tol)
     if not (0.0 < tol <= 1e-4):
         raise InvalidTolerance(f"tol must lie in (0, 1e-4], got {tol}")
     geo = geometry_decomposition(theta, clf)

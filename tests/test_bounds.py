@@ -162,6 +162,13 @@ class TestKlBound:
         with pytest.raises(DomainError):
             kl_bound(-0.5, 0.5)
 
+    @pytest.mark.parametrize("bad", ["0.5", True, None])
+    def test_reals_not_coerced(self, bad):
+        with pytest.raises(DomainError, match="^xi "):
+            kl_bound(bad, 0.5)
+        with pytest.raises(DomainError, match="^cos_beta "):
+            kl_bound(0.5, bad)
+
 
 class TestKlMonteCarlo:
     def test_identical_thetas_exactly_zero(self):

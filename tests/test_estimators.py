@@ -34,7 +34,8 @@ from mixbench.model import Dataset, MixtureParams, _canonical_direction, sample,
 
 def _reference_top_eigenvector(m, tol=1e-10, max_iter=None):
     """The power iteration as it was written before its loop reused buffers:
-    a new array per step and np.linalg.norm for every norm."""
+    a new array per step and np.linalg.norm for every norm. Only its tie test
+    has since changed, to the eigvalsh gap test that top_eigenvector runs."""
     m = _check_symmetric(m)
     d = m.shape[0]
     if d == 1:
@@ -63,17 +64,8 @@ def _reference_top_eigenvector(m, tol=1e-10, max_iter=None):
             break
         v = w / nw
     if ok:
-        # Degeneracy probe: if an independent direction is also an eigenvector
-        # at the same eigenvalue, there is no eigengap to converge into.
-        u = restart - (restart @ v) * v
-        nu = float(np.linalg.norm(u))
-        if nu > 0.0:
-            u = u / nu
-            mu_ = m @ u
-            rho_u = float(u @ mu_)
-            resid_u = float(np.linalg.norm(mu_ - rho_u * u))
-            scale = max(norm_est, 1e-300)
-            ok = not (resid_u <= tol * scale and abs(rho_u - rho) <= tol * scale)
+        # A tie: a second eigenvalue within the residual bound of rho.
+        ok = bool(np.partition(np.abs(np.linalg.eigvalsh(m) - rho), 1)[1] > tol * max(norm_est, 1e-300))
     v, _ = _canonical_direction(v / np.linalg.norm(v), 0.0)
     return v, ok
 
@@ -190,6 +182,15 @@ class TestTopEigenvector:
         with pytest.raises(InvalidMatrix):
             top_eigenvector(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "m",
+        [np.diag([1.0, math.nan, 1.0]), np.full((3, 3), math.inf), np.zeros((0, 0))],
+        ids=["nan-entry", "inf", "empty"],
+    )
+    def test_non_finite_or_empty_rejected(self, m):
+        with pytest.raises(InvalidMatrix, match="^matrix "):
+            top_eigenvector(m)
+
     def test_one_dimensional(self):
         v, ok = top_eigenvector(np.array([[2.5]]))
         assert ok
@@ -249,14 +250,9 @@ class TestTopEigenvector:
         m = np.diag([3.0, 1.0, 0.5])
         assert top_eigenvector(m, max_iter=40.0)[0].tobytes() == top_eigenvector(m, max_iter=40)[0].tobytes()
 
-    # The probe tests one direction besides v, so it sees a tie only in 2-D or
-    # for a multiple of the identity; ROADMAP item 1 (eigh with an eigengap
-    # test) fixes it, and these markers come off with it.
-    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="tie missed when d > 2 (ROADMAP item 1)")
     def test_tied_top_eigenvalue_flagged_d4(self):
         assert not top_eigenvector(np.diag([2.0, 2.0, 1.0, 0.5]))[1]
 
-    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="tie missed when d > 2 (ROADMAP item 1)")
     def test_tied_top_eigenvalue_flagged_d32(self):
         rng = np.random.default_rng(32)
         q, _ = np.linalg.qr(rng.standard_normal((32, 32)))
@@ -305,6 +301,12 @@ class TestPcaClassifier:
         embedded = np.hstack([pts, np.zeros((4, 1))])
         theta = MixtureParams([-1.0, -1.0, 0.0], [1.0, 1.0, 0.0], 1.0)
         assert oracle_support_pca(Dataset(points=embedded), theta).degenerate
+        # covariance diag(1/3, 1/3, 1/12): a tie above a third eigenvalue
+        pts3 = np.vstack([np.eye(3), -np.eye(3)]) * [1.0, 1.0, 0.5]
+        assert pca_classifier(Dataset(points=pts3)).degenerate
+        embedded3 = np.hstack([pts3, np.zeros((6, 2))])
+        theta3 = MixtureParams([-1.0, -1.0, -1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0], 1.0)
+        assert oracle_support_pca(Dataset(points=embedded3), theta3).degenerate
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(7)
@@ -523,6 +525,10 @@ class TestDavisKahan:
     def test_zero_gap(self):
         with pytest.raises(PreconditionViolated):
             davis_kahan_check(np.eye(2), np.zeros((2, 2)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(InvalidMatrix, match="^a has a non-finite entry"):
+            davis_kahan_check(np.array([[2.0, math.nan], [math.nan, 1.0]]), np.zeros((2, 2)))
 
     def test_random_instances(self):
         rng = np.random.default_rng(18)

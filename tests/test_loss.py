@@ -47,6 +47,11 @@ class TestGFunction:
         with pytest.raises(DomainError):
             g_function(-0.1)
 
+    @pytest.mark.parametrize("bad", ["1", True, None])
+    def test_x_not_coerced(self, bad):
+        with pytest.raises(DomainError, match="^x "):
+            g_function(bad)
+
     def test_matches_naive_form(self):
         from scipy.stats import norm
 
@@ -77,6 +82,13 @@ class TestLossBoundsSymmetric:
             loss_bounds_symmetric(0.5, math.pi / 2.0)
         with pytest.raises(DomainError):
             loss_bounds_symmetric(0.5, -0.01)
+
+    @pytest.mark.parametrize("bad", ["0.1", True, None])
+    def test_reals_not_coerced(self, bad):
+        with pytest.raises(DomainError, match="^xi "):
+            loss_bounds_symmetric(bad, 0.1)
+        with pytest.raises(DomainError, match="^beta "):
+            loss_bounds_symmetric(0.5, bad)
 
 
 class TestLossEstimate:
@@ -138,6 +150,12 @@ class TestLossExactLinear:
             loss_exact_linear(theta, clf, tol=1e-3)
         with pytest.raises(InvalidTolerance):
             loss_exact_linear(theta, clf, tol=0.0)
+
+    @pytest.mark.parametrize("bad", ["1e-9", True, None])
+    def test_tolerance_not_coerced(self, bad):
+        theta = MixtureParams([-1.0], [1.0], 1.0)
+        with pytest.raises(DomainError, match="^tol "):
+            loss_exact_linear(theta, bayes_classifier(theta), tol=bad)
 
     def test_permutation_symmetry_exact(self):
         theta = MixtureParams([-0.7, 0.2, 0.0], [0.7, -0.2, 0.3], 1.1)
