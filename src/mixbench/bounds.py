@@ -150,7 +150,9 @@ def kl_monte_carlo(
     if n_samples < 10_000:
         raise TooFewSamples(f"need at least 1e4 samples, got {n_samples}")
     ds = sample(theta, n_samples, seed)
-    diff = mixture_log_density(theta, ds.points) - mixture_log_density(theta_prime, ds.points)
+    # The log-ratio is formed in place, in the first density's output.
+    diff = mixture_log_density(theta, ds.points)
+    diff -= mixture_log_density(theta_prime, ds.points)
     est = float(np.mean(diff))
     se = float(np.std(diff, ddof=1) / math.sqrt(n_samples))
     return est, se

@@ -20,7 +20,7 @@ import sys
 
 from .bounds import THEOREM_KINDS, theorem_bound
 from .errors import ConfigError, MixbenchError
-from .harness import AXES, emit_report, load_config, read_json, run_experiment, write_atomic
+from .harness import AXES, emit_report, json_chunks, load_config, read_json, run_experiment, write_atomic
 from .packing import family_from_json_dict, family_to_json_dict, lower_bound_family
 from .verify import SUITES, suite_fano
 
@@ -121,7 +121,7 @@ def _cmd_rates(args) -> int:
 
 def _cmd_packing(args) -> int:
     family = lower_bound_family(args.regime, args.n, args.d, s=args.s, lam=args.lam, sigma=args.sigma, seed=args.seed)
-    write_atomic(args.out, json.dumps(family_to_json_dict(family), indent=2, sort_keys=True) + "\n")
+    write_atomic(args.out, json_chunks(family_to_json_dict(family)))
     return 0
 
 
@@ -137,11 +137,10 @@ def _cmd_verify(args) -> int:
         entries = suite_fano([family])
     else:
         entries = SUITES[args.suite]()
-    text = json.dumps(entries, indent=2, sort_keys=True)
     if args.out:
-        write_atomic(args.out, text + "\n")
+        write_atomic(args.out, json_chunks(entries))
     else:
-        print(text)
+        sys.stdout.writelines(json_chunks(entries))
     return 0 if all(e.get("holds", False) for e in entries) else 1
 
 

@@ -141,9 +141,10 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
     pseudorandom restart if that start sits in the nullspace. On convergence
     the residual ||m v - rho v||, rho = v' m v, is below tol * ||m||_2 (tol a
     finite real > 0, max_iter a whole number >= 1). The flag comes back False
-    without convergence, or when a second eigenvalue of m (by eigvalsh) lies
-    within that bound of rho: a tied top eigenvalue, at any d >= 2, leaves the
-    direction undefined.
+    without convergence, when a second eigenvalue of m (by eigvalsh) lies
+    within that bound of rho (a tied top eigenvalue, at any d >= 2, leaves the
+    direction undefined), or when an eigenvalue exceeds |rho| + bound in
+    magnitude (v is an eigenvector, but not the top one).
     """
     m = _check_symmetric(m)
     tol = _real_number("tol", tol)
@@ -197,7 +198,10 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
         np.divide(w, nw, out=v)
     if ok:
         # A second eigenvalue within the residual bound of rho: no eigengap.
-        ok = bool(np.partition(np.abs(np.linalg.eigvalsh(m) - rho), 1)[1] > bound)
+        # An eigenvalue beyond |rho| + bound: v converged to an eigenvector
+        # that is not the top one (a start orthogonal to the top eigenvector).
+        ev = np.linalg.eigvalsh(m)
+        ok = bool(np.partition(np.abs(ev - rho), 1)[1] > bound and max(-ev[0], ev[-1]) <= abs(rho) + bound)
     v, _ = _canonical_direction(v / np.linalg.norm(v), 0.0)
     return v, ok
 

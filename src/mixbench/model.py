@@ -44,20 +44,32 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _BLOCK_BYTES = 1 << 17
 
 
+def _seed(name: str, value) -> int:
+    """A seed or seed-path index as an int in [0, 2^64), or DomainError naming
+    it: never a bool, never truncated, never wrapped (-1 is not 2^64 - 1)."""
+    seed = _whole_number(name, value)
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"{name} must lie in [0, 2^64), got {value!r}")
+    return seed
+
+
 def stream_seed(master_seed: int, *path: int) -> int:
     """Derive a child seed from a master seed and an index path.
 
     Built on numpy's splittable ``SeedSequence``: ``stream_seed(s, i)`` gives
     a well-mixed, independent stream per replicate index, and nested paths
     (``stream_seed(s, i, j)``) split further. Deterministic across platforms.
+    The seed and each index are whole numbers in [0, 2^64).
     """
-    ss = np.random.SeedSequence(entropy=int(master_seed) & (2**64 - 1), spawn_key=tuple(int(p) for p in path))
+    key = tuple(_seed("seed path index", p) for p in path)
+    ss = np.random.SeedSequence(entropy=_seed("seed", master_seed), spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator (Philox) for a given 64-bit seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed) & (2**64 - 1))))
+    """Counter-based generator (Philox) for a 64-bit seed: a whole number in
+    [0, 2^64)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_seed("seed", seed))))
 
 
 def json_record(obj) -> dict:
@@ -75,9 +87,11 @@ def json_record(obj) -> dict:
 
 def _whole_number(name: str, value) -> int:
     """A count as an int, or DomainError naming it: never a bool, never
-    truncated (1000.0 is 1000, 2.7 is an error)."""
-    if not isinstance(value, bool) and isinstance(value, numbers.Real) and float(value).is_integer():
-        return int(value)
+    truncated (1000.0 is 1000, 2.7 is an error). An integer is taken as it
+    is, so one beyond the float range is not an OverflowError."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
     raise DomainError(f"{name} must be a whole number, got {value!r}")
 
 
@@ -324,21 +338,30 @@ def mixture_log_density(theta: MixtureParams, x: np.ndarray) -> float | np.ndarr
         raise ShapeError(f"x has dimension {pts.shape[1]}, theta has {theta.d}")
     s2 = theta.sigma**2
     norm_const = -0.5 * theta.d * (_LOG_2PI + np.log(s2))
+    log2 = np.log(2.0)
     # q[k] is sum((x - mu_k)^2) per row, by the same per-row reduction as a
-    # whole-array np.sum(axis=1): the blocks do not change a bit.
+    # whole-array np.sum(axis=1), and every later step is elementwise: the
+    # blocks do not change a bit of norm_const + logaddexp(-q1, -q2) - log 2.
+    # Beside the result, the working set is one block's buffers.
     n = pts.shape[0]
     step = _block_rows(n, theta.d)
     means = (np.tile(theta.mu1, (step, 1)), np.tile(theta.mu2, (step, 1)))
     buf = np.empty((step, theta.d))
-    q = np.empty((2, n))
+    q = np.empty((2, step))
+    out = np.empty(n)
     for start in range(0, n, step):
         block = pts[start : start + step]
         m = len(block)
         for k, mean in enumerate(means):
             np.subtract(block, mean[:m], out=buf[:m])
             np.square(buf[:m], out=buf[:m])
-            np.sum(buf[:m], axis=1, out=q[k, start : start + m])
-    q /= 2.0 * s2
-    out = norm_const + np.logaddexp(-q[0], -q[1]) - np.log(2.0)
+            np.sum(buf[:m], axis=1, out=q[k, :m])
+        qm = q[:, :m]
+        qm /= 2.0 * s2
+        np.negative(qm, out=qm)
+        res = out[start : start + m]
+        np.logaddexp(qm[0], qm[1], out=res)
+        res += norm_const
+        res -= log2
     return float(out[0]) if single else out
 

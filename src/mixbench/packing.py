@@ -24,7 +24,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .loss import g_function, geometry_decomposition, loss_exact_linear
-from .model import LinearClassifier, MixtureParams, _real_number, _whole_number, bayes_classifier, json_record, make_rng, stream_seed
+from .model import LinearClassifier, MixtureParams, _real_number, _seed, _whole_number, bayes_classifier, json_record, make_rng, stream_seed
 
 __all__ = [
     "BinaryCode",
@@ -233,9 +233,10 @@ def lower_bound_family(
             internal sparsity; members lie in the class with s + 1 relevant
             coordinates.
 
-    Every member has separation exactly lambda by construction.
+    Every member has separation exactly lambda by construction. ``seed``, a
+    whole number in [0, 2^64), picks the sparse regime's code.
     """
-    return _family(regime, n, d, s, lam, sigma, seed, None)
+    return _family(regime, n, d, s, lam, sigma, _seed("seed", seed), None)
 
 
 def _family(regime, n, d, s, lam, sigma, seed: int, code: BinaryCode | None) -> PackingFamily:

@@ -1,6 +1,7 @@
 """Tests for the closed-form bound evaluators and their MC verifiers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from mixbench.bounds import (
 )
 from mixbench.errors import DomainError, PreconditionViolated, ShapeError, TooFewSamples
 from mixbench.loss import loss_exact_linear
-from mixbench.model import LinearClassifier, MixtureParams, stream_seed
+from mixbench.model import LinearClassifier, MixtureParams, mixture_log_density, sample, stream_seed
 
 
 class TestTheoremBound:
@@ -219,6 +220,30 @@ class TestKlMonteCarlo:
             kl_monte_carlo(a, c, n_samples=10**4, seed=0)
         with pytest.raises(TooFewSamples):
             kl_monte_carlo(a, a, n_samples=100, seed=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 161])
+    def test_bits_equal_whole_vector_formula(self, d):
+        rng = np.random.default_rng(d)
+        a = MixtureParams(rng.normal(size=d) - 0.3, rng.normal(size=d) + 0.3, 1.4)
+        b = MixtureParams(rng.normal(size=d), rng.normal(size=d), 1.4)
+        est, se = kl_monte_carlo(a, b, n_samples=12_345, seed=stream_seed(3, d))
+        pts = sample(a, 12_345, stream_seed(3, d)).points
+        diff = mixture_log_density(a, pts) - mixture_log_density(b, pts)
+        want = (float(np.mean(diff)), float(np.std(diff, ddof=1) / math.sqrt(12_345)))
+        assert np.array([est, se]).tobytes() == np.array(want).tobytes()
+
+    def test_holds_its_sample_and_two_vectors(self):
+        n, d = 100_000, 8
+        a = MixtureParams(np.full(d, -0.2), np.full(d, 0.2), 1.0)
+        b = MixtureParams(np.zeros(d), np.full(d, 0.4), 1.0)
+        tracemalloc.start()
+        try:
+            kl_monte_carlo(a, b, n_samples=n, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The sample's points and labels, and two n-vectors of log densities.
+        assert peak <= 8 * n * d + 8 * n + 2 * 8 * n + 2**20
 
     @pytest.mark.parametrize("n_samples", [10_000.7, True])
     def test_sample_count_must_be_whole(self, n_samples):

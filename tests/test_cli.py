@@ -6,14 +6,16 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import mixbench
+from mixbench import cli
 
 from mixbench.packing import family_to_json_dict, lower_bound_family
 from mixbench.errors import DomainError
-from mixbench.verify import suite_davis_kahan, suite_fano, suite_kl
+from mixbench.verify import SUITES, suite_davis_kahan, suite_fano, suite_kl
 
 SMOKE_CONFIG = {
     "estimator": "dense_pca",
@@ -90,6 +92,47 @@ class TestPackingCommand:
         )
         assert proc.returncode == 2
         assert proc.stderr == f"error: {name} must be finite, got nan\n"
+
+    @pytest.mark.parametrize("regime", [["--regime", "dense", "--d", "9"], ["--regime", "sparse", "--d", "41", "--s", "8"]])
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_out_of_range_exits_2(self, tmp_path, regime, seed):
+        out = tmp_path / "family.json"
+        proc = run_cli("packing", *regime, "--n", "10000", "--lambda", "0.2", "--seed", seed, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: seed must lie in [0, 2^64), got {seed}\n"
+        assert not out.exists()
+
+    def test_out_bytes_equal_dumps(self, tmp_path):
+        out = tmp_path / "family.json"
+        # d = 161: the encoder's 61k chunks reach the file in 15 writes.
+        proc = run_cli("packing", "--regime", "sparse", "--n", "10000", "--d", "161", "--s", "8", "--lambda", "0.2",
+                       "--seed", "3", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        family = lower_bound_family("sparse", 10_000, 161, s=8, lam=0.2, sigma=1.0, seed=3)
+        text = json.dumps(family_to_json_dict(family), indent=2, sort_keys=True) + "\n"
+        assert out.read_bytes() == text.encode()
+
+    def test_write_holds_less_than_the_file(self, tmp_path, monkeypatch):
+        # From the JSON-ready dict on, the command holds no copy of the text.
+        marks = {}
+
+        def to_json_dict(family):
+            obj = family_to_json_dict(family)
+            marks["held"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            return obj
+
+        monkeypatch.setattr(cli, "family_to_json_dict", to_json_dict)
+        out = tmp_path / "family.json"
+        tracemalloc.start()
+        try:
+            code = cli.main(["packing", "--regime", "sparse", "--n", "10000", "--d", "161", "--s", "8",
+                             "--lambda", "0.2", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak - marks["held"] < out.stat().st_size
 
     def test_sparse_needs_s(self, tmp_path):
         out = tmp_path / "family.json"
@@ -301,6 +344,19 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--suite", "loss-sandwich", "--out", str(out))
         assert proc.returncode == 0
         assert len(json.loads(out.read_text())) == 20
+        text = json.dumps(SUITES["loss-sandwich"](), indent=2, sort_keys=True) + "\n"
+        assert out.read_bytes() == text.encode()
+        assert run_cli("verify", "--suite", "loss-sandwich").stdout == text
+
+    def test_fano_output_file_bytes_equal_dumps(self, tmp_path):
+        family = tmp_path / "family.json"
+        out = tmp_path / "fano.json"
+        args = ["--regime", "dense", "--n", "10000", "--d", "9", "--lambda", "0.2", "--out", str(family)]
+        assert run_cli("packing", *args).returncode == 0
+        proc = run_cli("verify", "--suite", "fano", "--family", str(family), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        entries = suite_fano([lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0, seed=0)])
+        assert out.read_bytes() == (json.dumps(entries, indent=2, sort_keys=True) + "\n").encode()
 
 
 class TestPackageSource:

@@ -34,8 +34,9 @@ from mixbench.model import Dataset, MixtureParams, _canonical_direction, sample,
 
 def _reference_top_eigenvector(m, tol=1e-10, max_iter=None):
     """The power iteration as it was written before its loop reused buffers:
-    a new array per step and np.linalg.norm for every norm. Only its tie test
-    has since changed, to the eigvalsh gap test that top_eigenvector runs."""
+    a new array per step and np.linalg.norm for every norm. Only its final
+    test has since changed, to the eigvalsh tests that top_eigenvector runs:
+    a gap to the second eigenvalue, and no eigenvalue beyond |rho|."""
     m = _check_symmetric(m)
     d = m.shape[0]
     if d == 1:
@@ -64,8 +65,11 @@ def _reference_top_eigenvector(m, tol=1e-10, max_iter=None):
             break
         v = w / nw
     if ok:
-        # A tie: a second eigenvalue within the residual bound of rho.
-        ok = bool(np.partition(np.abs(np.linalg.eigvalsh(m) - rho), 1)[1] > tol * max(norm_est, 1e-300))
+        # A tie: a second eigenvalue within the residual bound of rho; or an
+        # eigenvalue beyond |rho| + bound: v is not the top eigenvector.
+        ev = np.linalg.eigvalsh(m)
+        bound = tol * max(norm_est, 1e-300)
+        ok = bool(np.partition(np.abs(ev - rho), 1)[1] > bound and np.max(np.abs(ev)) <= abs(rho) + bound)
     v, _ = _canonical_direction(v / np.linalg.norm(v), 0.0)
     return v, ok
 
@@ -111,10 +115,11 @@ def eigen_corpus():
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     b = q @ np.diag([1.0, 0.5, 0.2, -0.1, -0.7, -3.0]) @ q.T
     corpus.append((b + b.T) / 2.0)
-    # Column 0 is 1e-155 times the top eigenvector and the largest diagonal
+    # Column 0 is 1e-155 times u (eigenvalue 1) and the largest diagonal
     # entry, so the first step's ||w||^2 is subnormal and the unit vector
     # made from it is off by more than rounding: the second step, in range,
-    # must still form the exact residual.
+    # must still form the exact residual. The start is orthogonal to z,
+    # whose eigenvalue -1.5 is larger in magnitude, so the solve is flagged.
     z = np.array([0.0, 1.0, -1.0]) / math.sqrt(2.0)
     for u0 in (1e-155, 1e-156):
         u = np.array([u0, 1.0, 1.0]) / math.sqrt(2.0 + u0 * u0)
@@ -260,6 +265,15 @@ class TestTopEigenvector:
         b = q @ np.diag(ev) @ q.T
         assert not top_eigenvector((b + b.T) / 2.0)[1]
 
+    def test_start_on_a_lower_eigenvector_flagged(self):
+        # The start e1 is an exact eigenvector (eigenvalue 2) orthogonal to
+        # the top one (eigenvalue 2.5): the iteration stops at once on e1.
+        m = np.array([[2.0, 0.0, 0.0], [0.0, 1.5, 1.0], [0.0, 1.0, 1.5]])
+        v, ok = top_eigenvector(m)
+        v_ref, ok_ref = _reference_top_eigenvector(m)
+        assert v.tobytes() == v_ref.tobytes() == np.array([1.0, 0.0, 0.0]).tobytes()
+        assert not ok and not ok_ref
+
     def test_matches_eigh_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
@@ -307,6 +321,16 @@ class TestPcaClassifier:
         embedded3 = np.hstack([pts3, np.zeros((6, 2))])
         theta3 = MixtureParams([-1.0, -1.0, -1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0], 1.0)
         assert oracle_support_pca(Dataset(points=embedded3), theta3).degenerate
+
+    def test_lower_eigenvector_flags_degenerate(self):
+        # Covariance diag(2; [[1.5, 1], [1, 1.5]]), up to cross terms of 4e-17:
+        # the power iteration's start e1 has eigenvalue 2, the top one is 2.5.
+        y, z = math.sqrt(2.5), math.sqrt(0.5)
+        yz = [(y, y), (-y, -y), (z, -z), (-z, z)]
+        pts = np.array([(sx * math.sqrt(2.0), a, b) for sx in (1.0, -1.0) for a, b in yz])
+        clf = pca_classifier(Dataset(points=pts))
+        assert clf.v.tobytes() == np.array([1.0, 0.0, 0.0]).tobytes()
+        assert clf.degenerate
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(7)

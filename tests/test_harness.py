@@ -21,10 +21,12 @@ from mixbench.harness import (
     SweepRow,
     emit_report,
     fit_rate,
+    json_chunks,
     load_config,
     read_report_json,
     run_experiment,
     signal_vector,
+    write_atomic,
 )
 from mixbench.model import stream_seed
 
@@ -93,6 +95,14 @@ class TestConfig:
             smoke_config(sweep_axis="n", sweep_values=(200, 100))
         with pytest.raises(ConfigError):
             smoke_config(sweep_axis="q", sweep_values=(100, 200))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 10**30])
+    def test_master_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(ConfigError, match=re.escape(f"master_seed must lie in [0, 2^64), got {seed}")):
+            load_config({"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0, "master_seed": seed})
+
+    def test_largest_master_seed_accepted(self):
+        assert smoke_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
     def test_json_types_enforced(self):
         base = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0}
@@ -310,6 +320,18 @@ class TestFitRate:
 
 
 class TestEmitReport:
+    def test_failed_encoding_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("kept\n")
+        with pytest.raises(TypeError):
+            write_atomic(path, json_chunks({"a": [1.0, 2.0], "b": object()}))
+        assert path.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("obj", [[], {}, {"b": [1.5, None, True], "a": {"z": "x", "y": [[]]}}, 0.1, "s"])
+    def test_json_chunks_join_to_dumps(self, obj):
+        assert "".join(json_chunks(obj)) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
     def test_csv_structure(self, tmp_path):
         cfg = smoke_config(replicates=2, sweep_axis="n", sweep_values=(100, 200))
         res = run_experiment(cfg)

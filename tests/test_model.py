@@ -1,6 +1,7 @@
 """Tests for the mixture model types and sampling."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -334,7 +335,7 @@ class TestMixtureLogDensity:
         with pytest.raises(ShapeError):
             mixture_log_density(theta, np.zeros(3))
 
-    @pytest.mark.parametrize("d", _BLOCK_EDGE_DIMS)
+    @pytest.mark.parametrize("d", _BLOCK_EDGE_DIMS + (161,))
     def test_bits_equal_whole_array_reference(self, d):
         rng = np.random.default_rng(100 + d)
         theta = MixtureParams(rng.normal(size=d) + 2.0, rng.normal(size=d) - 1.0, 1.7)
@@ -347,6 +348,19 @@ class TestMixtureLogDensity:
                 single = mixture_log_density(t, pts[-1])
                 assert type(single) is float and single == _reference_mixture_log_density(t, pts[-1])
 
+    def test_holds_its_output_and_one_block(self):
+        theta = MixtureParams(np.full(8, -0.5), np.full(8, 0.5), 1.3)
+        pts = sample(theta, 100_000, seed=3).points
+        step = _block_rows(100_000, 8)
+        block_buffers = 3 * 8 * step * 8 + 2 * 8 * step  # two tiled means, one (step, d) buffer, q
+        tracemalloc.start()
+        try:
+            out = mixture_log_density(theta, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + block_buffers + 2**20
+
     def test_integrates_to_one(self):
         # 1-D Riemann check as an independent oracle
         theta = MixtureParams([-1.0], [1.0], 0.7)
@@ -358,6 +372,33 @@ class TestMixtureLogDensity:
 class TestStreamSeed:
     def test_deterministic(self):
         assert stream_seed(42, 3) == stream_seed(42, 3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 1, np.uint64(2**64 - 1), 7.0])
+    def test_valid_seeds_keep_their_streams(self, seed):
+        whole = int(seed)
+        want = np.random.SeedSequence(entropy=whole, spawn_key=(3, 0)).generate_state(1, np.uint64)[0]
+        assert stream_seed(seed, 3, 0) == int(want)
+        draws = np.random.Generator(np.random.Philox(np.random.SeedSequence(whole))).standard_normal(4)
+        assert make_rng(seed).standard_normal(4).tobytes() == draws.tobytes()
+
+    @pytest.mark.parametrize("seed", [1.7, 2.9, -1, 2**64, pytest.param(10**400, id="10**400"), True, False, "1", None, math.nan, math.inf])
+    def test_bad_seed_rejected_naming_it(self, seed):
+        with pytest.raises(DomainError, match=r"^seed .*" + re.escape(repr(seed))):
+            make_rng(seed)
+        with pytest.raises(DomainError, match=r"^seed "):
+            stream_seed(seed, 0)
+
+    @pytest.mark.parametrize("index", [1.5, -1, 2**64, True, "0"])
+    def test_bad_path_index_rejected(self, index):
+        with pytest.raises(DomainError, match=r"^seed path index "):
+            stream_seed(0, index)
+        with pytest.raises(DomainError, match=r"^seed path index "):
+            stream_seed(0, 1, index)
+
+    def test_sample_rejects_fractional_seed(self):
+        theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 1.0)
+        with pytest.raises(DomainError, match=r"^seed .*1\.7"):
+            sample(theta, 5, 1.7)
 
     def test_distinct_across_indices(self):
         seeds = {stream_seed(42, i) for i in range(1000)}
