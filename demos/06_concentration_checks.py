@@ -6,7 +6,7 @@ from mixbench import concentration_bound, davis_kahan_check
 from mixbench.verify import suite_concentration, suite_davis_kahan
 
 print("chi-square and product-normal tails vs empirical frequencies (1e5 trials):")
-for e in suite_concentration(trials=100_000):
+for e in suite_concentration():
     name = e["check"]
     params = {k: e[k] for k in ("d", "n", "eps") if k in e}
     print(f"  {name:12s} {params}  freq = {e['frequency']:.5f}  bound = {min(e['bound'], 1.0):.5f}  ok = {e['holds']}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bounds import THEOREM_KINDS, theorem_bound
@@ -175,6 +176,10 @@ def main(argv=None) -> int:
         "bounds": _cmd_bounds,
     }
     try:
+        # Before any compute, so that no run ends in a write that cannot succeed.
+        out = getattr(args, "out", None)
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise MixbenchError(f"cannot write {out}: its directory does not exist")
         return handlers[args.command](args)
     except MixbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -222,10 +222,7 @@ def screening(data: Dataset) -> ScreeningResult:
         raise InvalidDimension(f"screening needs d >= 2, got d = {data.d}")
     if data.n < 2:
         raise TooFewSamples(f"need n >= 2, got {data.n}")
-    x = data.points
-    centered = x - x.mean(axis=0)
-    centered *= centered
-    diag = centered.mean(axis=0)
+    diag = data.points.var(axis=0)
     alpha = screening_alpha(data.n, data.d)
     tau_hat = (1.0 + alpha) / (1.0 - alpha) * float(diag.min())
     selected = tuple(int(i) for i in np.nonzero(diag > tau_hat)[0])

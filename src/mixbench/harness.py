@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 from scipy.special import stdtrit
 
-from .errors import ConfigError, DomainError, TooFewPoints
+from .errors import ConfigError, DomainError, MixbenchError, TooFewPoints
 from .estimators import oracle_support_pca, pca_classifier, sparse_pca_classifier
 from .loss import loss_exact_linear, loss_monte_carlo
 from .model import MixtureParams, json_record, sample, stream_seed
@@ -361,11 +361,16 @@ def json_chunks(obj) -> Iterator[str]:
 def write_atomic(path, chunks: Iterable[str]) -> None:
     """Write the text ``chunks`` to a temporary file beside ``path``, then
     move it onto ``path``: a write that fails part-way, in the encoder or on
-    disk, leaves an existing file intact."""
+    disk, leaves an existing file intact. A temporary file that cannot be
+    created is a MixbenchError naming ``path``."""
     tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w")
+    except OSError as exc:
+        raise MixbenchError(f"cannot write {path}: {exc.strerror}") from None
     it = iter(chunks)
     try:
-        with open(tmp, "w") as fh:
+        with fh:
             # One write per 4096 chunks: a write per chunk made the encoder's
             # 61k chunks of a d = 161 family cost a third more CPU.
             for first in it:

@@ -33,6 +33,12 @@ __all__ = [
 
 SANDWICH_XI_GRID = (0.05, 0.1, 0.2, 0.5, 1.0)
 SANDWICH_BETA_GRID = (0.05, 0.1, 0.3, 0.6)
+SANDWICH_TOL = 1e-8  # quadrature tolerance of each loss
+SANDWICH_MARGIN = 1e-7  # slack on either side of the sandwich
+KL_SAMPLES = 100_000  # Monte-Carlo points per KL estimate
+KL_SEED = 20240
+CONCENTRATION_TRIALS = 100_000
+CONCENTRATION_SEED = 77
 
 
 def _symmetric_pair(xi: float, beta: float, sigma: float = 1.0, d: int = 2, mu0=None):
@@ -51,16 +57,16 @@ def _symmetric_pair(xi: float, beta: float, sigma: float = 1.0, d: int = 2, mu0=
     )
 
 
-def suite_loss_sandwich(tol: float = 1e-8, margin: float = 1e-7) -> list[dict]:
+def suite_loss_sandwich() -> list[dict]:
     """Quadrature loss of each grid configuration against its closed form
     sandwich [2 g(xi) sin b cos b, tan(b)/pi]."""
     out = []
     for xi in SANDWICH_XI_GRID:
         for beta in SANDWICH_BETA_GRID:
             theta, theta_p = _symmetric_pair(xi, beta)
-            value = loss_exact_linear(theta, bayes_classifier(theta_p), tol=tol).value
+            value = loss_exact_linear(theta, bayes_classifier(theta_p), tol=SANDWICH_TOL).value
             lower, upper = loss_bounds_symmetric(xi, beta)
-            holds = (lower - margin) <= value <= (upper + margin)
+            holds = (lower - SANDWICH_MARGIN) <= value <= (upper + SANDWICH_MARGIN)
             out.append(
                 {
                     "check": "loss_sandwich",
@@ -75,10 +81,10 @@ def suite_loss_sandwich(tol: float = 1e-8, margin: float = 1e-7) -> list[dict]:
     return out
 
 
-def suite_kl(pairs: int = 200, n_samples: int = 100_000, seed: int = 20240) -> list[dict]:
+def suite_kl(pairs: int = 200) -> list[dict]:
     """Monte-Carlo KL of random equal-norm symmetric pairs (xi <= 0.5)
     against the closed-form bound xi^4 (1 - cos beta)."""
-    rng = make_rng(seed)
+    rng = make_rng(KL_SEED)
     out = []
     for k in range(_whole_number("pairs", pairs)):
         d = int(rng.integers(2, 9))
@@ -87,7 +93,7 @@ def suite_kl(pairs: int = 200, n_samples: int = 100_000, seed: int = 20240) -> l
         sigma = float(rng.uniform(0.5, 2.0))
         mu0 = rng.normal(size=d)
         theta, theta_p = _symmetric_pair(xi, beta, sigma=sigma, d=d, mu0=mu0)
-        est, se = kl_monte_carlo(theta, theta_p, n_samples=n_samples, seed=stream_seed(seed, k))
+        est, se = kl_monte_carlo(theta, theta_p, n_samples=KL_SAMPLES, seed=stream_seed(KL_SEED, k))
         bound = kl_bound(xi, math.cos(beta))
         out.append(
             {
@@ -104,50 +110,47 @@ def suite_kl(pairs: int = 200, n_samples: int = 100_000, seed: int = 20240) -> l
     return out
 
 
-def _freq_entry(check: str, params: dict, freq: float, trials: int, bound: float) -> dict:
-    se = math.sqrt(freq * (1.0 - freq) / trials)
+def _freq_entry(check: str, params: dict, freq: float, bound: float) -> dict:
+    se = math.sqrt(freq * (1.0 - freq) / CONCENTRATION_TRIALS)
     return {
         "check": check,
         **params,
         "frequency": freq,
-        "trials": trials,
+        "trials": CONCENTRATION_TRIALS,
         "bound": bound,
         "holds": freq <= bound + 3.0 * se,
     }
 
 
-def suite_concentration(trials: int = 100_000, seed: int = 77) -> list[dict]:
+def suite_concentration() -> list[dict]:
     """Empirical tail frequencies against the chi-square and product-normal
     bounds on the module's parameter grid."""
     out = []
     for i, d in enumerate((5, 50)):
-        rng = make_rng(stream_seed(seed, i))
-        x = rng.chisquare(d, size=trials)
+        rng = make_rng(stream_seed(CONCENTRATION_SEED, i))
+        x = rng.chisquare(d, size=CONCENTRATION_TRIALS)
         for eps in (0.1, 0.5, 1.0):
             freq = float(np.mean(x > (1.0 + eps) * d))
-            out.append(_freq_entry("chisq_upper", {"d": d, "eps": eps}, freq, trials, concentration_bound("chisq_upper", d=d, eps=eps)))
+            out.append(_freq_entry("chisq_upper", {"d": d, "eps": eps}, freq, concentration_bound("chisq_upper", d=d, eps=eps)))
         for eps in (0.1, 0.5):
             freq = float(np.mean(x < (1.0 - eps) * d))
-            out.append(_freq_entry("chisq_lower", {"d": d, "eps": eps}, freq, trials, concentration_bound("chisq_lower", d=d, eps=eps)))
+            out.append(_freq_entry("chisq_lower", {"d": d, "eps": eps}, freq, concentration_bound("chisq_lower", d=d, eps=eps)))
     for i, n in enumerate((50, 500)):
-        rng = make_rng(stream_seed(seed, 100 + i))
-        means = np.mean(rng.standard_normal((trials, n)) * rng.standard_normal((trials, n)), axis=1)
+        rng = make_rng(stream_seed(CONCENTRATION_SEED, 100 + i))
+        means = np.mean(rng.standard_normal((CONCENTRATION_TRIALS, n)) * rng.standard_normal((CONCENTRATION_TRIALS, n)), axis=1)
         for eps in (0.1, 0.5, 1.0):
             freq = float(np.mean(np.abs(means) > eps / 2.0))
-            out.append(_freq_entry("prodnormal", {"n": n, "eps": eps}, freq, trials, concentration_bound("prodnormal", n=n, eps=eps)))
+            out.append(_freq_entry("prodnormal", {"n": n, "eps": eps}, freq, concentration_bound("prodnormal", n=n, eps=eps)))
     return out
-
-
-def _default_families(seed: int = 0):
-    dense = lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0, seed=seed)
-    sparse = lower_bound_family("sparse", 10_000, 17, s=4, lam=0.2, sigma=1.0, seed=seed)
-    return [dense, sparse]
 
 
 def suite_fano(families=None) -> list[dict]:
     """KL budget and pairwise loss window of the lower-bound families."""
     if families is None:
-        families = _default_families()
+        families = [
+            lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0),
+            lower_bound_family("sparse", 10_000, 17, s=4, lam=0.2, sigma=1.0),
+        ]
     out = []
     for fam in families:
         rep = fano_check(fam)
@@ -161,7 +164,7 @@ def suite_fano(families=None) -> list[dict]:
 
 def suite_triangle(seed: int = 0) -> list[dict]:
     """Local triangle inequality on family pairs and an identity case."""
-    dense = _default_families(seed)[0]
+    dense = lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0, seed=seed)
     out = []
     theta0 = dense.thetas[0]
     ident = local_triangle_check(theta0, theta0, bayes_classifier(theta0))
@@ -187,14 +190,14 @@ def suite_triangle(seed: int = 0) -> list[dict]:
     return out
 
 
-def suite_davis_kahan(instances: int = 1000, d_max: int = 10, seed: int = 4242) -> list[dict]:
-    """Random admissible (a, e) pairs; the perturbation bound must hold on all."""
+def suite_davis_kahan(instances: int = 1000, seed: int = 4242) -> list[dict]:
+    """Random admissible (a, e) pairs in d = 2..10; the perturbation bound must hold on all."""
     instances = _whole_number("instances", instances)
     rng = make_rng(seed)
     failures = 0
     worst_ratio = 0.0
     for _ in range(instances):
-        d = int(rng.integers(2, d_max + 1))
+        d = int(rng.integers(2, 11))
         q, _ = np.linalg.qr(rng.normal(size=(d, d)))
         evals = np.sort(rng.uniform(-1.0, 1.0, size=d))[::-1]
         evals[0] = evals[1] + rng.uniform(0.1, 2.0)  # enforce a usable gap
@@ -220,21 +223,14 @@ def suite_davis_kahan(instances: int = 1000, d_max: int = 10, seed: int = 4242) 
     ]
 
 
-def suite_support_recovery(
-    d: int = 256,
-    n: int = 4000,
-    strong_coords: int = 4,
-    strength: float = 2.0,
-    sigma: float = 1.0,
-    replicates: int = 500,
-    seed: int = 31,
-) -> list[dict]:
-    """Frequency of exact screening recovery against the 1 - 6/n floor."""
-    h = np.zeros(d)
-    h[:strong_coords] = strength * sigma
-    theta = MixtureParams(-h, h, sigma)
-    rep = support_recovery_check(theta, n, replicates, seed)
-    se = math.sqrt(max(rep.floor * (1.0 - rep.floor), 0.0) / replicates)
+def suite_support_recovery() -> list[dict]:
+    """Frequency of exact screening recovery against the 1 - 6/n floor, over
+    500 replicates of n = 4000 points in d = 256 with 4 coordinates at 2 sigma."""
+    h = np.zeros(256)
+    h[:4] = 2.0
+    theta = MixtureParams(-h, h, 1.0)
+    rep = support_recovery_check(theta, 4000, 500, seed=31)
+    se = math.sqrt(max(rep.floor * (1.0 - rep.floor), 0.0) / rep.replicates)
     entry = rep.to_json_dict()
     entry["check"] = "support_recovery"
     entry["margin_3se"] = 3.0 * se

@@ -30,6 +30,9 @@ from mixbench.loss import loss_exact_linear
 from mixbench.model import MixtureParams, sample, stream_seed
 from mixbench.packing import fano_check, lower_bound_family, sparse_code, vg_code
 from mixbench.verify import (
+    KL_SAMPLES,
+    SANDWICH_MARGIN,
+    SANDWICH_TOL,
     suite_concentration,
     suite_davis_kahan,
     suite_kl,
@@ -63,7 +66,8 @@ class _Criterion:
 
 def test_criterion_01_loss_sandwich():
     with _Criterion(1, "loss-sandwich", 5):
-        entries = suite_loss_sandwich(tol=1e-8, margin=1e-7)
+        assert (SANDWICH_TOL, SANDWICH_MARGIN) == (1e-8, 1e-7)
+        entries = suite_loss_sandwich()
         assert len(entries) == 20
         for e in entries:
             assert e["holds"], e
@@ -71,7 +75,8 @@ def test_criterion_01_loss_sandwich():
 
 def test_criterion_02_kl_dominance():
     with _Criterion(2, "kl-dominance", 120):
-        entries = suite_kl(pairs=200, n_samples=10**5)
+        assert KL_SAMPLES == 10**5
+        entries = suite_kl(pairs=200)
         assert len(entries) == 200
         for e in entries:
             assert e["holds"], e
@@ -133,11 +138,12 @@ def test_criterion_05_snr_dependence():
 
 def test_criterion_06_support_recovery():
     with _Criterion(6, "support-recovery", 180):
-        alpha = screening_alpha(4000, 256)
-        assert alpha <= 0.25
-        assert 4.0 * math.sqrt(alpha) < 2.0  # 2-sigma signals exceed the strong threshold
-        entries = suite_support_recovery(d=256, n=4000, strong_coords=4, strength=2.0, replicates=500)
-        assert entries[0]["holds"], entries[0]
+        (entry,) = suite_support_recovery()
+        assert (entry["n"], entry["replicates"]) == (4000, 500)
+        assert entry["alpha"] == screening_alpha(4000, 256) <= 0.25
+        assert 4.0 * math.sqrt(entry["alpha"]) < 2.0  # 2-sigma signals exceed the strong threshold
+        assert entry["S_tilde"] == entry["S"] == [0, 1, 2, 3]
+        assert entry["holds"], entry
 
 
 def test_criterion_07_sparse_oracle_advantage():
@@ -199,7 +205,8 @@ def test_criterion_09_fano_budget():
 
 def test_criterion_10_concentration_tails():
     with _Criterion(10, "concentration-tails", 120):
-        for e in suite_concentration(trials=10**5):
+        for e in suite_concentration():
+            assert e["trials"] == 10**5
             assert e["holds"], e
         dk = suite_davis_kahan(instances=1000)
         assert dk[0]["holds"], dk[0]

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import inspect
 import json
 import pathlib
 import subprocess
@@ -250,6 +251,23 @@ class TestVerifyCommand:
     def test_suite_counts_must_be_whole(self, suite, kwargs, name):
         with pytest.raises(DomainError, match=f"^{name} "):
             suite(**kwargs)
+
+    def test_suites_take_only_the_arguments_callers_set(self):
+        """A gate's other inputs are fixed in mixbench.verify, not options."""
+        params = {
+            name: [(p.name, p.default) for p in inspect.signature(suite).parameters.values()]
+            for name, suite in SUITES.items()
+        }
+        assert params == {
+            "loss-sandwich": [],
+            "kl": [("pairs", 200)],
+            "concentration": [],
+            "fano": [("families", None)],
+            "triangle": [("seed", 0)],
+            "davis-kahan": [("instances", 1000), ("seed", 4242)],
+            "support-recovery": [],
+        }
+
     def test_loss_sandwich_suite(self):
         proc = run_cli("verify", "--suite", "loss-sandwich")
         assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -357,6 +375,47 @@ class TestVerifyCommand:
         assert proc.returncode == 0, proc.stderr
         entries = suite_fano([lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0, seed=0)])
         assert out.read_bytes() == (json.dumps(entries, indent=2, sort_keys=True) + "\n").encode()
+
+
+class TestOutDirectory:
+    """An --out file in a directory that does not exist is a bad input: exit 2
+    with an error line naming it, before any compute."""
+
+    OUT = "/nonexistent-dir/f.json"
+
+    def args(self, tmp_path, command):
+        cfg = write_config(tmp_path, {**SMOKE_CONFIG, "sweep": {"axis": "n", "values": [200, 400]}})
+        return {
+            "simulate": ["simulate", "--config", str(cfg)],
+            "rates": ["rates", "--axis", "n", "--config", str(cfg)],
+            "packing": ["packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", "0.2"],
+            "verify": ["verify", "--suite", "triangle"],
+        }[command] + ["--out", self.OUT]
+
+    @pytest.mark.parametrize("command", ["simulate", "rates", "packing", "verify"])
+    def test_exits_2_without_traceback(self, tmp_path, command):
+        proc = run_cli(*self.args(tmp_path, command))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot write {self.OUT}: its directory does not exist\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [("simulate", "run_experiment"), ("rates", "run_experiment"), ("packing", "lower_bound_family"), ("verify", None)],
+    )
+    def test_nothing_is_computed(self, tmp_path, monkeypatch, capsys, command, target):
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(args)
+
+        if target is None:
+            monkeypatch.setitem(cli.SUITES, "triangle", fake)
+        else:
+            monkeypatch.setattr(cli, target, fake)
+        assert cli.main(self.args(tmp_path, command)) == 2
+        assert calls == []
+        assert self.OUT in capsys.readouterr().err
 
 
 class TestPackageSource:

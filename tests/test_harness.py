@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from mixbench import estimators, harness
-from mixbench.errors import ConfigError, DomainError, TooFewPoints
+from mixbench.errors import ConfigError, DomainError, MixbenchError, TooFewPoints
 from mixbench.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -327,6 +327,12 @@ class TestEmitReport:
             write_atomic(path, json_chunks({"a": [1.0, 2.0], "b": object()}))
         assert path.read_text() == "kept\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_missing_directory_is_an_error_naming_the_path(self, tmp_path):
+        path = tmp_path / "absent" / "out.json"
+        with pytest.raises(MixbenchError, match=f"^cannot write {re.escape(str(path))}: "):
+            write_atomic(path, json_chunks({"a": 1}))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("obj", [[], {}, {"b": [1.5, None, True], "a": {"z": "x", "y": [[]]}}, 0.1, "s"])
     def test_json_chunks_join_to_dumps(self, obj):
