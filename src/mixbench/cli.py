@@ -2,7 +2,7 @@
 
 Subcommands:
   simulate          run a configured sweep and write a CSV/JSON report
-  rates             run a sweep over one axis and print the fitted slope
+  rates             run a configured sweep and print its fitted slope
   packing           construct a lower-bound family and write it as JSON
   verify            run a verification suite; exit 0 iff every check holds
   bounds            evaluate a closed-form theorem bound at parameters
@@ -21,7 +21,7 @@ import sys
 
 from .bounds import THEOREM_KINDS, theorem_bound
 from .errors import ConfigError, MixbenchError
-from .harness import AXES, emit_report, json_chunks, load_config, read_json, run_experiment, write_atomic
+from .harness import emit_report, json_chunks, load_config, read_json, run_experiment, write_atomic
 from .packing import family_from_json_dict, family_to_json_dict, lower_bound_family
 from .verify import SUITES, suite_fano
 
@@ -35,9 +35,8 @@ def _add_simulate(sub):
 
 
 def _add_rates(sub):
-    p = sub.add_parser("rates", help="fit a log-log rate slope over one axis")
-    p.add_argument("--axis", required=True, choices=AXES, help="sweep axis")
-    p.add_argument("--config", required=True, help="path to a JSON experiment config")
+    p = sub.add_parser("rates", help="fit a log-log rate slope over the config's sweep axis")
+    p.add_argument("--config", required=True, help="path to a JSON experiment config with a sweep block")
     p.add_argument("--out", default=None, help="optional CSV/JSON report path")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--timing", action="store_true")
@@ -103,11 +102,9 @@ def _cmd_rates(args) -> int:
     config = load_config(args.config)
     if config.sweep_axis is None:
         raise MixbenchError("rates requires a config with a sweep block")
-    if config.sweep_axis != args.axis:
-        raise MixbenchError(f"--axis {args.axis} does not match config sweep axis {config.sweep_axis!r}")
     result = run_experiment(config, threads=args.threads)
     report = {
-        "axis": args.axis,
+        "axis": config.sweep_axis,
         "values": [s.axis_value for s in result.summary],
         "mean_losses": [s.mean_loss for s in result.summary],
         "std_errs": [s.std_err for s in result.summary],
@@ -180,6 +177,8 @@ def main(argv=None) -> int:
         out = getattr(args, "out", None)
         if out and not os.path.isdir(os.path.dirname(out) or "."):
             raise MixbenchError(f"cannot write {out}: its directory does not exist")
+        if out and os.path.isdir(out):
+            raise MixbenchError(f"cannot write {out}: it is a directory")
         return handlers[args.command](args)
     except MixbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

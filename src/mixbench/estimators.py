@@ -66,11 +66,6 @@ class ScreeningResult:
         object.__setattr__(self, "diag_variances", dv)
         object.__setattr__(self, "selected", tuple(int(i) for i in self.selected))
 
-    @property
-    def warn_alpha(self) -> bool:
-        """True when alpha > 1/4, outside the screening guarantee's range."""
-        return self.alpha > 0.25
-
 
 @dataclass(frozen=True)
 class SupportTruth:
@@ -117,9 +112,7 @@ def sample_mean_cov(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     x = data.points
     mean = x.mean(axis=0)
     centered = x - mean
-    cov = centered.T @ centered / data.n
-    cov = (cov + cov.T) / 2.0
-    return mean, cov
+    return mean, centered.T @ centered / data.n
 
 
 def _check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -1,8 +1,8 @@
 """Replicated simulation sweeps: fit an estimator, score it, fit rate slopes.
 
 A sweep runs ``replicates`` independent datasets at each value of one axis
-(n, d, lambda or s), scores every fitted classifier (quadrature by default,
-so rate experiments carry no loss-estimation noise), and summarizes mean
+(n, d, lambda or s), scores every fitted classifier by its exact loss (so
+rate experiments carry no loss-estimation noise), and summarizes mean
 loss per axis value with a log-log slope fit. Replicate seeds are derived
 from the master seed by index, so serial and parallel executions produce
 identical results.
@@ -26,7 +26,8 @@ from scipy.special import stdtrit
 
 from .errors import ConfigError, DomainError, MixbenchError, TooFewPoints
 from .estimators import oracle_support_pca, pca_classifier, sparse_pca_classifier
-from .loss import loss_exact_linear, loss_monte_carlo
+from .loss import loss_exact_linear
+from .loss import loss_monte_carlo  # not called here; perfbench/tracing.py BINDINGS rebinds this name
 from .model import MixtureParams, json_record, sample, stream_seed
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "fit_rate",
     "emit_report",
     "load_config",
-    "read_report_json",
     "CSV_COLUMNS",
     "json_chunks",
     "write_atomic",
@@ -49,7 +49,6 @@ __all__ = [
 ESTIMATORS = ("dense_pca", "sparse_pca", "oracle_support_pca")
 PROFILES = ("equal_coords", "custom")
 AXES = ("n", "d", "lambda", "s")
-LOSS_METHODS = ("quadrature", "monte_carlo")
 
 # What each config field must be in JSON, by its annotation (less "| None").
 _JSON_TYPES = {"str": "a string", "int": "an integer", "float": "a finite number", "tuple[float, ...]": "a list of numbers"}
@@ -97,8 +96,6 @@ class ExperimentConfig:
     custom_signal: tuple[float, ...] | None = None
     replicates: int = 1
     master_seed: int = 0
-    loss_method: str = "quadrature"
-    mc_samples: int = 100_000
     sweep_axis: str | None = None
     sweep_values: tuple[float, ...] | None = None
 
@@ -111,10 +108,6 @@ class ExperimentConfig:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.signal_profile not in PROFILES:
             raise ConfigError(f"signal_profile must be one of {PROFILES}, got {self.signal_profile!r}")
-        if self.loss_method not in LOSS_METHODS:
-            raise ConfigError(f"loss_method must be one of {LOSS_METHODS}, got {self.loss_method!r}")
-        if self.loss_method == "monte_carlo" and self.mc_samples < 100:
-            raise ConfigError(f"mc_samples must be >= 100 for monte_carlo, got {self.mc_samples}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         if self.replicates < 1:
@@ -245,10 +238,7 @@ def _run_one(config: ExperimentConfig, axis: str, point: SweepPoint, replicate: 
         clf, _ = sparse_pca_classifier(ds)
     else:
         clf = oracle_support_pca(ds, theta)
-    if config.loss_method == "quadrature":
-        est = loss_exact_linear(theta, clf)
-    else:
-        est = loss_monte_carlo(theta, clf.predict, config.mc_samples, stream_seed(seed, 1))
+    est = loss_exact_linear(theta, clf)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     return SweepRow(
         axis=axis,
@@ -262,7 +252,7 @@ def _run_one(config: ExperimentConfig, axis: str, point: SweepPoint, replicate: 
         sigma=config.sigma,
         estimator=config.estimator,
         loss=est.value,
-        loss_method=config.loss_method,
+        loss_method=est.method,
         degenerate=clf.degenerate,
         runtime_ms=runtime_ms,
     )
@@ -294,10 +284,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> SweepResult:
         se = float(losses.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         summaries.append(SweepSummary(axis_value=p.value, mean_loss=float(losses.mean()), std_err=se, replicates=reps))
 
-    # A zero mean loss is dropped from the log-log fit, or floored under Monte Carlo.
-    floor = 1.0 / (2.0 * config.mc_samples) if config.loss_method == "monte_carlo" else 0.0
-    pts = [(sm.axis_value, sm.mean_loss or floor) for sm in summaries]
-    pts = [(x, y) for x, y in pts if y > 0.0]
+    # A zero mean loss has no logarithm: it is dropped from the log-log fit.
+    pts = [(sm.axis_value, sm.mean_loss) for sm in summaries if sm.mean_loss > 0.0]
     slope, _, ci = fit_rate(pts) if len(pts) >= 2 else (None, None, None)
     return SweepResult(rows=tuple(rows), summary=tuple(summaries), fitted_slope=slope, slope_ci95=ci)
 
@@ -362,7 +350,8 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
     """Write the text ``chunks`` to a temporary file beside ``path``, then
     move it onto ``path``: a write that fails part-way, in the encoder or on
     disk, leaves an existing file intact. A temporary file that cannot be
-    created is a MixbenchError naming ``path``."""
+    created, or moved onto ``path`` (a directory, say), is a MixbenchError
+    naming ``path``, and no temporary file is left."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         fh = open(tmp, "w")
@@ -375,7 +364,10 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
             # 61k chunks of a d = 161 family cost a third more CPU.
             for first in it:
                 fh.write(first + "".join(itertools.islice(it, 4095)))
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise MixbenchError(f"cannot write {path}: {exc.strerror}") from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -417,19 +409,6 @@ def emit_report(result: SweepResult, fmt: str, path, include_timing: bool = Fals
         }
         chunks = json_chunks(obj)
     write_atomic(path, chunks)
-
-
-def read_report_json(path) -> SweepResult:
-    """Re-read a JSON report into a SweepResult (inverse of emit_report)."""
-    with open(str(path)) as fh:
-        obj = json.load(fh)
-    ci = obj.get("slope_ci95")
-    return SweepResult(
-        rows=tuple(SweepRow(*(r[c] for c in CSV_COLUMNS)) for r in obj["rows"]),
-        summary=tuple(SweepSummary(**sm) for sm in obj["summary"]),
-        fitted_slope=obj.get("fitted_slope"),
-        slope_ci95=tuple(ci) if ci else None,
-    )
 
 
 def load_config(path_or_dict) -> ExperimentConfig:

@@ -175,7 +175,7 @@ class MixtureParams:
     @property
     def separation(self) -> float:
         """lambda = ||mu1 - mu2|| = 2 ||h||."""
-        return float(np.linalg.norm(self.mu2 - self.mu1))
+        return 2.0 * self.half_separation_norm
 
     @property
     def snr(self) -> float:
@@ -190,11 +190,6 @@ class MixtureParams:
     @property
     def sparsity(self) -> int:
         return len(self.support)
-
-    def shifted(self, c) -> "MixtureParams":
-        """Translate both component means by the constant vector c."""
-        c = np.asarray(c, dtype=np.float64)
-        return MixtureParams(self.mu1 + c, self.mu2 + c, self.sigma)
 
     to_json_dict = json_record
 

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import inspect
 import json
 import pathlib
@@ -181,8 +182,7 @@ class TestSimulateCommand:
         calls = []
         monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: calls.append(args))
         cfg = write_config(tmp_path, {**SMOKE_CONFIG, "sweep": {"axis": "n", "values": [200, 400]}})
-        axis = ["--axis", "n"] if command == "rates" else []
-        assert cli.main([command, *axis, "--config", str(cfg), "--out", str(tmp_path / "report.txt")]) == 2
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "report.txt")]) == 2
         assert calls == []
         assert "report.txt" in capsys.readouterr().err
 
@@ -209,20 +209,17 @@ class TestRatesCommand:
             tmp_path,
             {**SMOKE_CONFIG, "n": 400, "replicates": 5, "sweep": {"axis": "n", "values": [400, 800, 1600]}},
         )
-        proc = run_cli("rates", "--axis", "n", "--config", str(cfg))
+        proc = run_cli("rates", "--config", str(cfg))
         assert proc.returncode == 0, proc.stderr
         obj = json.loads(proc.stdout)
         assert obj["axis"] == "n"
         assert len(obj["mean_losses"]) == 3
         assert obj["fitted_slope"] is not None
 
-    def test_axis_mismatch(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {**SMOKE_CONFIG, "sweep": {"axis": "n", "values": [100, 200]}},
-        )
-        proc = run_cli("rates", "--axis", "d", "--config", str(cfg))
+    def test_config_without_sweep_exits_2(self, tmp_path):
+        proc = run_cli("rates", "--config", str(write_config(tmp_path, SMOKE_CONFIG)))
         assert proc.returncode == 2
+        assert proc.stderr == "error: rates requires a config with a sweep block\n"
 
     def test_sparsity_axis(self, tmp_path):
         cfg = write_config(
@@ -236,7 +233,7 @@ class TestRatesCommand:
                 "sweep": {"axis": "s", "values": [1, 2, 4]},
             },
         )
-        proc = run_cli("rates", "--axis", "s", "--config", str(cfg))
+        proc = run_cli("rates", "--config", str(cfg))
         assert proc.returncode == 0, proc.stderr
         obj = json.loads(proc.stdout)
         assert obj["axis"] == "s"
@@ -378,19 +375,21 @@ class TestVerifyCommand:
 
 
 class TestOutDirectory:
-    """An --out file in a directory that does not exist is a bad input: exit 2
-    with an error line naming it, before any compute."""
+    """An --out file in a directory that does not exist, or an --out that is a
+    directory, is a bad input: exit 2 with an error line naming it, before any
+    compute."""
 
     OUT = "/nonexistent-dir/f.json"
+    COMPUTE = [("simulate", "run_experiment"), ("rates", "run_experiment"), ("packing", "lower_bound_family"), ("verify", None)]
 
-    def args(self, tmp_path, command):
+    def args(self, tmp_path, command, out=OUT):
         cfg = write_config(tmp_path, {**SMOKE_CONFIG, "sweep": {"axis": "n", "values": [200, 400]}})
         return {
             "simulate": ["simulate", "--config", str(cfg)],
-            "rates": ["rates", "--axis", "n", "--config", str(cfg)],
+            "rates": ["rates", "--config", str(cfg)],
             "packing": ["packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", "0.2"],
             "verify": ["verify", "--suite", "triangle"],
-        }[command] + ["--out", self.OUT]
+        }[command] + ["--out", str(out)]
 
     @pytest.mark.parametrize("command", ["simulate", "rates", "packing", "verify"])
     def test_exits_2_without_traceback(self, tmp_path, command):
@@ -399,11 +398,9 @@ class TestOutDirectory:
         assert proc.stderr == f"error: cannot write {self.OUT}: its directory does not exist\n"
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize(
-        "command, target",
-        [("simulate", "run_experiment"), ("rates", "run_experiment"), ("packing", "lower_bound_family"), ("verify", None)],
-    )
-    def test_nothing_is_computed(self, tmp_path, monkeypatch, capsys, command, target):
+    @staticmethod
+    def fake_compute(monkeypatch, target) -> list:
+        """Replace the command's compute with a recorder of its calls."""
         calls = []
 
         def fake(*args, **kwargs):
@@ -413,9 +410,24 @@ class TestOutDirectory:
             monkeypatch.setitem(cli.SUITES, "triangle", fake)
         else:
             monkeypatch.setattr(cli, target, fake)
+        return calls
+
+    @pytest.mark.parametrize("command, target", COMPUTE)
+    def test_nothing_is_computed(self, tmp_path, monkeypatch, capsys, command, target):
+        calls = self.fake_compute(monkeypatch, target)
         assert cli.main(self.args(tmp_path, command)) == 2
         assert calls == []
         assert self.OUT in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, target", COMPUTE)
+    def test_directory_out_exits_2_before_any_compute(self, tmp_path, monkeypatch, capsys, command, target):
+        out = tmp_path / "out.json"
+        out.mkdir()
+        calls = self.fake_compute(monkeypatch, target)
+        assert cli.main(self.args(tmp_path, command, out)) == 2
+        assert calls == []
+        assert capsys.readouterr() == ("", f"error: cannot write {out}: it is a directory\n")
+        assert list(out.iterdir()) == []
 
 
 class TestPackageSource:
@@ -429,6 +441,17 @@ class TestPackageSource:
             if isinstance(node, ast.Assert)
         ]
         assert found == []
+
+
+class TestBenchmarkBindings:
+    """The benchmark's traced run rebinds each (module, name) in
+    perfbench/tracing.py BINDINGS; one that no longer resolves would stop it."""
+
+    def test_every_binding_resolves(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+        tracing = importlib.import_module("tracing")
+        missing = [(module, name) for module, name, _ in tracing.BINDINGS if not hasattr(importlib.import_module(module), name)]
+        assert missing == []
 
 
 class TestImportPath:

@@ -239,7 +239,7 @@ class TestSample:
         theta = MixtureParams(-h, h, 1.3)
         c = np.array([2.5, -1.25, 0.5])
         a = sample(theta, 200, seed=5)
-        b = sample(theta.shifted(c), 200, seed=5)
+        b = sample(MixtureParams(theta.mu1 + c, theta.mu2 + c, theta.sigma), 200, seed=5)
         assert np.array_equal(b.points, a.points + c)
         assert np.array_equal(a.labels, b.labels)
 
@@ -249,7 +249,7 @@ class TestSample:
         theta = MixtureParams(-h, h, 0.9)
         c = rng.normal(size=3)
         a = sample(theta, 200, seed=5)
-        b = sample(theta.shifted(c), 200, seed=5)
+        b = sample(MixtureParams(theta.mu1 + c, theta.mu2 + c, theta.sigma), 200, seed=5)
         np.testing.assert_allclose(b.points, a.points + c, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", _BLOCK_EDGE_DIMS)
