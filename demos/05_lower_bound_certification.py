@@ -29,7 +29,7 @@ print(f"constant-weight code: length 24, weight 6, {sc.count} words, min distanc
 for regime, kwargs in (("dense", dict(d=9)), ("sparse", dict(d=17, s=4))):
     fam = lower_bound_family(regime, n=10_000, lam=0.2, sigma=1.0, **kwargs)
     print(f"\n{regime} family: {fam.size} hypotheses, eps = {fam.epsilon:.6f}, lambda0 = {fam.lambda0:.6f}")
-    rep = fano_check(fam, kl_method="bound")
+    rep = fano_check(fam)
     print(f"  fano budget: alpha = {rep.alpha_fano:.4f} (< 1/8: {rep.holds})")
     print(f"  loss window [{rep.window_low:.5f}, {rep.window_high:.5f}] contains all pairs: {rep.window_holds}")
     print(f"  implied minimax lower bound: {rep.implied_lower_bound:.3e}")

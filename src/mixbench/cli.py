@@ -7,9 +7,9 @@ Subcommands:
   verify            run a verification suite; exit 0 iff every check holds
   bounds            evaluate a closed-form theorem bound at parameters
 
-Outputs are deterministic for fixed inputs (timing is zeroed in reports
-unless --timing is passed) and serial/parallel runs agree; simulate and rates
-run replicates on --threads threads (default 1).
+Outputs are deterministic for fixed inputs (reports carry no timings, and
+their runtime_ms column reads 0.0) and serial/parallel runs agree; simulate
+and rates run replicates on --threads threads (default 1).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ def _add_simulate(sub):
     p.add_argument("--config", required=True, help="path to a JSON experiment config")
     p.add_argument("--out", required=True, help="output path (.csv or .json)")
     p.add_argument("--threads", type=int, default=1, help="replicate-level parallelism")
-    p.add_argument("--timing", action="store_true", help="keep measured runtimes (breaks byte reproducibility)")
 
 
 def _add_rates(sub):
@@ -39,7 +38,6 @@ def _add_rates(sub):
     p.add_argument("--config", required=True, help="path to a JSON experiment config with a sweep block")
     p.add_argument("--out", default=None, help="optional CSV/JSON report path")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--timing", action="store_true")
 
 
 def _add_packing(sub):
@@ -93,7 +91,7 @@ def _cmd_simulate(args) -> int:
     fmt = _fmt_from_path(args.out)
     config = load_config(args.config)
     result = run_experiment(config, threads=args.threads)
-    emit_report(result, fmt, args.out, include_timing=args.timing)
+    emit_report(result, fmt, args.out)
     return 0
 
 
@@ -113,7 +111,7 @@ def _cmd_rates(args) -> int:
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
-        emit_report(result, fmt, args.out, include_timing=args.timing)
+        emit_report(result, fmt, args.out)
     return 0
 
 

@@ -15,11 +15,10 @@ import json
 import math
 import numbers
 import os
-import time
 import warnings
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 from scipy.special import stdtrit
@@ -174,7 +173,9 @@ class SweepRow:
     loss: float
     loss_method: str
     degenerate: bool
-    runtime_ms: float = field(metadata={"timing": True})
+    # Nothing sets it, so the column reads 0.0; ROADMAP item 1b drops it
+    # together with loss_method at the next re-pin of the report bytes.
+    runtime_ms: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -195,8 +196,6 @@ class SweepResult:
 
 _ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
 CSV_COLUMNS = [_key(name) for name in _ROW_FIELDS]
-# Measured times; reports zero them unless asked, so a fixed config gives fixed bytes.
-_TIMING_COLUMNS = [_key(f.name) for f in fields(SweepRow) if f.metadata.get("timing")]
 # Top-level config keys; the sweep fields are read from the "sweep" object.
 _CONFIG_FIELDS = {_key(f.name): f for f in fields(ExperimentConfig) if "." not in _key(f.name)}
 
@@ -230,7 +229,6 @@ def signal_vector(profile: str, d: int, lam: float, s: int | None = None, custom
 def _run_one(config: ExperimentConfig, axis: str, point: SweepPoint, replicate: int, index: int) -> SweepRow:
     theta = point.theta
     seed = stream_seed(config.master_seed, index)
-    t0 = time.perf_counter()
     ds = sample(theta, point.n, seed)
     if config.estimator == "dense_pca":
         clf = pca_classifier(ds)
@@ -239,7 +237,6 @@ def _run_one(config: ExperimentConfig, axis: str, point: SweepPoint, replicate: 
     else:
         clf = oracle_support_pca(ds, theta)
     est = loss_exact_linear(theta, clf)
-    runtime_ms = (time.perf_counter() - t0) * 1000.0
     return SweepRow(
         axis=axis,
         axis_value=point.value,
@@ -254,7 +251,6 @@ def _run_one(config: ExperimentConfig, axis: str, point: SweepPoint, replicate: 
         loss=est.value,
         loss_method=est.method,
         degenerate=clf.degenerate,
-        runtime_ms=runtime_ms,
     )
 
 
@@ -318,11 +314,8 @@ def fit_rate(points) -> tuple[float, float, tuple[float, float]]:
     return slope, intercept, (slope - tq * se, slope + tq * se)
 
 
-def _row_record(row: SweepRow, include_timing: bool) -> dict:
-    record = dict(zip(CSV_COLUMNS, (getattr(row, name) for name in _ROW_FIELDS)))
-    if not include_timing:
-        record.update(dict.fromkeys(_TIMING_COLUMNS, 0.0))
-    return record
+def _row_record(row: SweepRow) -> dict:
+    return dict(zip(CSV_COLUMNS, (getattr(row, name) for name in _ROW_FIELDS)))
 
 
 def _csv_cell(value) -> str:
@@ -383,18 +376,14 @@ def read_json(path):
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def emit_report(result: SweepResult, fmt: str, path, include_timing: bool = False) -> None:
-    """Write the sweep to CSV or JSON, ending with a summary block.
-
-    Timing is zeroed by default so the emitted bytes are a pure function of
-    the configuration; pass include_timing=True to keep measured runtimes
-    (at the cost of byte-level reproducibility).
-    """
+def emit_report(result: SweepResult, fmt: str, path) -> None:
+    """Write the sweep to CSV or JSON, ending with a summary block. The bytes
+    are a pure function of the configuration: a report carries no timings."""
     if fmt not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {fmt!r}")
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(map(_csv_cell, _row_record(r, include_timing).values())) for r in result.rows]
+        lines += [",".join(map(_csv_cell, _row_record(r).values())) for r in result.rows]
         lines += ["# summary," + ",".join(f"{k}={_csv_cell(v)}" for k, v in json_record(sm).items()) for sm in result.summary]
         slope = "" if result.fitted_slope is None else repr(result.fitted_slope)
         ci = "" if result.slope_ci95 is None else f"{result.slope_ci95[0]!r}:{result.slope_ci95[1]!r}"
@@ -402,7 +391,7 @@ def emit_report(result: SweepResult, fmt: str, path, include_timing: bool = Fals
         chunks = (line + "\n" for line in lines)
     else:
         obj = {
-            "rows": [_row_record(r, include_timing) for r in result.rows],
+            "rows": [_row_record(r) for r in result.rows],
             "summary": [json_record(sm) for sm in result.summary],
             "fitted_slope": result.fitted_slope,
             "slope_ci95": list(result.slope_ci95) if result.slope_ci95 else None,

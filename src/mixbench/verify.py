@@ -57,6 +57,15 @@ def _symmetric_pair(xi: float, beta: float, sigma: float = 1.0, d: int = 2, mu0=
     )
 
 
+def _count(name: str, value) -> int:
+    """A suite's count as an int >= 1, or DomainError naming it: a suite that
+    checks nothing must not pass."""
+    count = _whole_number(name, value)
+    if count < 1:
+        raise DomainError(f"{name} must be >= 1, got {count}")
+    return count
+
+
 def suite_loss_sandwich() -> list[dict]:
     """Quadrature loss of each grid configuration against its closed form
     sandwich [2 g(xi) sin b cos b, tan(b)/pi]."""
@@ -86,7 +95,7 @@ def suite_kl(pairs: int = 200) -> list[dict]:
     against the closed-form bound xi^4 (1 - cos beta)."""
     rng = make_rng(KL_SEED)
     out = []
-    for k in range(_whole_number("pairs", pairs)):
+    for k in range(_count("pairs", pairs)):
         d = int(rng.integers(2, 9))
         xi = float(rng.uniform(0.02, 0.5))
         beta = float(rng.uniform(0.0, math.pi / 2))
@@ -192,7 +201,7 @@ def suite_triangle(seed: int = 0) -> list[dict]:
 
 def suite_davis_kahan(instances: int = 1000, seed: int = 4242) -> list[dict]:
     """Random admissible (a, e) pairs in d = 2..10; the perturbation bound must hold on all."""
-    instances = _whole_number("instances", instances)
+    instances = _count("instances", instances)
     rng = make_rng(seed)
     failures = 0
     worst_ratio = 0.0

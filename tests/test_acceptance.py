@@ -197,7 +197,7 @@ def test_criterion_09_fano_budget():
         dense = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
         sparse = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0)
         for fam in (dense, sparse):
-            rep = fano_check(fam, kl_method="bound")
+            rep = fano_check(fam)
             assert rep.alpha_fano <= 1.0 / 9.0 < 1.0 / 8.0, rep.alpha_fano
             assert rep.holds
             assert rep.window_holds, rep.pair_losses

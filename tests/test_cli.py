@@ -15,7 +15,8 @@ import pytest
 import mixbench
 from mixbench import cli
 
-from mixbench.packing import family_to_json_dict, lower_bound_family
+from mixbench.harness import emit_report
+from mixbench.packing import family_to_json_dict, fano_check, lower_bound_family
 from mixbench.errors import DomainError
 from mixbench.verify import SUITES, suite_davis_kahan, suite_fano, suite_kl
 
@@ -136,6 +137,16 @@ class TestPackingCommand:
         assert code == 0
         assert peak - marks["held"] < out.stat().st_size
 
+    def test_dense_with_s_exits_2(self, tmp_path):
+        out = tmp_path / "family.json"
+        proc = run_cli(
+            "packing", "--regime", "dense", "--n", "10000", "--d", "9", "--s", "4", "--lambda", "0.2",
+            "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: s applies to the sparse regime only, got s = 4 in the dense regime\n"
+        assert not out.exists()
+
     def test_sparse_needs_s(self, tmp_path):
         out = tmp_path / "family.json"
         proc = run_cli(
@@ -185,6 +196,15 @@ class TestSimulateCommand:
         assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "report.txt")]) == 2
         assert calls == []
         assert "report.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "rates"])
+    def test_timing_flag_exits_2(self, tmp_path, command):
+        # A report carries no timings, so no flag asks for them.
+        out = tmp_path / "out.csv"
+        proc = run_cli(command, "--config", str(write_config(tmp_path, SMOKE_CONFIG)), "--out", str(out), "--timing")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --timing" in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
     def test_unreadable_config_exits_2(self, tmp_path, content):
@@ -243,7 +263,14 @@ class TestRatesCommand:
 
 class TestVerifyCommand:
     @pytest.mark.parametrize(
-        "suite, kwargs, name", [(suite_kl, {"pairs": 2.9}, "pairs"), (suite_davis_kahan, {"instances": True}, "instances")]
+        "suite, kwargs, name",
+        [
+            (suite_kl, {"pairs": 2.9}, "pairs"),
+            (suite_davis_kahan, {"instances": True}, "instances"),
+            (suite_kl, {"pairs": 0}, "pairs"),
+            (suite_davis_kahan, {"instances": 0}, "instances"),
+            (suite_davis_kahan, {"instances": -5}, "instances"),
+        ],
     )
     def test_suite_counts_must_be_whole(self, suite, kwargs, name):
         with pytest.raises(DomainError, match=f"^{name} "):
@@ -264,6 +291,12 @@ class TestVerifyCommand:
             "davis-kahan": [("instances", 1000), ("seed", 4242)],
             "support-recovery": [],
         }
+
+    def test_certificate_and_report_take_no_options(self):
+        """The Fano certificate reads only the closed-form KL, and a report
+        carries no timings."""
+        assert list(inspect.signature(fano_check).parameters) == ["family"]
+        assert list(inspect.signature(emit_report).parameters) == ["result", "fmt", "path"]
 
     def test_loss_sandwich_suite(self):
         proc = run_cli("verify", "--suite", "loss-sandwich")

@@ -370,7 +370,7 @@ class TestEmitReport:
         cfg = smoke_config(replicates=2, sweep_axis="n", sweep_values=(100, 200))
         res = run_experiment(cfg)
         path = tmp_path / "out.json"
-        emit_report(res, "json", path, include_timing=True)
+        emit_report(res, "json", path)
         back = json.loads(path.read_text())
         assert back["rows"] == [dict(zip(CSV_COLUMNS, dataclasses.astuple(r))) for r in res.rows]
         assert back["summary"] == [dataclasses.asdict(sm) for sm in res.summary]

@@ -13,8 +13,9 @@ from mixbench.errors import (
     DomainError,
     PreconditionViolated,
 )
+from mixbench.bounds import kl_monte_carlo
 from mixbench.loss import g_function, loss_exact_linear
-from mixbench.model import LinearClassifier, MixtureParams, bayes_classifier
+from mixbench.model import LinearClassifier, MixtureParams, bayes_classifier, stream_seed
 from mixbench.packing import (
     BinaryCode,
     PackingFamily,
@@ -184,6 +185,11 @@ class TestLowerBoundFamily:
         with pytest.raises(DomainError):
             lower_bound_family("other", 100, 9, lam=0.2, sigma=1.0)
 
+    @pytest.mark.parametrize("s", [4, 0])
+    def test_dense_regime_rejects_s(self, s):
+        with pytest.raises(DomainError, match="^s applies to the sparse regime only"):
+            lower_bound_family("dense", 10_000, 9, s=s, lam=0.2)
+
     @pytest.mark.parametrize(
         "regime, n, d, s, name",
         [("dense", 10_000.9, 9, None, "n"), ("dense", 10_000, 9.5, None, "d"), ("sparse", 10_000, 17, 4.5, "s")],
@@ -259,19 +265,18 @@ class TestFanoCheck:
             fano_check(small)
 
     def test_monte_carlo_agrees_with_bound(self):
-        # the MC route needs enough samples to resolve KL values of order
-        # 1e-6 against the budget; 2e6 per pair does it for both families
+        # Monte-Carlo KL needs enough samples to resolve values of order 1e-6
+        # against the budget; 2e6 per pair does it for both families.
         for regime, kwargs in (("dense", {}), ("sparse", {"s": 4})):
             d = 9 if regime == "dense" else 17
             fam = lower_bound_family(regime, 10**4, d, lam=0.2, sigma=1.0, **kwargs)
-            rep_bound = fano_check(fam, kl_method="bound")
-            rep_mc = fano_check(fam, kl_method="monte_carlo", mc_samples=2_000_000, seed=3)
-            assert rep_bound.holds == rep_mc.holds
-
-    def test_unknown_method(self):
-        fam = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
-        with pytest.raises(DomainError):
-            fano_check(fam, kl_method="exact")
+            theta0 = fam.thetas[0]
+            ests = [
+                kl_monte_carlo(theta_i, theta0, n_samples=2_000_000, seed=stream_seed(3, i))[0]
+                for i, theta_i in enumerate(fam.thetas[1:], start=1)
+            ]
+            alpha_mc = fam.n * max(max(est, 0.0) for est in ests) / math.log(fam.size - 1)
+            assert (alpha_mc < 1.0 / 8.0) == fano_check(fam).holds
 
     @pytest.mark.parametrize("round_trip", [False, True])
     @pytest.mark.parametrize("regime, d, kwargs", [("sparse", 41, {"s": 8}), ("dense", 17, {})])
@@ -337,6 +342,17 @@ class TestLocalTriangle:
         a = MixtureParams([-0.1, 0.0], [0.1, 0.0], 1.0)
         b = MixtureParams([0.9, 0.0], [1.1, 0.0], 1.0)
         with pytest.raises(PreconditionViolated):
+            local_triangle_check(a, b, bayes_classifier(a))
+
+    def test_centers_apart_by_more_than_rounding_rejected(self):
+        # 5e-3 apart in each of 9 coordinates: the pair's KL is about 1e-4,
+        # far above the 5e-7 bound that tau would take for a shared center.
+        h = np.zeros(9)
+        h[0], h[1] = 0.1 * math.cos(0.1), 0.1 * math.sin(0.1)
+        e1 = np.eye(9)[0] * 0.1
+        a = MixtureParams(np.full(9, 1000.0) - e1, np.full(9, 1000.0) + e1, 1.0)
+        b = MixtureParams(np.full(9, 1000.005) - h, np.full(9, 1000.005) + h, 1.0)
+        with pytest.raises(PreconditionViolated, match="center"):
             local_triangle_check(a, b, bayes_classifier(a))
 
 
