@@ -19,7 +19,7 @@ from .errors import (
     TooFewSamples,
 )
 from .estimators import screening_alpha
-from .model import MixtureParams, _real_number, _whole_number, mixture_log_density, sample
+from .model import MixtureParams, _count, _real_number, _whole_number, mixture_log_density, sample
 
 __all__ = [
     "theorem_bound",
@@ -55,11 +55,10 @@ def _checked(name: str, value):
     """A bound parameter checked against its domain, or DomainError naming it:
     n and d are whole numbers >= 1, s is a whole number, every other parameter
     is a finite real, sigma is positive and mu_norm is nonnegative."""
-    if name in ("n", "d", "s"):
-        count = _whole_number(name, value)
-        if name != "s" and count < 1:
-            raise DomainError(f"{name} must be >= 1, got {value!r}")
-        return count
+    if name in ("n", "d"):
+        return _count(name, value)
+    if name == "s":
+        return _whole_number(name, value)
     x = _real_number(name, value)
     if name == "sigma" and x <= 0.0:
         raise DomainError(f"sigma must be positive, got {value!r}")
@@ -166,16 +165,17 @@ def concentration_bound(kind: str, **params) -> float:
     """Evaluate one of the appendix concentration tails verbatim.
 
     Parameter names follow the formulas: d, n, eps, delta, mu_norm, mu_i,
-    sigma. Each kind validates the domain of its own formula (for example
-    the lower chi-square tail needs eps < 1).
+    sigma. Each kind takes exactly the parameters its formula reads (a
+    DomainError names one that is missing or not read) and validates their
+    domain (for example the lower chi-square tail needs eps < 1).
     """
     if kind not in CONCENTRATION_KINDS:
         raise DomainError(f"unknown concentration kind {kind!r}")
-    p = {}
-    for name in _CONCENTRATION_PARAMS[kind]:
-        if name not in params:
-            raise DomainError(f"{kind} requires parameter {name!r}")
-        p[name] = _checked(name, params[name])
+    reads = _CONCENTRATION_PARAMS[kind]
+    odd = sorted(set(reads) ^ set(params))  # missing or not read
+    if odd:
+        raise DomainError(f"{odd[0]} is {'required' if odd[0] in reads else 'not read'} by {kind}, which reads {', '.join(reads)}")
+    p = {name: _checked(name, params[name]) for name in reads}
 
     if kind == "chisq_upper":
         d, eps = p["d"], p["eps"]

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionViolated,
     TooFewSamples,
 )
-from .model import Dataset, LinearClassifier, MixtureParams, _canonical_direction, _real_number, _whole_number, json_record, sample, stream_seed
+from .model import Dataset, LinearClassifier, MixtureParams, _canonical_direction, _count, _real_number, _whole_number, json_record, sample, stream_seed
 
 __all__ = [
     "ScreeningResult",
@@ -144,9 +144,7 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
     d = m.shape[0]
-    max_iter = _whole_number("max_iter", int(10 * d * math.log(d)) + 500 if max_iter is None else max_iter)
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter!r}")
+    max_iter = _count("max_iter", int(10 * d * math.log(d)) + 500 if max_iter is None else max_iter)
     if d == 1:
         return np.array([1.0]), True
     v = np.zeros(d)

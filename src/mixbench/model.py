@@ -95,6 +95,15 @@ def _whole_number(name: str, value) -> int:
     raise DomainError(f"{name} must be a whole number, got {value!r}")
 
 
+def _count(name: str, value) -> int:
+    """A count of at least one as an int, or DomainError naming it: a count
+    of nothing (a suite that checks nothing, say) must not pass."""
+    count = _whole_number(name, value)
+    if count < 1:
+        raise DomainError(f"{name} must be >= 1, got {count}")
+    return count
+
+
 def _real_number(name: str, value) -> float:
     """A finite real as a float, or DomainError naming it: never a bool, a
     string, NaN or an infinity."""

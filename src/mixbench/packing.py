@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .loss import g_function, geometry_decomposition, loss_exact_linear
-from .model import LinearClassifier, MixtureParams, _real_number, _seed, _whole_number, bayes_classifier, json_record, make_rng
+from .model import LinearClassifier, MixtureParams, _count, _real_number, _seed, _whole_number, bayes_classifier, json_record, make_rng
 
 __all__ = [
     "BinaryCode",
@@ -183,7 +183,7 @@ def sparse_code(m: int, s: int, seed: int = 0, budget: int = 1_000_000) -> Binar
     s <= m/4; exhausting the budget raises ConstructionFailed (existence is
     guaranteed, so failure signals the budget, not the mathematics).
     """
-    m, s, budget = _whole_number("m", m), _whole_number("s", s), _whole_number("budget", budget)
+    m, s, budget = _whole_number("m", m), _whole_number("s", s), _count("budget", budget)
     if s < 1 or s > m / 4:
         raise PreconditionViolated(f"requires 1 <= s <= m/4 = {m / 4:.6g}, got s = {s}")
     target = math.ceil(math.exp((s / 5.0) * math.log(m / s)))
@@ -408,6 +408,10 @@ def local_triangle_check(
     return TriangleReport(applicable=applicable, lower=lower, upper=upper, observed=observed, holds=holds)
 
 
+# The keys of a family file: the construction's inputs and its code.
+_FAMILY_KEYS = ("regime", "n", "d", "s", "lambda", "sigma", "codewords", "code_min_distance", "code_weight")
+
+
 def family_to_json_dict(family: PackingFamily) -> dict:
     return {
         "regime": family.regime,
@@ -416,13 +420,9 @@ def family_to_json_dict(family: PackingFamily) -> dict:
         "s": family.s,
         "lambda": family.lam,
         "sigma": family.sigma,
-        "epsilon": family.epsilon,
-        "lambda0": family.lambda0,
-        "gamma": family.gamma,
         "codewords": family.code.words.tolist(),
         "code_min_distance": family.code.min_distance,
         "code_weight": family.code.weight,
-        "thetas": [t.to_json_dict() for t in family.thetas],
     }
 
 
@@ -432,13 +432,17 @@ def _optional_whole(obj: dict, key: str) -> int | None:
 
 
 def family_from_json_dict(obj: dict) -> PackingFamily:
-    """The family that ``family_to_json_dict`` wrote, rebuilt by the construction
-    from its regime, n, d, s, lambda, sigma and code. The code must have its
-    declared distance and weight, and the record must equal the rebuilt one
-    exactly. A DomainError names the first key that differs, or the key of a
-    value that is not a (whole) number or a codeword entry not 0 or 1."""
-    for key in ("epsilon", "lambda0", "gamma"):
-        _real_number(key, obj[key])
+    """The family that ``family_to_json_dict`` wrote, built by the construction
+    from its regime, n, d, s, lambda, sigma and code. The record must have
+    exactly those keys, and the code its declared distance and weight. A
+    DomainError names the missing and the unknown keys, the key of a value
+    that is not a (whole) number, or a codeword entry not 0 or 1."""
+    if not isinstance(obj, dict):
+        raise DomainError("a family file must be a JSON object")
+    missing, unknown = [k for k in _FAMILY_KEYS if k not in obj], [str(k) for k in obj if k not in _FAMILY_KEYS]
+    if missing or unknown:
+        keys = f"missing: {', '.join(missing) or 'none'}; unknown: {', '.join(unknown) or 'none'}"
+        raise DomainError(f"a family file holds exactly the keys {', '.join(_FAMILY_KEYS)}; {keys}")
     words = np.asarray(obj["codewords"])
     if words.dtype.kind not in "iuf" or not np.all((words == 0) | (words == 1)):
         raise DomainError(f"codewords must hold only the bits 0 and 1, got {obj['codewords']!r}")
@@ -449,9 +453,4 @@ def family_from_json_dict(obj: dict) -> PackingFamily:
     code = BinaryCode(d - 1, words, min_distance, _optional_whole(obj, "code_weight"))
     if not code.verify():
         raise DomainError("codewords do not have the declared code_min_distance and code_weight, or repeat a word")
-    family = _family(obj["regime"], obj["n"], d, _optional_whole(obj, "s"), obj["lambda"], obj["sigma"], 0, code)
-    rebuilt = family_to_json_dict(family)
-    for key in [*rebuilt, *obj]:
-        if key not in obj or key not in rebuilt or obj[key] != rebuilt[key]:
-            raise DomainError(f"{key} differs from the family that the construction builds from this file's inputs and code")
-    return family
+    return _family(obj["regime"], obj["n"], d, _optional_whole(obj, "s"), obj["lambda"], obj["sigma"], 0, code)

@@ -17,7 +17,7 @@ from .bounds import concentration_bound, kl_bound, kl_monte_carlo
 from .errors import DomainError
 from .estimators import davis_kahan_check, support_recovery_check
 from .loss import loss_bounds_symmetric, loss_exact_linear
-from .model import MixtureParams, _whole_number, bayes_classifier, make_rng, stream_seed
+from .model import MixtureParams, _count, bayes_classifier, make_rng, stream_seed
 from .packing import fano_check, local_triangle_check, lower_bound_family
 
 __all__ = [
@@ -55,15 +55,6 @@ def _symmetric_pair(xi: float, beta: float, sigma: float = 1.0, d: int = 2, mu0=
         MixtureParams(center - h, center + h, sigma),
         MixtureParams(center - hp, center + hp, sigma),
     )
-
-
-def _count(name: str, value) -> int:
-    """A suite's count as an int >= 1, or DomainError naming it: a suite that
-    checks nothing must not pass."""
-    count = _whole_number(name, value)
-    if count < 1:
-        raise DomainError(f"{name} must be >= 1, got {count}")
-    return count
 
 
 def suite_loss_sandwich() -> list[dict]:

@@ -138,6 +138,8 @@ class TestParameterDomain:
             ("chisq_upper", dict(d=4, eps=float("inf")), "eps"),
             ("mean_concentration", dict(n=400, d=16, delta=0.01, mu_norm=-5.0, sigma=1.0), "mu_norm"),
             ("angle_concentration", dict(n=4000, d=16, delta=0.01, mu_norm=-0.4, sigma=1.0), "mu_norm"),
+            ("chisq_upper", dict(d=5, eps=0.1, n=100, bogus=3), "bogus"),
+            ("gaussian_mean", dict(d=5, eps=0.1, n=100), "n"),
         ],
     )
     def test_concentration_bound_rejects(self, kind, kwargs, name):

@@ -31,6 +31,10 @@ SMOKE_CONFIG = {
 }
 
 
+# A family file holds the construction's inputs and its code, nothing derived.
+FAMILY_KEYS = ("regime", "n", "d", "s", "lambda", "sigma", "codewords", "code_min_distance", "code_weight")
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "mixbench", *args],
@@ -80,7 +84,7 @@ class TestPackingCommand:
         assert proc.returncode == 0, proc.stderr
         obj = json.loads(out.read_text())
         assert obj["regime"] == "dense"
-        assert len(obj["thetas"]) == len(obj["codewords"])
+        assert sorted(obj) == sorted(FAMILY_KEYS)
         check = run_cli("verify", "--suite", "fano", "--family", str(out))
         assert check.returncode == 0, check.stdout + check.stderr
         entries = json.loads(check.stdout)
@@ -340,8 +344,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "key, value, named",
-        [("sigma", 3.0, "epsilon"), ("d", 12, "codewords"), ("sigma", "1.0", "sigma"), ("lambda", True, "lambda")],
-        ids=["sigma-3.0", "d-12", "sigma-1.0", "lambda-True"],
+        [("d", 12, "codewords"), ("sigma", "1.0", "sigma"), ("lambda", True, "lambda")],
+        ids=["d-12", "sigma-1.0", "lambda-True"],
     )
     def test_family_header_not_matching_members_exits_2(self, tmp_path, key, value, named):
         obj = family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0))
@@ -357,23 +361,58 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda obj: obj.update(epsilon=3.0 * obj["epsilon"]),
-            lambda obj: obj.update(gamma=100.0 * obj["gamma"]),
-            lambda obj: obj.update(lambda0=obj["lambda0"] * (1.0 - 1e-6)),
-            lambda obj: obj.update(n=10**6),
-            lambda obj: obj.update(regime="sparse", s=8),
-            lambda obj: obj.update(code_min_distance=2),
+            lambda obj, fam: obj.update(epsilon=3.0 * fam.epsilon),
+            lambda obj, fam: obj.update(gamma=100.0 * fam.gamma),
+            lambda obj, fam: obj.update(lambda0=fam.lambda0 * (1.0 - 1e-6)),
+            lambda obj, fam: obj.update(regime="sparse", s=8),
+            lambda obj, fam: obj.update(code_min_distance=2),
         ],
-        ids=["epsilon-x3", "gamma-x100", "lambda0", "n", "sparse-s8", "min-distance"],
+        ids=["epsilon-x3", "gamma-x100", "lambda0", "sparse-s8", "min-distance"],
     )
     def test_family_not_rebuilt_by_construction_exits_2(self, tmp_path, edit):
-        obj = family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0))
-        edit(obj)
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
+        obj = family_to_json_dict(fam)
+        edit(obj, fam)
         path = write_config(tmp_path, obj, name="family.json")
         proc = run_cli("verify", "--suite", "fano", "--family", str(path))
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: family file {path} is malformed: ")
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "make, named",
+        [
+            (lambda old, new: old, "missing: none; unknown: epsilon, gamma, lambda0, thetas')"),
+            *((lambda old, new, key=key: {**new, key: old[key]}, f"missing: none; unknown: {key}')")
+              for key in ("epsilon", "gamma", "lambda0", "thetas")),
+            (lambda old, new: [1, 2], "DomainError('a family file must be a JSON object')"),
+            (lambda old, new: "x", "DomainError('a family file must be a JSON object')"),
+        ],
+        ids=["old-format", "epsilon", "gamma", "lambda0", "thetas", "list", "string"],
+    )
+    def test_family_file_holds_only_inputs_and_code(self, tmp_path, make, named):
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
+        new = family_to_json_dict(fam)
+        # The file as packing once wrote it, with the derived values and every member.
+        old = {**new, "epsilon": fam.epsilon, "gamma": fam.gamma, "lambda0": fam.lambda0,
+               "thetas": [theta.to_json_dict() for theta in fam.thetas]}
+        path = write_config(tmp_path, make(old, new), name="family.json")
+        proc = run_cli("verify", "--suite", "fano", "--family", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: family file {path} is malformed: DomainError(")
+        assert proc.stderr.endswith(named + "\n")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("key, value", [("sigma", 3.0), ("n", 10**6)], ids=["sigma-3.0", "n"])
+    def test_family_of_edited_inputs_is_certified(self, tmp_path, key, value):
+        # The file holds only inputs, so a file with an edited input holds the family of the edited inputs.
+        inputs = {"n": 10**4, "sigma": 1.0, key: value}
+        obj = {**family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)), **inputs}
+        path = write_config(tmp_path, obj, name="family.json")
+        proc = run_cli("verify", "--suite", "fano", "--family", str(path))
+        entries = suite_fano([lower_bound_family("dense", inputs["n"], 9, lam=0.2, sigma=inputs["sigma"])])
+        assert proc.stdout == json.dumps(entries, indent=2, sort_keys=True) + "\n"
+        assert proc.returncode == (0 if all(e["holds"] for e in entries) else 1), proc.stderr
 
     def test_missing_family_file_keeps_its_own_error(self, tmp_path):
         path = tmp_path / "absent.json"
@@ -607,8 +646,8 @@ class TestReportBytes:
     @pytest.mark.parametrize(
         "args, digest",
         [
-            (["--regime", "dense", "--d", "9"], "a999d78395353ce39e8d4bfd3a135e85d572c523329386e6e7f9ea2a77de01fc"),
-            (["--regime", "sparse", "--d", "41", "--s", "8"], "02ef7f3dae1ff7ba697fdd0bfd78dc32842ef7ec2ec140de237c7bdc717e67e2"),
+            (["--regime", "dense", "--d", "9"], "e29977d5130548e28af3a2c67e030f73fe8a866fc4b79e1aebb944088363e601"),
+            (["--regime", "sparse", "--d", "41", "--s", "8"], "ea8ff200e30679e971597b08a766044370209b73cf4bd9c211b52580ceb64b4d"),
         ],
         ids=["dense", "sparse"],
     )

@@ -79,6 +79,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="typo_key"):
             load_config({"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0, "typo_key": 1})
 
+    def test_custom_signal_needs_custom_profile(self):
+        # It once loaded and ran equal_coords, ignoring the custom signal.
+        with pytest.raises(ConfigError, match="^custom_signal applies to signal_profile custom only"):
+            load_config({"estimator": "dense_pca", "n": 100, "d": 3, "lambda": 1.0, "custom_signal": [0.5, 0, 0]})
+
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="lambda"):
             load_config({"estimator": "dense_pca", "n": 100, "d": 4})
@@ -301,6 +306,18 @@ class TestFitRate:
             fit_rate([(1.0, 0.0), (2.0, 1.0)])
         with pytest.raises(DomainError):
             fit_rate([(-1.0, 1.0), (2.0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "pts, bad",
+        [
+            ([(1, math.nan), (2, 1.0), (4, 0.5)], "(1.0, nan)"),
+            ([(math.inf, 1.0), (2, 1.0), (4, 0.5)], "(inf, 1.0)"),
+            ([(1, 2.0), (2, math.inf)], "(2.0, inf)"),
+        ],
+    )
+    def test_nonfinite_rejected(self, pts, bad):
+        with pytest.raises(DomainError, match=re.escape(f"got {bad}") + "$"):
+            fit_rate(pts)
 
     def test_interval_bits_equal_scipy_stats(self, monkeypatch):
         rng = np.random.default_rng(8)

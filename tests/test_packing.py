@@ -1,6 +1,7 @@
 """Tests for packing codes, lower-bound families and their certification."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from mixbench.packing import (
     sparse_code,
     vg_code,
 )
+from mixbench.verify import suite_fano
 
 
 class TestVgCode:
@@ -101,6 +103,11 @@ class TestSparseCode:
     def test_budget_exhaustion(self):
         with pytest.raises(ConstructionFailed):
             sparse_code(16, 4, seed=0, budget=2)
+
+    @pytest.mark.parametrize("budget", [-1, 0])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(DomainError, match=f"^budget must be >= 1, got {budget}$"):
+            sparse_code(40, 4, budget=budget)
 
     @pytest.mark.parametrize("m, s, budget, name", [(16.5, 4, 100, "m"), (16, 4.5, 100, "s"), (16, 4, 2.5, "budget")])
     def test_counts_must_be_whole(self, m, s, budget, name):
@@ -356,6 +363,10 @@ class TestLocalTriangle:
             local_triangle_check(a, b, bayes_classifier(a))
 
 
+# The family that TestFamilySerialization.written("dense") records.
+DENSE = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0, seed=2)
+
+
 class TestFamilySerialization:
     @pytest.mark.parametrize("regime, d, kwargs", [("sparse", 17, {"s": 4}), ("dense", 9, {})])
     def test_round_trip_keeps_every_count(self, regime, d, kwargs):
@@ -383,20 +394,12 @@ class TestFamilySerialization:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("sigma", "1.0"), ("lambda", True), ("epsilon", "0.01"), ("lambda0", None), ("gamma", [0.1])],
+        [("sigma", "1.0"), ("lambda", True)],
     )
     def test_header_numbers_must_be_numbers(self, key, value):
         obj = self.written()
         obj[key] = value
         with pytest.raises(DomainError, match=f"^{key} must be a number"):
-            family_from_json_dict(obj)
-
-    @pytest.mark.parametrize("key, value", [("mu1", "strings"), ("mu2", "strings"), ("sigma", "1.0"), ("sigma", False)])
-    def test_member_numbers_must_be_numbers(self, key, value):
-        obj = self.written()
-        member = obj["thetas"][2]
-        member[key] = [str(x) for x in member[key]] if value == "strings" else value
-        with pytest.raises(DomainError, match="^thetas "):
             family_from_json_dict(obj)
 
     @pytest.mark.parametrize("bit", [0.7, 2, -1, "1"])
@@ -410,15 +413,9 @@ class TestFamilySerialization:
         "regime, edit, key",
         [
             ("dense", lambda obj: obj.update(d=12), "codewords"),
-            ("sparse", lambda obj: obj["thetas"][2].update({k: obj["thetas"][2][k] + [0.0] for k in ("mu1", "mu2")}), "thetas"),
-            ("dense", lambda obj: obj.update(sigma=3.0), "epsilon"),
-            ("sparse", lambda obj: obj["thetas"][2].update(sigma=2.0), "thetas"),
-            ("dense", lambda obj: obj.update(**{"lambda": 0.2 * (1.0 + 1e-9)}), "epsilon"),
-            ("sparse", lambda obj: obj["thetas"].pop(), "thetas"),
-            ("sparse", lambda obj: obj["codewords"].pop(), "thetas"),
             ("dense", lambda obj: obj.update(codewords=[w[:-1] for w in obj["codewords"]]), "codewords"),
         ],
-        ids=["d", "member-d", "sigma", "member-sigma", "lambda", "fewer-members", "fewer-words", "word-length"],
+        ids=["d", "word-length"],
     )
     def test_header_must_agree_with_members(self, regime, edit, key):
         obj = self.written(regime)
@@ -426,12 +423,26 @@ class TestFamilySerialization:
         with pytest.raises(DomainError, match=f"^{key} "):
             family_from_json_dict(obj)
 
+    @staticmethod
+    def certified(family):
+        """The bytes that ``verify --suite fano --family`` prints for ``family``."""
+        return json.dumps(suite_fano([family]), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("key, value", [("sigma", 3.0), ("lambda", 0.2 * (1.0 + 1e-9)), ("n", 10**6)], ids=["sigma", "lambda", "n"])
+    def test_edited_inputs_build_the_edited_family(self, key, value):
+        # The file holds only inputs, so a file with an edited input holds the family of the edited inputs.
+        inputs = {"n": 10**4, "lambda": 0.2, "sigma": 1.0, key: value}
+        obj = {**self.written("dense"), **inputs}
+        expected = lower_bound_family("dense", inputs["n"], 9, lam=inputs["lambda"], sigma=inputs["sigma"], seed=2)
+        assert self.certified(family_from_json_dict(obj)) == self.certified(expected)
+
     @pytest.mark.parametrize("regime", ["sparse", "dense"])
     def test_separation_agrees_within_rounding(self, regime):
         obj = self.written(regime)
         obj["lambda"] *= 1.0 + 1e-13
-        with pytest.raises(DomainError, match="^epsilon "):
-            family_from_json_dict(obj)
+        s = 4 if regime == "sparse" else None
+        expected = lower_bound_family(regime, 10**4, obj["d"], s=s, lam=obj["lambda"], sigma=1.0, seed=2)
+        assert self.certified(family_from_json_dict(obj)) == self.certified(expected)
 
     def test_whole_valued_floats_accepted(self):
         fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2)
@@ -458,17 +469,17 @@ class TestFamilySerialization:
     @pytest.mark.parametrize(
         "edit, error, match",
         [
-            (lambda obj: obj.update(epsilon=3.0 * obj["epsilon"]), DomainError, "^epsilon "),
-            (lambda obj: obj.update(gamma=100.0 * obj["gamma"]), DomainError, "^gamma "),
-            (lambda obj: obj.update(lambda0=obj["lambda0"] * (1.0 - 1e-6)), DomainError, "^lambda0 "),
-            (lambda obj: obj.update(n=10**6), DomainError, "^epsilon "),
+            (lambda obj: obj.update(epsilon=3.0 * DENSE.epsilon), DomainError, "; unknown: epsilon$"),
+            (lambda obj: obj.update(gamma=100.0 * DENSE.gamma), DomainError, "; unknown: gamma$"),
+            (lambda obj: obj.update(lambda0=DENSE.lambda0 * (1.0 - 1e-6)), DomainError, "; unknown: lambda0$"),
             (lambda obj: obj.update(regime="sparse", s=8), PreconditionViolated, "^sparse regime requires 4 <= s"),
             (lambda obj: obj.update(code_min_distance=2), DomainError, "^codewords "),
         ],
-        ids=["epsilon-x3", "gamma-x100", "lambda0", "n", "sparse-s8", "min-distance"],
+        ids=["epsilon-x3", "gamma-x100", "lambda0", "sparse-s8", "min-distance"],
     )
     def test_header_values_are_rebuilt_not_trusted(self, edit, error, match):
         # Each of these once loaded, and the certificate read the edited value.
+        # A derived value is never read: a file that holds one is rejected.
         obj = self.written("dense")
         edit(obj)
         with pytest.raises(error, match=match):
@@ -479,8 +490,6 @@ class TestFamilySerialization:
         obj = family_to_json_dict(fam)
         word = obj["codewords"][1]
         word[word.index(0)] = 1  # weight s + 1
-        mu = np.append(np.array(word) * fam.epsilon, fam.lambda0)
-        obj["thetas"][1] = MixtureParams(-mu / 2.0, mu / 2.0, fam.sigma).to_json_dict()
         with pytest.raises(DomainError, match="^codewords "):
             family_from_json_dict(obj)
 
