@@ -19,7 +19,7 @@ from .errors import (
     TooFewSamples,
 )
 from .estimators import screening_alpha
-from .model import MixtureParams, _count, _real_number, _whole_number, mixture_log_density, sample
+from .model import MixtureParams, _count, _real_number, _squarable, _whole_number, mixture_log_density, sample
 
 __all__ = [
     "theorem_bound",
@@ -54,12 +54,14 @@ def _require(cond: bool, message: str) -> None:
 def _checked(name: str, value):
     """A bound parameter checked against its domain, or DomainError naming it:
     n and d are whole numbers >= 1, s is a whole number, every other parameter
-    is a finite real, sigma is positive and mu_norm is nonnegative."""
+    is a finite real, sigma is positive and mu_norm is nonnegative. The
+    formulas square lambda, sigma, mu_norm and mu_i, so each of those is
+    ``_squarable``."""
     if name in ("n", "d"):
         return _count(name, value)
     if name == "s":
         return _whole_number(name, value)
-    x = _real_number(name, value)
+    x = (_squarable if name in ("lambda", "sigma", "mu_norm", "mu_i") else _real_number)(name, value)
     if name == "sigma" and x <= 0.0:
         raise DomainError(f"sigma must be positive, got {value!r}")
     if name == "mu_norm" and x < 0.0:

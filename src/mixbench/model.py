@@ -115,10 +115,51 @@ def _real_number(name: str, value) -> float:
     return x
 
 
+def _squarable(name: str, value) -> float:
+    """A finite real that is 0 or lies between 2^-510 and 2^510 in magnitude,
+    as a float, or DomainError naming it. The square of such a number, and of
+    a sum of two, is 0 or a finite normal float: a formula that squares it
+    neither overflows nor divides by a square that underflowed to 0."""
+    x = _real_number(name, value)
+    if x != 0.0 and not 2.0**-510 <= abs(x) <= 2.0**510:
+        raise DomainError(f"{name} must be 0 or lie between 2^-510 and 2^510 in magnitude, got {value!r}")
+    return x
+
+
 def _block_rows(n: int, d: int) -> int:
     """Rows per block of an (n, d) float64 pass: about _BLOCK_BYTES, at
     least one row and at most n."""
     return max(1, min(n, _BLOCK_BYTES // (8 * max(d, 1))))
+
+
+def _row_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.sum(rows, axis=1, out=out)`` for a C-ordered (m, d) block, bit for
+    bit; when d >= 8 it overwrites columns 2, 4 and 6 of the block.
+
+    numpy runs its reduce loop once per row. Below 16 entries that loop costs
+    more than the adds, so there the columns are added whole, in the order
+    numpy adds a short row: +0.0 first, then left to right below 8 entries;
+    from 8, the first eight as ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), then the
+    rest one at a time."""
+    d = rows.shape[1]
+    if not 0 < d < 16:
+        return np.sum(rows, axis=1, out=out)
+    c = rows.T
+    if d < 8:
+        np.add(c[0], 0.0, out=out)
+        rest = c[1:]
+    else:
+        # out takes the left branch: fewer strided writes into the block.
+        np.add(c[0], c[1], out=out)
+        for j, k in ((2, 3), (4, 5), (6, 7), (4, 6)):
+            np.add(c[j], c[k], out=c[j])
+        out += c[2]
+        out += c[4]
+        out += 0.0
+        rest = c[8:]
+    for col in rest:
+        out += col
+    return out
 
 
 def _as_readonly(a, dtype=np.float64) -> np.ndarray:
@@ -343,10 +384,10 @@ def mixture_log_density(theta: MixtureParams, x: np.ndarray) -> float | np.ndarr
     s2 = theta.sigma**2
     norm_const = -0.5 * theta.d * (_LOG_2PI + np.log(s2))
     log2 = np.log(2.0)
-    # q[k] is sum((x - mu_k)^2) per row, by the same per-row reduction as a
-    # whole-array np.sum(axis=1), and every later step is elementwise: the
-    # blocks do not change a bit of norm_const + logaddexp(-q1, -q2) - log 2.
-    # Beside the result, the working set is one block's buffers.
+    # q[k] is sum((x - mu_k)^2) per row, with the bits of a whole-array
+    # np.sum(axis=1), and every later step is elementwise: the blocks do not
+    # change a bit of norm_const + logaddexp(-q1, -q2) - log 2. Beside the
+    # result, the working set is one block's buffers.
     n = pts.shape[0]
     step = _block_rows(n, theta.d)
     means = (np.tile(theta.mu1, (step, 1)), np.tile(theta.mu2, (step, 1)))
@@ -359,7 +400,7 @@ def mixture_log_density(theta: MixtureParams, x: np.ndarray) -> float | np.ndarr
         for k, mean in enumerate(means):
             np.subtract(block, mean[:m], out=buf[:m])
             np.square(buf[:m], out=buf[:m])
-            np.sum(buf[:m], axis=1, out=q[k, :m])
+            _row_sums(buf[:m], q[k, :m])
         qm = q[:, :m]
         qm /= 2.0 * s2
         np.negative(qm, out=qm)

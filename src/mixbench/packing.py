@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .loss import g_function, geometry_decomposition, loss_exact_linear
-from .model import LinearClassifier, MixtureParams, _count, _real_number, _seed, _whole_number, bayes_classifier, json_record, make_rng
+from .model import LinearClassifier, MixtureParams, _count, _seed, _squarable, _whole_number, bayes_classifier, json_record, make_rng
 
 __all__ = [
     "BinaryCode",
@@ -245,12 +245,13 @@ def _family(regime, n, d, s, lam, sigma, seed: int, code: BinaryCode | None) -> 
     """The family of ``lower_bound_family`` on ``code`` (a sparse one of weight
     s), or on the regime's code made from ``seed`` when ``code`` is None."""
     n, d = _whole_number("n", n), _whole_number("d", d)
-    lam, sigma = _real_number("lambda", lam), _real_number("sigma", sigma)
+    # The construction squares lambda, sigma and xi = lambda / (2 sigma).
+    lam, sigma = _squarable("lambda", lam), _squarable("sigma", sigma)
     if lam <= 0.0 or sigma <= 0.0:
         raise DomainError("lambda and sigma must be positive")
     if n < 1:
         raise DomainError("n must be positive")
-    xi = lam / (2.0 * sigma)
+    xi = _squarable("lambda / (2 sigma)", lam / (2.0 * sigma))
 
     if regime == "dense":
         if s is not None:

@@ -1,5 +1,6 @@
 """Tests for the closed-form bound evaluators and their MC verifiers."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -7,13 +8,14 @@ import numpy as np
 import pytest
 
 from mixbench.bounds import (
+    THEOREM_KINDS,
     concentration_bound,
     general_loss_upper,
     kl_bound,
     kl_monte_carlo,
     theorem_bound,
 )
-from mixbench.errors import DomainError, PreconditionViolated, ShapeError, TooFewSamples
+from mixbench.errors import DomainError, MixbenchError, PreconditionViolated, ShapeError, TooFewSamples
 from mixbench.loss import loss_exact_linear
 from mixbench.model import LinearClassifier, MixtureParams, mixture_log_density, sample, stream_seed
 
@@ -100,8 +102,10 @@ class TestTheoremBound:
 
 class TestParameterDomain:
     """n and d are whole numbers >= 1, s is a whole number, every real is
-    finite, sigma is positive and mu_norm is nonnegative; a bad value is
-    rejected by name, not truncated, divided by or passed on as NaN."""
+    finite, sigma is positive, mu_norm is nonnegative, and a real that a
+    formula squares is 0 or lies between 2^-510 and 2^510 in magnitude; a bad
+    value is rejected by name, not truncated, divided by, overflowed or
+    passed on as NaN."""
 
     @pytest.mark.parametrize(
         "kind, kwargs, name",
@@ -117,6 +121,13 @@ class TestParameterDomain:
             ("thm2_lower", dict(n=10**4, d=10, lam=0.2, sigma=float("inf")), "sigma"),
             ("thm2_lower", dict(n=True, d=10, lam=0.2), "n"),
             ("thm1_upper", dict(n=10**4, d=10, lam="1.0"), "lambda"),
+            # lambda**2 underflowed to 0, then a ZeroDivisionError; or overflowed.
+            ("thm1_upper", dict(n=10**4, d=10, lam=1e-200), "lambda"),
+            ("thm2_lower", dict(n=10**4, d=10, lam=1e-200), "lambda"),
+            ("thm3_upper", dict(n=10**4, d=100, s=4, lam=1e-200), "lambda"),
+            ("thm4_lower", dict(n=10**4, d=41, s=5, lam=1e-200), "lambda"),
+            ("thm1_upper_largesep", dict(n=10**4, d=10, lam=1e200), "lambda"),
+            ("thm1_upper", dict(n=10**4, d=10, lam=1.0, sigma=1e200), "sigma"),
         ],
     )
     def test_theorem_bound_rejects(self, kind, kwargs, name):
@@ -140,11 +151,29 @@ class TestParameterDomain:
             ("angle_concentration", dict(n=4000, d=16, delta=0.01, mu_norm=-0.4, sigma=1.0), "mu_norm"),
             ("chisq_upper", dict(d=5, eps=0.1, n=100, bogus=3), "bogus"),
             ("gaussian_mean", dict(d=5, eps=0.1, n=100), "n"),
+            ("angle_concentration", dict(n=4000, d=16, delta=0.01, mu_norm=1e-200, sigma=1.0), "mu_norm"),
+            ("perdim_variance", dict(n=4000, delta=0.01, mu_i=1e200, sigma=1.0), "mu_i"),
         ],
     )
     def test_concentration_bound_rejects(self, kind, kwargs, name):
         with pytest.raises(DomainError, match=f"^{name} "):
             concentration_bound(kind, **kwargs)
+
+    def test_squarable_edges_raise_only_mixbench_errors(self):
+        # At the ends of the range of a squared parameter, every kind either
+        # evaluates or fails by name.
+        edges = (2.0**-510, 2.0**-255, 1.0, 2.0**255, 2.0**510)
+        for kind in THEOREM_KINDS:
+            for lam, sigma in itertools.product(edges, edges):
+                try:
+                    theorem_bound(kind, n=10**4, d=41, s=5, lam=lam, sigma=sigma)
+                except MixbenchError:
+                    pass
+        for kind in ("mean_concentration", "angle_concentration"):
+            for mu_norm, sigma in itertools.product(edges, edges):
+                concentration_bound(kind, n=4000, d=16, delta=0.01, mu_norm=mu_norm, sigma=sigma)
+        for mu_i, sigma in itertools.product(edges + (-(2.0**510),), edges):
+            concentration_bound("perdim_variance", n=4000, delta=0.01, mu_i=mu_i, sigma=sigma)
 
 
 class TestKlBound:

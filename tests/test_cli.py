@@ -65,6 +65,11 @@ class TestBoundsCommand:
         assert proc.returncode == 2
         assert "d >= 9" in proc.stderr
 
+    def test_lambda_whose_square_underflows_exits_2(self):
+        proc = run_cli("bounds", "--kind", "thm1_upper", "--n", "10000", "--d", "10", "--lambda", "1e-200")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: lambda must be 0 or lie between 2^-510 and 2^510 in magnitude, got 1e-200\n"
+
     @pytest.mark.parametrize(
         "n_args, named", [([], "--n"), (["--n", "0"], "error: n must")], ids=["missing", "zero"]
     )
@@ -99,6 +104,13 @@ class TestPackingCommand:
         )
         assert proc.returncode == 2
         assert proc.stderr == f"error: {name} must be finite, got nan\n"
+
+    def test_lambda_beyond_float_square_exits_2(self, tmp_path):
+        out = tmp_path / "family.json"
+        proc = run_cli("packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", "1e200", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: lambda must be 0 or lie between 2^-510 and 2^510 in magnitude, got 1e+200\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("regime", [["--regime", "dense", "--d", "9"], ["--regime", "sparse", "--d", "41", "--s", "8"]])
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])

@@ -25,6 +25,7 @@ from mixbench.model import (
     LinearClassifier,
     MixtureParams,
     _block_rows,
+    _row_sums,
     _whole_number,
     bayes_classifier,
     make_rng,
@@ -335,7 +336,8 @@ class TestMixtureLogDensity:
         with pytest.raises(ShapeError):
             mixture_log_density(theta, np.zeros(3))
 
-    @pytest.mark.parametrize("d", _BLOCK_EDGE_DIMS + (161,))
+    # 4, 5, 6, 10, 15 and 16: each of _row_sums's column orders and its np.sum edge.
+    @pytest.mark.parametrize("d", _BLOCK_EDGE_DIMS + (161, 4, 5, 6, 10, 15, 16))
     def test_bits_equal_whole_array_reference(self, d):
         rng = np.random.default_rng(100 + d)
         theta = MixtureParams(rng.normal(size=d) + 2.0, rng.normal(size=d) - 1.0, 1.7)
@@ -347,6 +349,20 @@ class TestMixtureLogDensity:
                 assert got.tobytes() == _reference_mixture_log_density(t, pts).tobytes()
                 single = mixture_log_density(t, pts[-1])
                 assert type(single) is float and single == _reference_mixture_log_density(t, pts[-1])
+
+    # Pins numpy's order for a short row: a numpy that sums rows otherwise fails here.
+    @pytest.mark.parametrize("d", range(17))
+    def test_row_sums_equal_np_sum(self, d):
+        rng = np.random.default_rng(d)
+        for m in (1, 7, 2048, 2049):
+            rows = rng.choice([-1.0, 1.0], size=(m, d)) * rng.uniform(0.5, 1.5, size=(m, d))
+            rows *= 10.0 ** rng.choice([-300, -5, 0, 5, 300], size=(m, d))
+            rows[rng.random((m, d)) < 0.2] = 0.0
+            rows[rng.random((m, d)) < 0.1] = -0.0
+            rows[-1] = -0.0  # numpy starts a row's sum at +0.0
+            out = np.empty(m)
+            assert _row_sums(rows.copy(), out) is out
+            assert out.tobytes() == np.sum(rows, axis=1).tobytes()
 
     def test_holds_its_output_and_one_block(self):
         theta = MixtureParams(np.full(8, -0.5), np.full(8, 0.5), 1.3)

@@ -205,6 +205,17 @@ class TestLowerBoundFamily:
         with pytest.raises(DomainError, match=f"^{name} "):
             lower_bound_family(regime, n, d, s=s, lam=0.2, sigma=1.0)
 
+    # The construction squares lambda, sigma and lambda / (2 sigma): 1e200
+    # squared was an OverflowError.
+    @pytest.mark.parametrize(
+        "lam, sigma, name",
+        [(1e200, 1.0, "lambda"), (0.2, 1e200, "sigma"), (1e150, 1e-150, "lambda / \\(2 sigma\\)")],
+    )
+    @pytest.mark.parametrize("regime, d, s", [("dense", 9, None), ("sparse", 41, 8)])
+    def test_squares_out_of_float_range_rejected(self, regime, d, s, lam, sigma, name):
+        with pytest.raises(DomainError, match=f"^{name} must be 0 or lie between 2\\^-510 and 2\\^510"):
+            lower_bound_family(regime, 10_000, d, s=s, lam=lam, sigma=sigma)
+
 
 def inflate_epsilon(fam: PackingFamily, factor: float) -> PackingFamily:
     """Manual override: rebuild the member means with eps scaled up."""
