@@ -69,7 +69,7 @@ def _checked(name: str, value):
     return x
 
 
-def theorem_bound(kind: str, n: int = 0, d: int = 0, s: int = 0, lam: float = 0.0, sigma: float = 1.0) -> float:
+def theorem_bound(kind: str, *, n: int, d: int, lam: float, s: int = 0, sigma: float = 1.0) -> float:
     """Evaluate one of the headline minimax bounds at concrete parameters.
 
     Each kind enforces its stated hypotheses and raises PreconditionViolated

@@ -65,7 +65,7 @@ def _add_bounds(sub):
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--d", required=True, type=int)
     p.add_argument("--s", type=int, default=0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", required=True, type=float)
     p.add_argument("--sigma", type=float, default=1.0)
 
 

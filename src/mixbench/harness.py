@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 ESTIMATORS = ("dense_pca", "sparse_pca", "oracle_support_pca")
-PROFILES = ("equal_coords", "custom")
 AXES = ("n", "d", "lambda", "s")
 
 # What each config field must be in JSON, by its annotation (less "| None").
@@ -91,8 +90,6 @@ class ExperimentConfig:
     lam: float
     sigma: float = 1.0
     s: int | None = None
-    signal_profile: str = "equal_coords"
-    custom_signal: tuple[float, ...] | None = None
     replicates: int = 1
     master_seed: int = 0
     sweep_axis: str | None = None
@@ -105,8 +102,6 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, _checked(_key(f.name), f.type.removesuffix(" | None"), value))
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
-        if self.signal_profile not in PROFILES:
-            raise ConfigError(f"signal_profile must be one of {PROFILES}, got {self.signal_profile!r}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         if self.replicates < 1:
@@ -135,7 +130,7 @@ class ExperimentConfig:
             at = {"n": self.n, "d": self.d, "lambda": self.lam, "s": self.s}
             if self.sweep_axis is not None:
                 at[self.sweep_axis] = value if self.sweep_axis == "lambda" else int(value)
-            h = signal_vector(self.signal_profile, at["d"], at["lambda"], at["s"], self.custom_signal)
+            h = signal_vector(at["d"], at["lambda"], at["s"])
             if at["n"] < 2:
                 raise ConfigError(f"n must be >= 2, got {at['n']}")
             if self.estimator == "sparse_pca" and at["d"] < 2:
@@ -200,31 +195,14 @@ CSV_COLUMNS = [_key(name) for name in _ROW_FIELDS]
 _CONFIG_FIELDS = {_key(f.name): f for f in fields(ExperimentConfig) if "." not in _key(f.name)}
 
 
-def signal_vector(profile: str, d: int, lam: float, s: int | None = None, custom=None) -> np.ndarray:
-    """Half-separation vector h from a signal profile: ||h|| = lambda/2.
-
-    equal_coords spreads the separation over the first s coordinates (all d
-    when s is None); custom takes h verbatim from ``custom``.
-    """
-    if profile == "equal_coords":
-        if custom is not None:
-            raise ConfigError(f"custom_signal applies to signal_profile custom only, got signal_profile {profile!r}")
-        s_eff = d if s is None else s
-        if not (1 <= s_eff <= d):
-            raise ConfigError(f"s must lie in [1, d], got s = {s_eff}, d = {d}")
-        h = np.zeros(d)
-        h[:s_eff] = lam / (2.0 * math.sqrt(s_eff))
-        return h
-    # custom
-    if custom is None:
-        raise ConfigError("custom signal_profile requires custom_signal")
-    h = np.asarray(custom, dtype=np.float64)
-    if h.shape != (d,):
-        raise ConfigError(f"custom_signal must have length d = {d}, got {h.shape}")
-    if abs(2.0 * float(np.linalg.norm(h)) - lam) > 1e-9 * max(lam, 1.0):
-        raise ConfigError(f"custom_signal norm {np.linalg.norm(h):.6g} inconsistent with lambda = {lam}")
-    if s is not None and int(np.count_nonzero(h)) != s:
-        raise ConfigError(f"custom_signal has {np.count_nonzero(h)} nonzeros, s = {s}")
+def signal_vector(d: int, lam: float, s: int | None = None) -> np.ndarray:
+    """Half-separation vector h, ||h|| = lambda/2, spread equally over the
+    first s coordinates (all d when s is None)."""
+    s_eff = d if s is None else s
+    if not (1 <= s_eff <= d):
+        raise ConfigError(f"s must lie in [1, d], got s = {s_eff}, d = {d}")
+    h = np.zeros(d)
+    h[:s_eff] = lam / (2.0 * math.sqrt(s_eff))
     return h
 
 

@@ -207,7 +207,7 @@ class MixtureParams:
             raise ShapeError(f"mean shapes differ: {mu1.shape} vs {mu2.shape}")
         if not (np.all(np.isfinite(mu1)) and np.all(np.isfinite(mu2))):
             raise InvalidParams("component means must be finite")
-        sigma = _real_number("sigma", self.sigma)
+        sigma = _squarable("sigma", self.sigma)
         if sigma <= 0.0:
             raise InvalidParams(f"sigma must be a positive real, got {sigma}")
         h = _as_readonly((mu2 - mu1) / 2.0)

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .loss import g_function, geometry_decomposition, loss_exact_linear
-from .model import LinearClassifier, MixtureParams, _count, _seed, _squarable, _whole_number, bayes_classifier, json_record, make_rng
+from .model import LinearClassifier, MixtureParams, _seed, _squarable, _whole_number, bayes_classifier, json_record, make_rng
 
 __all__ = [
     "BinaryCode",
@@ -44,6 +44,8 @@ __all__ = [
 # Quadrature tolerance of every exact loss the certification checks compute;
 # their windows allow 10x this much slack.
 _QUAD_TOL = 1e-9
+# Weight-s words that sparse_code draws before it gives up.
+_SPARSE_CODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ def vg_code(m: int) -> BinaryCode:
     return BinaryCode(length=m, words=words, min_distance=dist)
 
 
-def sparse_code(m: int, s: int, seed: int = 0, budget: int = 1_000_000) -> BinaryCode:
+def sparse_code(m: int, s: int, seed: int = 0) -> BinaryCode:
     """Randomized greedy constant-weight code: weight s, distance > s/2.
 
     Samples weight-s words uniformly and admits those far from everything
@@ -183,7 +185,7 @@ def sparse_code(m: int, s: int, seed: int = 0, budget: int = 1_000_000) -> Binar
     s <= m/4; exhausting the budget raises ConstructionFailed (existence is
     guaranteed, so failure signals the budget, not the mathematics).
     """
-    m, s, budget = _whole_number("m", m), _whole_number("s", s), _count("budget", budget)
+    m, s, budget = _whole_number("m", m), _whole_number("s", s), _SPARSE_CODE_BUDGET
     if s < 1 or s > m / 4:
         raise PreconditionViolated(f"requires 1 <= s <= m/4 = {m / 4:.6g}, got s = {s}")
     target = math.ceil(math.exp((s / 5.0) * math.log(m / s)))

@@ -134,6 +134,15 @@ class TestParameterDomain:
         with pytest.raises(DomainError, match=f"^{name} "):
             theorem_bound(kind, **kwargs)
 
+    def test_theorem_bound_has_no_default_for_n_d_or_lambda(self):
+        # The defaults n = d = 0 and lambda = 0.0 failed every kind.
+        for missing in ("n", "d", "lam"):
+            kwargs = {k: v for k, v in dict(n=10**4, d=10, lam=1.0).items() if k != missing}
+            with pytest.raises(TypeError, match=f"'{missing}'"):
+                theorem_bound("thm1_upper", **kwargs)
+        with pytest.raises(TypeError, match="positional"):
+            theorem_bound("thm1_upper", 10**4, 10, 0, 1.0)
+
     @pytest.mark.parametrize(
         "kind, kwargs, name",
         [

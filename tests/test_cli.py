@@ -70,6 +70,12 @@ class TestBoundsCommand:
         assert proc.returncode == 2
         assert proc.stderr == "error: lambda must be 0 or lie between 2^-510 and 2^510 in magnitude, got 1e-200\n"
 
+    def test_lambda_is_required(self):
+        # Its old default 0.0 failed every kind, as a domain error after parsing.
+        proc = run_cli("bounds", "--kind", "thm1_upper", "--n", "10000", "--d", "10")
+        assert proc.returncode == 2
+        assert "required: --lambda" in proc.stderr
+
     @pytest.mark.parametrize(
         "n_args, named", [([], "--n"), (["--n", "0"], "error: n must")], ids=["missing", "zero"]
     )
@@ -192,6 +198,14 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 2
         assert "mystery" in proc.stderr
+
+    @pytest.mark.parametrize("key, value", [("signal_profile", "equal_coords"), ("custom_signal", [1.0, 0.0, 0.0, 0.0])])
+    def test_removed_signal_keys_exit_2(self, tmp_path, key, value):
+        out = tmp_path / "x.csv"
+        proc = run_cli("simulate", "--config", str(write_config(tmp_path, {**SMOKE_CONFIG, key: value})), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: unknown config keys: ['{key}']\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-5"])
     def test_thread_count_below_one_rejected(self, tmp_path, threads):

@@ -83,11 +83,11 @@ def eigen_corpus():
     # n = 256, 512, 1024 (three estimators' sweep), and n = 20000 with d up to 256.
     for n in (256, 512, 1024):
         for estimator_s in (4, 32):
-            h = signal_vector("equal_coords", 32, 1.6, s=estimator_s)
+            h = signal_vector(32, 1.6, s=estimator_s)
             for seed in range(3):
                 corpus.append(sample_mean_cov(sample(MixtureParams(-h, h, 1.0), n, seed))[1])
     for d in (8, 32, 128, 256):
-        h = signal_vector("equal_coords", d, 1.0)
+        h = signal_vector(d, 1.0)
         corpus.append(sample_mean_cov(sample(MixtureParams(-h, h, 1.0), 20_000, d))[1])
     for d in (2, 3, 5, 8, 16, 32):
         a = rng.standard_normal((d, d))

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,43 +47,28 @@ def smoke_config(**overrides):
 
 class TestSignalVector:
     def test_equal_coords(self):
-        h = signal_vector("equal_coords", 8, 1.0, s=4)
+        h = signal_vector(8, 1.0, s=4)
         assert np.count_nonzero(h) == 4
         assert 2.0 * np.linalg.norm(h) == pytest.approx(1.0, rel=1e-12)
         assert h[0] == pytest.approx(1.0 / 4.0)  # lam / (2 sqrt(s))
 
     def test_single_coordinate(self):
         """s = 1 puts the whole separation on the first coordinate; there is
-        no separate single_coord profile."""
-        h = signal_vector("equal_coords", 5, 0.8, s=1)
+        no signal profile to choose."""
+        h = signal_vector(5, 0.8, s=1)
         assert np.count_nonzero(h) == 1
         assert h[0] == pytest.approx(0.4)
-        with pytest.raises(ConfigError, match="signal_profile"):
-            smoke_config(signal_profile="single_coord", s=1)
 
-    def test_custom(self):
-        custom = (0.3, 0.0, -0.4)
-        h = signal_vector("custom", 3, 1.0, s=2, custom=custom)
-        assert np.allclose(h, custom)
-
-    def test_custom_norm_mismatch(self):
-        with pytest.raises(ConfigError):
-            signal_vector("custom", 2, 1.0, s=1, custom=(1.0, 0.0))
-
-    def test_custom_sparsity_mismatch(self):
-        with pytest.raises(ConfigError):
-            signal_vector("custom", 2, 1.0, s=2, custom=(0.5, 0.0))
+    @pytest.mark.parametrize("s", [0, 9])
+    def test_s_outside_one_to_d_rejected(self, s):
+        with pytest.raises(ConfigError, match=f"^s must lie in \\[1, d\\], got s = {s}, d = 8$"):
+            signal_vector(8, 1.0, s=s)
 
 
 class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="typo_key"):
             load_config({"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0, "typo_key": 1})
-
-    def test_custom_signal_needs_custom_profile(self):
-        # It once loaded and ran equal_coords, ignoring the custom signal.
-        with pytest.raises(ConfigError, match="^custom_signal applies to signal_profile custom only"):
-            load_config({"estimator": "dense_pca", "n": 100, "d": 3, "lambda": 1.0, "custom_signal": [0.5, 0, 0]})
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="lambda"):
@@ -145,11 +131,28 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
                 load_config({**base, key: value})
 
+    def test_signal_profile_and_custom_signal_are_not_keys(self):
+        """Every sweep spreads the separation equally over the first s
+        coordinates; a config cannot name another signal."""
+        base = {"estimator": "dense_pca", "n": 100, "d": 3, "lambda": 1.0}
+        for key, value in (("signal_profile", "custom"), ("custom_signal", [0.5, 0.0, 0.0])):
+            with pytest.raises(ConfigError, match=f"^unknown config keys: \\['{key}'\\]$"):
+                load_config({**base, key: value})
+        with pytest.raises(ConfigError, match="^unknown config keys: \\['custom_signal', 'signal_profile'\\]$"):
+            load_config({**base, "signal_profile": "custom", "custom_signal": [0.5, 0.0, 0.0]})
+
     def test_fields_are_the_config_keys(self):
         assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
-            "estimator", "n", "d", "lam", "sigma", "s", "signal_profile", "custom_signal",
-            "replicates", "master_seed", "sweep_axis", "sweep_values",
+            "estimator", "n", "d", "lam", "sigma", "s", "replicates", "master_seed", "sweep_axis", "sweep_values",
         ]
+
+    def test_readme_example_config_loads(self):
+        """The example config in README.md uses only config keys, and loads."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```json\n(.*?)^```$", readme, flags=re.M | re.S)
+        assert len(blocks) == 1
+        cfg = load_config(json.loads(blocks[0]))
+        assert (cfg.estimator, cfg.sweep_axis, cfg.sweep_values) == ("dense_pca", "n", (1000.0, 2000.0, 4000.0, 8000.0))
 
     def test_points_resolved_at_construction(self):
         cfg = smoke_config(sweep_axis="d", sweep_values=(4, 8))

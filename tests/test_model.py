@@ -126,6 +126,18 @@ class TestMixtureParams:
         with pytest.raises(DomainError, match="^sigma must be (a number|finite)"):
             MixtureParams([0.0], [1.0], sigma)
 
+    # mixture_log_density squares sigma: 1e200 squared was an OverflowError,
+    # and 1e-200 squared is 0, which made the density nan.
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200, 2.0**511, 2.0**-511])
+    def test_sigma_whose_square_leaves_the_float_range_rejected(self, sigma):
+        with pytest.raises(DomainError, match="^sigma must be 0 or lie between 2\\^-510 and 2\\^510 in magnitude"):
+            MixtureParams([0.0], [1.0], sigma)
+
+    @pytest.mark.parametrize("sigma", [2.0**-510, 2.0**510])
+    def test_sigma_at_the_edges_of_the_float_range_accepted(self, sigma):
+        theta = MixtureParams([0.0], [1.0], sigma)
+        assert math.isfinite(mixture_log_density(theta, np.zeros(1)))
+
     def test_immutability(self):
         theta = MixtureParams([0.0], [1.0], 1.0)
         with pytest.raises(ValueError):

@@ -100,19 +100,15 @@ class TestSparseCode:
         with pytest.raises(PreconditionViolated):
             sparse_code(16, 0)
 
-    def test_budget_exhaustion(self):
-        with pytest.raises(ConstructionFailed):
-            sparse_code(16, 4, seed=0, budget=2)
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(packing, "_SPARSE_CODE_BUDGET", 2)
+        with pytest.raises(ConstructionFailed, match="^budget of 2 draws exhausted with 2/4 words$"):
+            sparse_code(16, 4, seed=0)
 
-    @pytest.mark.parametrize("budget", [-1, 0])
-    def test_budget_below_one_rejected(self, budget):
-        with pytest.raises(DomainError, match=f"^budget must be >= 1, got {budget}$"):
-            sparse_code(40, 4, budget=budget)
-
-    @pytest.mark.parametrize("m, s, budget, name", [(16.5, 4, 100, "m"), (16, 4.5, 100, "s"), (16, 4, 2.5, "budget")])
-    def test_counts_must_be_whole(self, m, s, budget, name):
+    @pytest.mark.parametrize("m, s, seed, name", [(16.5, 4, 100, "m"), (16, 4.5, 100, "s")])
+    def test_counts_must_be_whole(self, m, s, seed, name):
         with pytest.raises(DomainError, match=f"^{name} "):
-            sparse_code(m, s, seed=0, budget=budget)
+            sparse_code(m, s, seed=seed)
 
     def test_deterministic(self):
         a = sparse_code(32, 8, seed=5)
