@@ -92,9 +92,11 @@ class RecoveryReport:
 
 @dataclass(frozen=True)
 class DavisKahanReport:
-    sin_angle: float
-    bound: float
-    holds: bool
+    """One pair's sine, bound and verdict; length-k arrays for a stack of k."""
+
+    sin_angle: float | np.ndarray
+    bound: float | np.ndarray
+    holds: bool | np.ndarray
 
 
 def screening_alpha(n: int, d: int) -> float:
@@ -115,16 +117,35 @@ def sample_mean_cov(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return mean, centered.T @ centered / data.n
 
 
-def _check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+def _check_symmetric(m: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """m as float64, checked to be a real square matrix (or, with ``stack``, a
+    (k, d, d) stack of them) that is non-empty, finite and symmetric within
+    1e-10 of its largest entry. A failed check on a stack names the member."""
+    m = np.asarray(m)
+    if m.dtype.kind not in "iuf":
+        raise InvalidMatrix(f"{name} must have a real numeric dtype, got {m.dtype}")
+    m = m.astype(np.float64, copy=False)
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-2] != m.shape[-1] or m.size == 0:
         raise InvalidMatrix(f"{name} must be square and non-empty, got shape {m.shape}")
-    top = float(np.max(np.abs(m)))
-    if not math.isfinite(top):
-        raise InvalidMatrix(f"{name} has a non-finite entry")
-    if float(np.max(np.abs(m - m.T))) > 1e-10 * max(1.0, top):
-        raise InvalidMatrix(f"{name} is not symmetric within 1e-10")
+    top = np.max(np.abs(m), axis=(-2, -1))
+    finite = np.isfinite(top)
+    if not finite.all():
+        raise InvalidMatrix(f"{_member(name, ~finite)} has a non-finite entry")
+    bad = np.max(np.abs(m - np.swapaxes(m, -2, -1)), axis=(-2, -1)) > 1e-10 * np.maximum(1.0, top)
+    if bad.any():
+        raise InvalidMatrix(f"{_member(name, bad)} is not symmetric within 1e-10")
     return m
+
+
+def _first(bad) -> int:
+    """The index of the first set flag of a flag per member (0 for one flag)."""
+    return int(np.flatnonzero(bad)[0])
+
+
+def _member(name: str, bad) -> str:
+    """``name`` for a single matrix's flag, ``name[i]`` for the first member
+    i of a stack that ``bad`` flags."""
+    return name if np.ndim(bad) == 0 else f"{name}[{_first(bad)}]"
 
 
 def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = None) -> tuple[np.ndarray, bool]:
@@ -301,25 +322,40 @@ def davis_kahan_check(a: np.ndarray, e: np.ndarray) -> DavisKahanReport:
 
     With u_i = v_{i+1}(a)' e v_1(a), gap = lambda_1(a) - lambda_2(a) and
     ||e||_2 <= gap/5, the sine of the angle between the top eigenvectors of
-    a and a + e is at most 4 ||u|| / gap.
+    a and a + e is at most 4 ||u|| / gap. ``a`` and ``e`` are one (d, d) pair,
+    d >= 2, or a (k, d, d) stack of pairs; for a stack the report holds
+    length-k arrays, each member with the bits of its own single-pair check.
     """
-    a = _check_symmetric(a, "a")
-    e = _check_symmetric(e, "e")
+    a = _check_symmetric(a, "a", stack=True)
+    e = _check_symmetric(e, "e", stack=True)
     if a.shape != e.shape:
         raise InvalidMatrix(f"shapes differ: {a.shape} vs {e.shape}")
+    if a.shape[-1] < 2:
+        raise InvalidDimension(f"the check needs d >= 2, got d = {a.shape[-1]}")
     evals, evecs = np.linalg.eigh(a)  # ascending
-    evals = evals[::-1]
-    evecs = evecs[:, ::-1]
-    gap = float(evals[0] - evals[1])
-    if gap <= 0.0:
-        raise PreconditionViolated("lambda_1(a) - lambda_2(a) must be positive")
-    e_norm = float(np.linalg.norm(e, 2))
-    if e_norm > gap / 5.0:
-        raise PreconditionViolated(f"||e||_2 = {e_norm:.6g} exceeds gap/5 = {gap / 5.0:.6g}")
-    u = evecs[:, 1:].T @ (e @ evecs[:, 0])
-    bound = 4.0 * float(np.linalg.norm(u)) / gap
-    pert_vals, pert_vecs = np.linalg.eigh(a + e)
-    v1_pert = pert_vecs[:, -1]
-    inner = float(np.clip(evecs[:, 0] @ v1_pert, -1.0, 1.0))
-    sin_angle = math.sqrt(max(0.0, 1.0 - inner * inner))
-    return DavisKahanReport(sin_angle=sin_angle, bound=bound, holds=sin_angle <= bound + 1e-12)
+    gap = evals[..., -1] - evals[..., -2]
+    bad = gap <= 0.0
+    if bad.any():
+        a_i = _member("a", bad)
+        raise PreconditionViolated(f"lambda_1({a_i}) - lambda_2({a_i}) must be positive")
+    e_norm = np.linalg.norm(e, 2, axis=(-2, -1))
+    bad = e_norm > gap / 5.0
+    if bad.any():
+        i = _first(bad)
+        raise PreconditionViolated(
+            f"||{_member('e', bad)}||_2 = {np.ravel(e_norm)[i]:.6g} exceeds gap/5 = {np.ravel(gap)[i] / 5.0:.6g}"
+        )
+    # Each product is a matmul whose members have the strides of one pair's
+    # 1-D @ (e v1, the other eigenvectors against it, u'u, v1 against the
+    # perturbed v1), so it calls that @'s ddot, gemv or plain loop per member
+    # and a stack keeps each pair's bits; sqrt(u'u) is np.linalg.norm(u).
+    v1 = evecs[..., :, -1:]
+    u = np.matmul(np.swapaxes(evecs[..., :, -2::-1], -2, -1), np.matmul(e, v1))
+    bound = 4.0 * np.sqrt(np.matmul(np.swapaxes(u, -2, -1), u)[..., 0, 0]) / gap
+    _, pert_vecs = np.linalg.eigh(a + e)
+    inner = np.clip(np.matmul(np.swapaxes(v1, -2, -1), pert_vecs[..., :, -1:])[..., 0, 0], -1.0, 1.0)
+    sin_angle = np.sqrt(np.maximum(0.0, 1.0 - inner * inner))
+    holds = sin_angle <= bound + 1e-12
+    if a.ndim == 2:
+        return DavisKahanReport(sin_angle=float(sin_angle), bound=float(bound), holds=bool(holds))
+    return DavisKahanReport(sin_angle=sin_angle, bound=bound, holds=holds)

@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     PreconditionViolated,
 )
-from .loss import g_function, geometry_decomposition, loss_exact_linear
+from .loss import g_function, loss_exact_linear
 from .model import LinearClassifier, MixtureParams, _seed, _squarable, _whole_number, bayes_classifier, json_record, make_rng
 
 __all__ = [
@@ -341,21 +341,27 @@ def fano_check(family: PackingFamily) -> FanoReport:
     window_high = _REGIME_CONSTANTS[family.regime][1] * scale
 
     rules = [bayes_classifier(theta) for theta in family.thetas]
-    # loss_exact_linear reads a pair only through its geometry and sigma (tol
-    # is fixed here), so pairs with equal keys get the same bits. A family
-    # built from a code has only a few distinct overlaps between codewords.
-    by_geometry: dict[tuple, float] = {}
+    # loss_exact_linear reads a pair (theta_i, rule j) only through |v_j.h_i|,
+    # t_j - c_i.v_j, ||h_i|| and sigma (tol is fixed here), so pairs with equal
+    # keys get the same bits. A family built from a code has only a few
+    # distinct overlaps between codewords. Each row's dots are one stacked
+    # matmul of (1, d) by (d, 1) members: the ddot of the per-pair 1-D @.
+    directions = np.stack([rule.v for rule in rules])[:, None, :]
+    offsets = [rule.t for rule in rules]
+    by_key: dict[tuple, float] = {}
     losses = []
     in_window = True
-    for i in range(family.size):
-        for j in range(i + 1, family.size):
-            key = (geometry_decomposition(family.thetas[i], rules[j]), family.thetas[i].sigma)
-            if key not in by_geometry:
-                by_geometry[key] = loss_exact_linear(family.thetas[i], rules[j], tol=_QUAD_TOL).value
-            val = by_geometry[key]
+    for i, theta in enumerate(family.thetas[:-1]):
+        later = directions[i + 1 :]
+        v_dot_h = np.abs(np.matmul(later, theta.half_separation[:, None])).ravel().tolist()
+        c_dot_v = np.matmul(theta.center[None, None, :], np.swapaxes(later, -2, -1)).ravel().tolist()
+        for j, vh, cv in zip(range(i + 1, family.size), v_dot_h, c_dot_v):
+            key = (vh, offsets[j] - cv, theta.half_separation_norm, theta.sigma)
+            val = by_key.get(key)
+            if val is None:
+                val = by_key[key] = loss_exact_linear(theta, rules[j], tol=_QUAD_TOL).value
+                in_window &= window_low - 10.0 * _QUAD_TOL <= val <= window_high + 10.0 * _QUAD_TOL
             losses.append(val)
-            if not (window_low - 10.0 * _QUAD_TOL <= val <= window_high + 10.0 * _QUAD_TOL):
-                in_window = False
     return FanoReport(
         alpha_fano=alpha_fano,
         holds=alpha_fano < 1.0 / 8.0,

@@ -1,6 +1,7 @@
 """Tests for PCA-split estimators, screening and the spectral checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from mixbench.estimators import (
 )
 from mixbench.loss import loss_exact_linear
 from mixbench.harness import signal_vector
-from mixbench.model import Dataset, MixtureParams, _canonical_direction, sample, stream_seed
+from mixbench.model import Dataset, MixtureParams, _canonical_direction, make_rng, sample, stream_seed
+from mixbench.verify import suite_davis_kahan
 
 
 def _reference_top_eigenvector(m, tol=1e-10, max_iter=None):
@@ -201,8 +203,15 @@ class TestTopEigenvector:
 
     @pytest.mark.parametrize(
         "m",
-        [np.diag([1.0, math.nan, 1.0]), np.full((3, 3), math.inf), np.zeros((0, 0))],
-        ids=["nan-entry", "inf", "empty"],
+        [
+            np.diag([1.0, math.nan, 1.0]),
+            np.full((3, 3), math.inf),
+            np.zeros((0, 0)),
+            np.array([[2.0, 1j], [-1j, 1.0]]),
+            np.eye(2, dtype=bool),
+            np.array([["2", "1"], ["1", "2"]]),
+        ],
+        ids=["nan-entry", "inf", "empty", "complex", "bool", "string"],
     )
     def test_non_finite_or_empty_rejected(self, m):
         with pytest.raises(InvalidMatrix, match="^matrix "):
@@ -566,8 +575,38 @@ class TestDavisKahan:
         with pytest.raises(InvalidMatrix, match="^a has a non-finite entry"):
             davis_kahan_check(np.array([[2.0, math.nan], [math.nan, 1.0]]), np.zeros((2, 2)))
 
+    def test_complex_rejected(self):
+        # A Hermitian e once passed as holds with sin_angle 0 after a cast.
+        with pytest.raises(InvalidMatrix, match="^e must have a real numeric dtype, got complex128$"):
+            davis_kahan_check(np.diag([2.0, 1.0]), np.array([[0.0, 0.1j], [-0.1j, 0.0]]))
+
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(InvalidDimension, match="d >= 2, got d = 1$"):
+            davis_kahan_check(np.array([[2.0]]), np.array([[0.1]]))
+
+    def test_stack_and_pair_shapes_differ(self):
+        with pytest.raises(InvalidMatrix, match="^shapes differ"):
+            davis_kahan_check(np.diag([2.0, 1.0]), np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize(
+        "member, a, e, error, match",
+        [
+            (3, np.array([[2.0, math.nan], [math.nan, 1.0]]), np.zeros((2, 2)), InvalidMatrix, r"^a\[3\] has a non-finite entry$"),
+            (1, np.diag([2.0, 1.0]), np.array([[0.0, 0.1], [0.0, 0.0]]), InvalidMatrix, r"^e\[1\] is not symmetric"),
+            (2, np.eye(2), np.zeros((2, 2)), PreconditionViolated, r"^lambda_1\(a\[2\]\) - lambda_2\(a\[2\]\) must be"),
+            (4, np.diag([2.0, 1.0]), np.array([[0.0, 0.3], [0.3, 0.0]]), PreconditionViolated, r"^\|\|e\[4\]\|\|_2 = 0\.3 exceeds"),
+        ],
+    )
+    def test_stack_failure_names_member(self, member, a, e, error, match):
+        a_stack = np.stack([np.diag([2.0, 1.0])] * 5)
+        e_stack = np.zeros((5, 2, 2))
+        a_stack[member], e_stack[member] = a, e
+        with pytest.raises(error, match=match):
+            davis_kahan_check(a_stack, e_stack)
+
     def test_random_instances(self):
         rng = np.random.default_rng(18)
+        pairs = []
         for _ in range(100):
             d = int(rng.integers(2, 11))
             q, _ = np.linalg.qr(rng.normal(size=(d, d)))
@@ -578,4 +617,71 @@ class TestDavisKahan:
             e = rng.normal(size=(d, d))
             e = (e + e.T) / 2.0
             e *= rng.uniform(0.05, 1.0) * ((evals[0] - evals[1]) / 5.0) / np.linalg.norm(e, 2)
-            assert davis_kahan_check(a, e).holds
+            rep = davis_kahan_check(a, e)
+            assert rep.holds
+            assert type(rep.sin_angle) is float and type(rep.bound) is float and type(rep.holds) is bool
+            assert (rep.sin_angle, rep.bound, rep.holds) == _reference_davis_kahan(a, e)
+            pairs.append((a, e, rep))
+        # A stack per dimension: each member has the bits of its own pair's check.
+        for d in range(2, 11):
+            group = [pair for pair in pairs if pair[0].shape[0] == d]
+            stacked = davis_kahan_check(np.stack([a for a, _, _ in group]), np.stack([e for _, e, _ in group]))
+            assert stacked.sin_angle.tobytes() == np.array([rep.sin_angle for _, _, rep in group]).tobytes()
+            assert stacked.bound.tobytes() == np.array([rep.bound for _, _, rep in group]).tobytes()
+            assert stacked.holds.tolist() == [rep.holds for _, _, rep in group]
+
+    @pytest.mark.parametrize("instances", [1, 127, 128, 129, 1000])
+    @pytest.mark.parametrize("seed", [4242, 0, 2**63])
+    def test_suite_bits_equal_per_instance_loop(self, seed, instances):
+        assert suite_davis_kahan(instances, seed) == _reference_suite_davis_kahan(instances, seed)
+
+    def test_suite_memory_is_one_chunk(self):
+        suite_davis_kahan(2)  # numpy's one-time set-up is not the suite's memory
+        tracemalloc.start()
+        try:
+            suite_davis_kahan(1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One chunk of 128 instances is about 0.3 MB; a stack of all 1000 is 1.9 MB.
+        assert peak <= 500_000
+
+
+def _reference_davis_kahan(a, e):
+    """The single-pair check as it was written before it took stacks:
+    (sin_angle, bound, holds) of an admissible pair, by 2-D @ and np.linalg.norm."""
+    evals, evecs = np.linalg.eigh(a)
+    evals = evals[::-1]
+    evecs = evecs[:, ::-1]
+    gap = float(evals[0] - evals[1])
+    u = evecs[:, 1:].T @ (e @ evecs[:, 0])
+    bound = 4.0 * float(np.linalg.norm(u)) / gap
+    _, pert_vecs = np.linalg.eigh(a + e)
+    inner = float(np.clip(evecs[:, 0] @ pert_vecs[:, -1], -1.0, 1.0))
+    sin_angle = math.sqrt(max(0.0, 1.0 - inner * inner))
+    return sin_angle, bound, sin_angle <= bound + 1e-12
+
+
+def _reference_suite_davis_kahan(instances, seed):
+    """suite_davis_kahan as it was written before it checked stacks: one
+    instance at a time, each drawn, built and checked in turn."""
+    rng = make_rng(seed)
+    failures = 0
+    worst_ratio = 0.0
+    for _ in range(instances):
+        d = int(rng.integers(2, 11))
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        evals = np.sort(rng.uniform(-1.0, 1.0, size=d))[::-1]
+        evals[0] = evals[1] + rng.uniform(0.1, 2.0)
+        a = (q * evals) @ q.T
+        a = (a + a.T) / 2.0
+        gap = evals[0] - evals[1]
+        e = rng.normal(size=(d, d))
+        e = (e + e.T) / 2.0
+        e *= rng.uniform(0.05, 1.0) * (gap / 5.0) / np.linalg.norm(e, 2)
+        sin_angle, bound, holds = _reference_davis_kahan(a, e)
+        if not holds:
+            failures += 1
+        if bound > 0:
+            worst_ratio = max(worst_ratio, sin_angle / bound)
+    return [{"check": "davis_kahan", "instances": instances, "failures": failures, "worst_ratio": worst_ratio, "holds": failures == 0}]

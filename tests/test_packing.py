@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,7 +294,7 @@ class TestFanoCheck:
             assert (alpha_mc < 1.0 / 8.0) == fano_check(fam).holds
 
     @pytest.mark.parametrize("round_trip", [False, True])
-    @pytest.mark.parametrize("regime, d, kwargs", [("sparse", 41, {"s": 8}), ("dense", 17, {})])
+    @pytest.mark.parametrize("regime, d, kwargs", [("sparse", 41, {"s": 8}), ("dense", 17, {}), ("sparse", 161, {"s": 8})])
     def test_pair_losses_equal_one_integration_per_pair(self, regime, d, kwargs, round_trip):
         fam = lower_bound_family(regime, 10**4, d, **kwargs)
         if round_trip:
@@ -316,6 +317,20 @@ class TestFanoCheck:
         rep = fano_check(fam)
         assert len(rep.pair_losses) == 91
         assert len(calls) == 6
+
+    def test_memory_is_one_row_of_dots(self):
+        fam = lower_bound_family("sparse", 10**4, 161, s=8)  # the verify workload's family, M = 121
+        fano_check(lower_bound_family("sparse", 10**4, 41, s=8))  # numpy's one-time set-up is not the check's memory
+        tracemalloc.start()
+        try:
+            rep = fano_check(fam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rep.pair_losses) == 7260
+        # The rules' directions (0.16 MB), the 7260 losses as a list and a tuple
+        # (0.12 MB) and one row's dots; a whole-family dedup array reached 1.7 MB.
+        assert peak <= 600_000
 
 
 class TestLocalTriangle:
