@@ -27,21 +27,21 @@ print(f"sampled {ds.n} points; component-1 fraction = {np.mean(ds.labels == 1):.
 
 opt = bayes_classifier(theta)
 print(f"optimal rule: v = {np.round(opt.v, 3)}, t = {opt.t:.3f}")
-print(f"its loss (quadrature): {loss_exact_linear(theta, opt).value:.2e}")
+print(f"its loss (quadrature): {loss_exact_linear(theta, opt):.2e}")
 
 print("\ntilting the direction by an angle beta (threshold kept optimal):")
 for beta_deg in (5, 15, 30, 60):
     beta = math.radians(beta_deg)
     v = math.cos(beta) * opt.v + math.sin(beta) * np.array([-0.8, 0.6, 0.0])
     clf = LinearClassifier(v, float(theta.center @ v))
-    exact = loss_exact_linear(theta, clf).value
-    mc = loss_monte_carlo(theta, clf.predict, n_samples=200_000, seed=7)
-    print(f"  beta = {beta_deg:2d} deg   exact = {exact:.5f}   monte-carlo = {mc.value:.5f} +- {mc.std_err:.5f}")
+    exact = loss_exact_linear(theta, clf)
+    mc, se = loss_monte_carlo(theta, clf.predict, n_samples=200_000, seed=7)
+    print(f"  beta = {beta_deg:2d} deg   exact = {exact:.5f}   monte-carlo = {mc:.5f} +- {se:.5f}")
 
 print("\nshifting the threshold (direction kept optimal):")
 for shift in (0.25, 0.5, 1.0, 2.0):
     clf = LinearClassifier(opt.v, opt.t + shift)
-    print(f"  shift = {shift:4.2f}   exact loss = {loss_exact_linear(theta, clf).value:.5f}")
+    print(f"  shift = {shift:4.2f}   exact loss = {loss_exact_linear(theta, clf):.5f}")
 
 orth = LinearClassifier(np.array([0.0, 0.0, 1.0]), 0.0)
-print(f"\na direction orthogonal to the signal is useless: loss = {loss_exact_linear(theta, orth).value}")
+print(f"\na direction orthogonal to the signal is useless: loss = {loss_exact_linear(theta, orth)}")

@@ -31,7 +31,7 @@ for xi in (0.1, 0.5, 1.0):
         hp = xi * np.array([math.cos(beta), math.sin(beta)])
         theta = MixtureParams(-h, h, 1.0)
         theta_rot = MixtureParams(-hp, hp, 1.0)
-        exact = loss_exact_linear(theta, bayes_classifier(theta_rot), tol=1e-9).value
+        exact = loss_exact_linear(theta, bayes_classifier(theta_rot), tol=1e-9)
         lower, upper = loss_bounds_symmetric(xi, beta)
         inside = lower <= exact <= upper
         print(f"{xi:5.2f} {beta:6.2f} {lower:10.6f} {exact:10.6f} {upper:10.6f}   {'ok' if inside else 'VIOLATION'}")
@@ -40,5 +40,5 @@ print("\nin the weak-signal limit the loss approaches beta / pi (pure angle geom
 theta = MixtureParams([-1e-6, 0.0], [1e-6, 0.0], 1.0)
 for beta in (0.3, 0.7853981633974483, 1.2):
     v = np.array([math.cos(beta), math.sin(beta)])
-    val = loss_exact_linear(theta, LinearClassifier(v, 0.0)).value
+    val = loss_exact_linear(theta, LinearClassifier(v, 0.0))
     print(f"  beta = {beta:.4f}: loss = {val:.6f}, beta/pi = {beta / math.pi:.6f}")

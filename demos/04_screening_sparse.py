@@ -37,10 +37,10 @@ print("\nmean exact loss over 50 replicates:")
 losses = {"dense": [], "screened": [], "oracle": []}
 for r in range(50):
     ds = sample(theta, n, stream_seed(77, r))
-    losses["dense"].append(loss_exact_linear(theta, pca_classifier(ds)).value)
+    losses["dense"].append(loss_exact_linear(theta, pca_classifier(ds)))
     clf, _ = sparse_pca_classifier(ds)
-    losses["screened"].append(loss_exact_linear(theta, clf).value)
-    losses["oracle"].append(loss_exact_linear(theta, oracle_support_pca(ds, theta)).value)
+    losses["screened"].append(loss_exact_linear(theta, clf))
+    losses["oracle"].append(loss_exact_linear(theta, oracle_support_pca(ds, theta)))
 for name, vals in losses.items():
     print(f"  {name:9s} {np.mean(vals):.5f} +- {np.std(vals, ddof=1) / np.sqrt(len(vals)):.5f}")
 

@@ -47,10 +47,7 @@ from .harness import (
     run_experiment,
 )
 from .loss import (
-    GeometryDecomposition,
-    LossEstimate,
     g_function,
-    geometry_decomposition,
     loss_bounds_symmetric,
     loss_exact_linear,
     loss_monte_carlo,
@@ -84,9 +81,7 @@ __all__ = [
     "DavisKahanReport",
     "ExperimentConfig",
     "FanoReport",
-    "GeometryDecomposition",
     "LinearClassifier",
-    "LossEstimate",
     "MixbenchError",
     "MixtureParams",
     "PackingFamily",
@@ -103,7 +98,6 @@ __all__ = [
     "fit_rate",
     "g_function",
     "general_loss_upper",
-    "geometry_decomposition",
     "kl_bound",
     "kl_monte_carlo",
     "load_config",

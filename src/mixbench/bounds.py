@@ -123,13 +123,16 @@ def theorem_bound(kind: str, *, n: int, d: int, lam: float, s: int = 0, sigma: f
 def kl_bound(xi: float, cos_beta: float) -> float:
     """xi^4 (1 - cos beta): KL bound for an equal-norm symmetric pair.
 
-    ``xi`` is ||h||/sigma and ``cos_beta`` the absolute cosine between the
-    two signal directions (so it must lie in [0, 1]).
+    ``xi`` is ||h||/sigma, below 2^256 so that xi^4 is finite, and
+    ``cos_beta`` the absolute cosine between the two signal directions (so it
+    must lie in [0, 1]).
     """
     xi = _real_number("xi", xi)
     cos_beta = _real_number("cos_beta", cos_beta)
     if xi < 0.0:
         raise DomainError(f"xi must be nonnegative, got {xi}")
+    if xi >= 2.0**256:
+        raise DomainError(f"xi must be below 2^256 so that xi^4 is finite, got {xi}")
     if not (0.0 <= cos_beta <= 1.0):
         raise DomainError(f"cos_beta must lie in [0, 1] (it is an absolute cosine), got {cos_beta}")
     return xi**4 * (1.0 - cos_beta)
@@ -261,7 +264,8 @@ def general_loss_upper(eps1: float, eps2: float, sin_beta: float, mu_over_sigma:
     eps1 >= 0, 0 <= eps2 <= 1/4 and sin_beta <= 1/sqrt(5).
     """
     eps1, eps2 = _real_number("eps1", eps1), _real_number("eps2", eps2)
-    sin_beta, m = _real_number("sin_beta", sin_beta), _real_number("mu_over_sigma", mu_over_sigma)
+    # The envelope squares mu_over_sigma / 2.
+    sin_beta, m = _real_number("sin_beta", sin_beta), _squarable("mu_over_sigma", mu_over_sigma)
     if eps1 < 0.0:
         raise PreconditionViolated(f"eps1 must be nonnegative, got {eps1}")
     if not (0.0 <= eps2 <= 0.25):

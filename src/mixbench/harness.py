@@ -23,7 +23,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 from scipy.special import stdtrit
 
-from .errors import ConfigError, DomainError, MixbenchError, TooFewPoints
+from .errors import ConfigError, DomainError, InvalidParams, MixbenchError, TooFewPoints
 from .estimators import oracle_support_pca, pca_classifier, sparse_pca_classifier
 from .loss import loss_exact_linear
 from .loss import loss_monte_carlo  # not called here; perfbench/tracing.py BINDINGS rebinds this name
@@ -135,7 +135,11 @@ class ExperimentConfig:
                 raise ConfigError(f"n must be >= 2, got {at['n']}")
             if self.estimator == "sparse_pca" and at["d"] < 2:
                 raise ConfigError(f"sparse_pca needs d >= 2, got d = {at['d']}")
-            points.append(SweepPoint(float(value), MixtureParams(-h, h, self.sigma), at["n"], at["s"]))
+            try:
+                theta = MixtureParams(-h, h, self.sigma)
+            except InvalidParams as exc:
+                raise ConfigError(f"lambda = {at['lambda']!r} cannot build its mixture: {exc}") from None
+            points.append(SweepPoint(float(value), theta, at["n"], at["s"]))
         # Not a field: derived from the fields, so fields() stay the config keys.
         object.__setattr__(self, "points", tuple(points))
 
@@ -216,7 +220,6 @@ def _run_one(config: ExperimentConfig, axis: str, point: SweepPoint, replicate: 
         clf, _ = sparse_pca_classifier(ds)
     else:
         clf = oracle_support_pca(ds, theta)
-    est = loss_exact_linear(theta, clf)
     return SweepRow(
         axis=axis,
         axis_value=point.value,
@@ -228,8 +231,8 @@ def _run_one(config: ExperimentConfig, axis: str, point: SweepPoint, replicate: 
         lam=theta.separation,
         sigma=config.sigma,
         estimator=config.estimator,
-        loss=est.value,
-        loss_method=est.method,
+        loss=loss_exact_linear(theta, clf),
+        loss_method="quadrature",
         degenerate=clf.degenerate,
     )
 

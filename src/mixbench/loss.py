@@ -19,7 +19,6 @@ which this module evaluates by adaptive Gauss-Kronrod quadrature on [-9, 9]
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfcx, ndtr
@@ -32,14 +31,11 @@ from .errors import (
     NumericalError,
     TooFewSamples,
 )
-from .model import LinearClassifier, MixtureParams, _real_number, _whole_number, bayes_classifier, json_record, sample
+from .model import LinearClassifier, MixtureParams, _real_number, _whole_number, bayes_classifier, sample
 
 __all__ = [
-    "LossEstimate",
-    "GeometryDecomposition",
     "g_function",
     "loss_bounds_symmetric",
-    "geometry_decomposition",
     "loss_exact_linear",
     "loss_monte_carlo",
 ]
@@ -88,43 +84,6 @@ _WG = np.zeros(15)
 _WG[1:15:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 
-@dataclass(frozen=True)
-class LossEstimate:
-    """A loss value in [0, 1/2] with its provenance.
-
-    ``std_err`` is zero exactly when the value came from quadrature.
-    """
-
-    value: float
-    method: str  # "quadrature" | "monte_carlo"
-    std_err: float = 0.0
-    n_samples: int = 0
-
-    def __post_init__(self):
-        if self.method not in ("quadrature", "monte_carlo"):
-            raise DomainError(f"unknown loss method {self.method!r}")
-        if not 0.0 <= self.value <= 0.5:
-            raise DomainError(f"loss value must lie in [0, 1/2], got {self.value}")
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "std_err", float(self.std_err))
-        object.__setattr__(self, "n_samples", int(self.n_samples))
-
-    to_json_dict = json_record
-
-
-@dataclass(frozen=True)
-class GeometryDecomposition:
-    """Angle/offset geometry of a linear rule relative to a mixture.
-
-    cos_beta = |v.h|/||h||; r = |(t - mu0.v)/cos(beta)| (data units, defined
-    when cos_beta > 0); snr = ||h||/sigma.
-    """
-
-    cos_beta: float
-    r: float
-    snr: float
-
-
 def g_function(x: float) -> float:
     """phi(x) * (phi(x) - x * Phi(-x)), strictly positive for x >= 0.
 
@@ -156,22 +115,6 @@ def loss_bounds_symmetric(xi: float, beta: float) -> tuple[float, float]:
     lower = 2.0 * g_function(xi) * math.sin(beta) * math.cos(beta)
     upper = math.tan(beta) / math.pi
     return lower, upper
-
-
-def geometry_decomposition(theta: MixtureParams, clf: LinearClassifier) -> GeometryDecomposition:
-    """Reduce (theta, clf) to the 2-D quantities that determine the loss."""
-    nh = theta.half_separation_norm
-    if nh == 0.0:
-        raise DegenerateSeparation("mu1 == mu2: loss relative to the optimal rule is undefined")
-    if clf.d != theta.d:
-        raise InvalidClassifier(f"classifier dimension {clf.d} != mixture dimension {theta.d}")
-    cos_beta = float(abs(clf.v @ theta.half_separation) / nh)
-    # Values within a couple of ulps of 1 are rounding noise from the unit
-    # normalization; snapping keeps the aligned case exact.
-    cos_beta = 1.0 if cos_beta >= 1.0 - 1e-15 else min(cos_beta, 1.0)
-    offset = float(clf.t - theta.center @ clf.v)
-    r = abs(offset / cos_beta) if cos_beta > 0.0 else math.inf
-    return GeometryDecomposition(cos_beta=cos_beta, r=r, snr=nh / theta.sigma)
 
 
 def _integrand_factory(a: float, c: float, tan_beta: float):
@@ -221,39 +164,52 @@ def _adaptive_quad(f, breakpoints: np.ndarray, tol: float) -> float:
     raise NumericalError("quadrature failed to converge")
 
 
-def loss_exact_linear(theta: MixtureParams, clf: LinearClassifier, tol: float = 1e-8) -> LossEstimate:
+def loss_exact_linear(theta: MixtureParams, clf: LinearClassifier, tol: float = 1e-8) -> float:
     """Exact loss of a linear rule, to within ``tol``.
 
     Reduces to the plane spanned by h and v and integrates the disagreement
     probability; the result is min over the two label permutations (the
     aligned-orientation integral is already <= 1/2). A direction exactly
-    orthogonal to h gives 1/2 by symmetry.
+    orthogonal to h gives 1/2 by symmetry. A value outside [0, 1/2] (NaN
+    included) is a fault of the quadrature and raises NumericalError.
     """
     tol = _real_number("tol", tol)
     if not (0.0 < tol <= 1e-4):
         raise InvalidTolerance(f"tol must lie in (0, 1e-4], got {tol}")
-    geo = geometry_decomposition(theta, clf)
-    a = geo.snr
-    if geo.cos_beta == 0.0:
-        return LossEstimate(value=0.5, method="quadrature")
-    c = geo.r / theta.sigma
-    sin_beta = math.sqrt(max(0.0, 1.0 - geo.cos_beta**2))
-    tan_beta = sin_beta / geo.cos_beta
+    nh = theta.half_separation_norm
+    if nh == 0.0:
+        raise DegenerateSeparation("mu1 == mu2: loss relative to the optimal rule is undefined")
+    if clf.d != theta.d:
+        raise InvalidClassifier(f"classifier dimension {clf.d} != mixture dimension {theta.d}")
+    cos_beta = float(abs(clf.v @ theta.half_separation) / nh)
+    # Values within a couple of ulps of 1 are rounding noise from the unit
+    # normalization; snapping keeps the aligned case exact.
+    if cos_beta >= 1.0 - 1e-15:
+        cos_beta = 1.0
+    if cos_beta == 0.0:
+        return 0.5
+    a = nh / theta.sigma
+    # The threshold's offset from the center along h, in noise units.
+    c = abs(float(clf.t - theta.center @ clf.v) / cos_beta) / theta.sigma
+    sin_beta = math.sqrt(max(0.0, 1.0 - cos_beta**2))
+    tan_beta = sin_beta / cos_beta
     if tan_beta == 0.0:
         # B(y) is the constant c: the integral collapses.
         p = 0.5 * float(ndtr(a + c) - ndtr(a - c))
-        return LossEstimate(value=p, method="quadrature")
-    # Seed panel edges where the integrand changes regime: the kink of |B|
-    # and the points where the Phi arguments cross zero / leave the tails.
-    crit = [(c + s * w) / tan_beta for s in (-1.0, 1.0) for w in (0.0, a, a + 8.0)]
-    pts = sorted({-_TRUNC, _TRUNC, *(float(p) for p in crit if -_TRUNC < p < _TRUNC), 0.0})
-    f = _integrand_factory(a, c, tan_beta)
-    p = _adaptive_quad(f, np.asarray(pts), 0.5 * tol)
-    return LossEstimate(value=min(p, 1.0 - p), method="quadrature")
+    else:
+        # Seed panel edges where the integrand changes regime: the kink of |B|
+        # and the points where the Phi arguments cross zero / leave the tails.
+        crit = [(c + s * w) / tan_beta for s in (-1.0, 1.0) for w in (0.0, a, a + 8.0)]
+        pts = sorted({-_TRUNC, _TRUNC, *(float(p) for p in crit if -_TRUNC < p < _TRUNC), 0.0})
+        p = _adaptive_quad(_integrand_factory(a, c, tan_beta), np.asarray(pts), 0.5 * tol)
+        p = min(p, 1.0 - p)
+    if not 0.0 <= p <= 0.5:
+        raise NumericalError(f"loss value must lie in [0, 1/2], got {p}")
+    return p
 
 
-def loss_monte_carlo(theta: MixtureParams, classify, n_samples: int, seed: int) -> LossEstimate:
-    """Empirical loss of an arbitrary clustering rule.
+def loss_monte_carlo(theta: MixtureParams, classify, n_samples: int, seed: int) -> tuple[float, float]:
+    """Empirical loss of an arbitrary clustering rule, as (estimate, std_err).
 
     ``classify`` maps an (n, d) array to labels in {1, 2}. Draws n_samples
     points from the mixture, measures disagreement with the optimal rule and
@@ -271,4 +227,4 @@ def loss_monte_carlo(theta: MixtureParams, classify, n_samples: int, seed: int) 
     reference = oracle.predict(ds.points)
     p_hat = float(np.mean(predicted != reference))
     se = math.sqrt(p_hat * (1.0 - p_hat) / n_samples)
-    return LossEstimate(value=min(p_hat, 1.0 - p_hat), method="monte_carlo", std_err=se, n_samples=n_samples)
+    return min(p_hat, 1.0 - p_hat), se

@@ -192,6 +192,9 @@ class MixtureParams:
     ``center`` mu0 = (mu1 + mu2)/2, ``half_separation`` h = (mu2 - mu1)/2 (so
     mu_{1,2} = mu0 -/+ h) and ``half_separation_norm`` ||h|| are derived once,
     read-only, and are not fields: equality and the JSON record skip them.
+    Both must be finite, and each nonzero entry of h must lie between 2^-510
+    and 2^510 in magnitude, so that its square is a normal float; otherwise
+    InvalidParams.
     """
 
     mu1: np.ndarray
@@ -210,13 +213,28 @@ class MixtureParams:
         sigma = _squarable("sigma", self.sigma)
         if sigma <= 0.0:
             raise InvalidParams(f"sigma must be a positive real, got {sigma}")
-        h = _as_readonly((mu2 - mu1) / 2.0)
+        with np.errstate(over="ignore"):
+            center = _as_readonly((mu1 + mu2) / 2.0)
+            h = _as_readonly((mu2 - mu1) / 2.0)
+            nh = float(np.linalg.norm(h))
+        if not np.all(np.isfinite(center)):
+            raise InvalidParams("the center (mu1 + mu2)/2 must be finite")
+        # The loss and the bounds square h's entries and its norm; an entry
+        # that overflowed is out of range too.
+        entries = np.abs(h[h != 0.0])
+        if entries.size and not 2.0**-510 <= entries.min() <= entries.max() <= 2.0**510:
+            worst = entries.min() if entries.min() < 2.0**-510 else entries.max()
+            raise InvalidParams(
+                f"each nonzero entry of h = (mu2 - mu1)/2 must lie between 2^-510 and 2^510 in magnitude, got {float(worst)!r}"
+            )
+        if not math.isfinite(nh):
+            raise InvalidParams(f"||h|| = ||mu2 - mu1||/2 must be finite, got {nh}")
         object.__setattr__(self, "mu1", mu1)
         object.__setattr__(self, "mu2", mu2)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "center", _as_readonly((mu1 + mu2) / 2.0))
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_separation", h)
-        object.__setattr__(self, "half_separation_norm", float(np.linalg.norm(h)))
+        object.__setattr__(self, "half_separation_norm", nh)
 
     @property
     def d(self) -> int:

@@ -247,13 +247,16 @@ def _family(regime, n, d, s, lam, sigma, seed: int, code: BinaryCode | None) -> 
     """The family of ``lower_bound_family`` on ``code`` (a sparse one of weight
     s), or on the regime's code made from ``seed`` when ``code`` is None."""
     n, d = _whole_number("n", n), _whole_number("d", d)
-    # The construction squares lambda, sigma and xi = lambda / (2 sigma).
+    # The construction squares lambda, sigma and xi = lambda / (2 sigma), and
+    # the Fano certificate's KL bound takes xi^4.
     lam, sigma = _squarable("lambda", lam), _squarable("sigma", sigma)
     if lam <= 0.0 or sigma <= 0.0:
         raise DomainError("lambda and sigma must be positive")
     if n < 1:
         raise DomainError("n must be positive")
     xi = _squarable("lambda / (2 sigma)", lam / (2.0 * sigma))
+    if xi > 2.0**255:
+        raise DomainError(f"lambda / (2 sigma) must be at most 2^255, as the KL bound takes its fourth power, got {xi!r}")
 
     if regime == "dense":
         if s is not None:
@@ -359,7 +362,7 @@ def fano_check(family: PackingFamily) -> FanoReport:
             key = (vh, offsets[j] - cv, theta.half_separation_norm, theta.sigma)
             val = by_key.get(key)
             if val is None:
-                val = by_key[key] = loss_exact_linear(theta, rules[j], tol=_QUAD_TOL).value
+                val = by_key[key] = loss_exact_linear(theta, rules[j], tol=_QUAD_TOL)
                 in_window &= window_low - 10.0 * _QUAD_TOL <= val <= window_high + 10.0 * _QUAD_TOL
             losses.append(val)
     return FanoReport(
@@ -403,11 +406,11 @@ def local_triangle_check(
 
     xi = h1 / theta.sigma
     kl = kl_bound(xi, _pair_cos_beta(theta, theta_prime))
-    loss_cross = loss_exact_linear(theta, bayes_classifier(theta_prime), tol=_QUAD_TOL).value
-    loss_clf = loss_exact_linear(theta, clf, tol=_QUAD_TOL).value
+    loss_cross = loss_exact_linear(theta, bayes_classifier(theta_prime), tol=_QUAD_TOL)
+    loss_clf = loss_exact_linear(theta, clf, tol=_QUAD_TOL)
     tau = loss_clf + math.sqrt(kl / 2.0)
     applicable = loss_cross + tau <= 0.5
-    observed = loss_exact_linear(theta_prime, clf, tol=_QUAD_TOL).value
+    observed = loss_exact_linear(theta_prime, clf, tol=_QUAD_TOL)
     lower = loss_cross - tau
     upper = loss_cross + tau
     holds = None

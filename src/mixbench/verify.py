@@ -66,7 +66,7 @@ def suite_loss_sandwich() -> list[dict]:
     for xi in SANDWICH_XI_GRID:
         for beta in SANDWICH_BETA_GRID:
             theta, theta_p = _symmetric_pair(xi, beta)
-            value = loss_exact_linear(theta, bayes_classifier(theta_p), tol=SANDWICH_TOL).value
+            value = loss_exact_linear(theta, bayes_classifier(theta_p), tol=SANDWICH_TOL)
             lower, upper = loss_bounds_symmetric(xi, beta)
             holds = (lower - SANDWICH_MARGIN) <= value <= (upper + SANDWICH_MARGIN)
             out.append(

@@ -156,8 +156,8 @@ def test_criterion_07_sparse_oracle_advantage():
         dense_losses, oracle_losses = [], []
         for r in range(300):
             ds = sample(theta, n, stream_seed(707, r))
-            dense_losses.append(loss_exact_linear(theta, pca_classifier(ds), tol=1e-8).value)
-            oracle_losses.append(loss_exact_linear(theta, oracle_support_pca(ds, theta), tol=1e-8).value)
+            dense_losses.append(loss_exact_linear(theta, pca_classifier(ds), tol=1e-8))
+            oracle_losses.append(loss_exact_linear(theta, oracle_support_pca(ds, theta), tol=1e-8))
         assert float(np.mean(oracle_losses)) + 0.05 < float(np.mean(dense_losses))
 
         # strong-signal regime: the screening estimator matches dense PCA
@@ -168,9 +168,9 @@ def test_criterion_07_sparse_oracle_advantage():
         dense_losses, sparse_losses = [], []
         for r in range(200):
             ds = sample(theta, n, stream_seed(708, r))
-            dense_losses.append(loss_exact_linear(theta, pca_classifier(ds), tol=1e-8).value)
+            dense_losses.append(loss_exact_linear(theta, pca_classifier(ds), tol=1e-8))
             clf, _ = sparse_pca_classifier(ds)
-            sparse_losses.append(loss_exact_linear(theta, clf, tol=1e-8).value)
+            sparse_losses.append(loss_exact_linear(theta, clf, tol=1e-8))
         dense_arr = np.asarray(dense_losses)
         se = float(dense_arr.std(ddof=1) / math.sqrt(dense_arr.size))
         assert float(np.mean(sparse_losses)) <= float(dense_arr.mean()) + 2.0 * se

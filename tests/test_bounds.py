@@ -168,6 +168,21 @@ class TestParameterDomain:
         with pytest.raises(DomainError, match=f"^{name} "):
             concentration_bound(kind, **kwargs)
 
+    # kl_bound takes xi^4, and general_loss_upper squares mu_over_sigma / 2:
+    # both were OverflowErrors.
+    @pytest.mark.parametrize("xi", [1e100, 2.0**256])
+    def test_kl_bound_rejects_xi_whose_fourth_power_overflows(self, xi):
+        with pytest.raises(DomainError, match="^xi must be below 2\\^256"):
+            kl_bound(xi, 0.5)
+
+    def test_kl_bound_just_below_the_edge(self):
+        assert math.isfinite(kl_bound(math.nextafter(2.0**256, 0.0), 0.5))
+
+    @pytest.mark.parametrize("m", [1e160, 1e-200, 2.0**511])
+    def test_general_loss_upper_rejects_mu_over_sigma_out_of_square_range(self, m):
+        with pytest.raises(DomainError, match="^mu_over_sigma must be 0 or lie between 2\\^-510 and 2\\^510"):
+            general_loss_upper(0.1, 0.1, 0.2, m)
+
     def test_squarable_edges_raise_only_mixbench_errors(self):
         # At the ends of the range of a squared parameter, every kind either
         # evaluates or fails by name.
@@ -183,6 +198,8 @@ class TestParameterDomain:
                 concentration_bound(kind, n=4000, d=16, delta=0.01, mu_norm=mu_norm, sigma=sigma)
         for mu_i, sigma in itertools.product(edges + (-(2.0**510),), edges):
             concentration_bound("perdim_variance", n=4000, delta=0.01, mu_i=mu_i, sigma=sigma)
+        for m in (0.0,) + edges:
+            assert math.isfinite(general_loss_upper(0.1, 0.1, 0.2, m))
 
 
 class TestKlBound:
@@ -431,6 +448,6 @@ class TestGeneralLossUpper:
             offset = sigma * eps1 + hnorm * eps2
             t = float(mu0 @ v) + offset * float(rng.choice([-1.0, 1.0]))
             clf = LinearClassifier(v, t)
-            exact = loss_exact_linear(theta, clf, tol=1e-9).value
+            exact = loss_exact_linear(theta, clf, tol=1e-9)
             bound = general_loss_upper(eps1, eps2, sin_beta, hnorm / sigma)
             assert exact <= bound + 1e-8

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,9 +16,9 @@ import pytest
 import mixbench
 from mixbench import cli
 
-from mixbench.harness import emit_report
+from mixbench.harness import emit_report, load_config
 from mixbench.packing import family_to_json_dict, fano_check, lower_bound_family
-from mixbench.errors import DomainError
+from mixbench.errors import ConfigError, DomainError
 from mixbench.verify import SUITES, suite_davis_kahan, suite_fano, suite_kl
 
 SMOKE_CONFIG = {
@@ -116,6 +117,14 @@ class TestPackingCommand:
         proc = run_cli("packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", "1e200", "--out", str(out))
         assert proc.returncode == 2
         assert proc.stderr == "error: lambda must be 0 or lie between 2^-510 and 2^510 in magnitude, got 1e+200\n"
+        assert not out.exists()
+
+    def test_lambda_beyond_float_fourth_power_exits_2(self, tmp_path):
+        # The family built, and verify --suite fano on it was an OverflowError.
+        out = tmp_path / "family.json"
+        proc = run_cli("packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", "2e100", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: lambda / (2 sigma) must be at most 2^255")
         assert not out.exists()
 
     @pytest.mark.parametrize("regime", [["--regime", "dense", "--d", "9"], ["--regime", "sparse", "--d", "41", "--s", "8"]])
@@ -245,6 +254,19 @@ class TestSimulateCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and str(cfg) in proc.stderr
 
+    # At 1e200 the run sampled and then failed on a non-finite matrix; at
+    # 1e-200 it failed with a false "mu1 == mu2".
+    @pytest.mark.parametrize("lam", [1e200, 1e-200])
+    def test_lambda_that_cannot_build_its_mixture_exits_2_at_load(self, tmp_path, lam):
+        obj = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": lam}
+        with pytest.raises(ConfigError, match="^" + re.escape(f"lambda = {lam!r} cannot build its mixture")):
+            load_config(obj)
+        out = tmp_path / "x.csv"
+        proc = run_cli("simulate", "--config", str(write_config(tmp_path, obj)), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: lambda = {lam!r} cannot build its mixture")
+        assert not out.exists()
+
     def test_json_output(self, tmp_path):
         cfg = write_config(tmp_path, SMOKE_CONFIG)
         out = tmp_path / "a.json"
@@ -370,8 +392,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "key, value, named",
-        [("d", 12, "codewords"), ("sigma", "1.0", "sigma"), ("lambda", True, "lambda")],
-        ids=["d-12", "sigma-1.0", "lambda-True"],
+        [("d", 12, "codewords"), ("sigma", "1.0", "sigma"), ("lambda", True, "lambda"), ("lambda", 2e100, "lambda / (2 sigma)")],
+        ids=["d-12", "sigma-1.0", "lambda-True", "lambda-2e100"],
     )
     def test_family_header_not_matching_members_exits_2(self, tmp_path, key, value, named):
         obj = family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0))

@@ -452,7 +452,7 @@ class TestSparsePcaClassifier:
         for r in range(200):
             ds = sample(theta, 4000, stream_seed(22, r))
             clf, _ = sparse_pca_classifier(ds)
-            if loss_exact_linear(theta, clf, tol=1e-8).value < 0.01:
+            if loss_exact_linear(theta, clf, tol=1e-8) < 0.01:
                 good += 1
         assert good >= 190  # >= 95%
 

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mixbench.errors import DomainError, InvalidTolerance, TooFewSamples
+from mixbench import loss as loss_module
+from mixbench.errors import DomainError, InvalidTolerance, NumericalError, TooFewSamples
 from mixbench.loss import (
-    LossEstimate,
     g_function,
-    geometry_decomposition,
     loss_bounds_symmetric,
     loss_exact_linear,
     loss_monte_carlo,
@@ -71,7 +70,7 @@ class TestLossBoundsSymmetric:
 
     def test_quadrature_inside_bounds(self):
         theta, theta_p = symmetric_pair(0.5, math.pi / 6.0)
-        value = loss_exact_linear(theta, bayes_classifier(theta_p), tol=1e-9).value
+        value = loss_exact_linear(theta, bayes_classifier(theta_p), tol=1e-9)
         lower, upper = loss_bounds_symmetric(0.5, math.pi / 6.0)
         assert lower - 1e-8 <= value <= upper + 1e-8
 
@@ -91,25 +90,6 @@ class TestLossBoundsSymmetric:
             loss_bounds_symmetric(0.5, bad)
 
 
-class TestLossEstimate:
-    def test_out_of_range_rejected_and_fields(self):
-        for value in (0.6, -0.1, float("nan")):
-            with pytest.raises(DomainError, match="1/2"):
-                LossEstimate(value=value, method="quadrature")
-        est = LossEstimate(value=0.5, method="quadrature")
-        assert est.value == 0.5
-        assert est.std_err == 0.0
-
-    def test_bad_method(self):
-        with pytest.raises(DomainError):
-            LossEstimate(value=0.1, method="guess")
-
-    def test_json(self):
-        est = LossEstimate(value=0.25, method="monte_carlo", std_err=0.01, n_samples=100)
-        obj = est.to_json_dict()
-        assert obj == {"value": 0.25, "method": "monte_carlo", "std_err": 0.01, "n_samples": 100}
-
-
 class TestLossExactLinear:
     def test_bayes_classifier_has_zero_loss(self):
         rng = np.random.default_rng(1)
@@ -118,30 +98,28 @@ class TestLossExactLinear:
             mu1 = rng.normal(size=d)
             mu2 = mu1 + rng.normal(size=d)
             theta = MixtureParams(mu1, mu2, float(rng.uniform(0.3, 2.0)))
-            est = loss_exact_linear(theta, bayes_classifier(theta), tol=1e-8)
-            assert est.value <= 1e-8
+            assert loss_exact_linear(theta, bayes_classifier(theta), tol=1e-8) <= 1e-8
 
     def test_orthogonal_direction_is_half(self):
         theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 1.0)
         for t in (-2.0, 0.0, 1.3):
             clf = LinearClassifier(np.array([0.0, 1.0]), t)
-            assert loss_exact_linear(theta, clf, tol=1e-8).value == 0.5
+            assert loss_exact_linear(theta, clf, tol=1e-8) == 0.5
 
     def test_zero_snr_limit_is_beta_over_pi(self):
         # rotational symmetry: disagreement wedge has angle fraction beta/pi
         theta = MixtureParams([-1e-6, 0.0], [1e-6, 0.0], 1.0)
         beta = math.pi / 4.0
         clf = LinearClassifier(np.array([math.cos(beta), math.sin(beta)]), 0.0)
-        est = loss_exact_linear(theta, clf, tol=1e-8)
-        assert est.value == pytest.approx(0.25, abs=1e-4)
+        assert loss_exact_linear(theta, clf, tol=1e-8) == pytest.approx(0.25, abs=1e-4)
 
     def test_zero_snr_cross_checked_by_monte_carlo(self):
         theta = MixtureParams([-1e-6, 0.0], [1e-6, 0.0], 1.0)
         beta = math.pi / 4.0
         clf = LinearClassifier(np.array([math.cos(beta), math.sin(beta)]), 0.0)
         q = loss_exact_linear(theta, clf, tol=1e-8)
-        m = loss_monte_carlo(theta, clf.predict, 10**6, seed=77)
-        assert abs(q.value - m.value) <= 3.0 * m.std_err
+        m, se = loss_monte_carlo(theta, clf.predict, 10**6, seed=77)
+        assert abs(q - m) <= 3.0 * se
 
     def test_tolerance_domain(self):
         theta = MixtureParams([-1.0], [1.0], 1.0)
@@ -165,7 +143,7 @@ class TestLossExactLinear:
         t = 0.4
         a = loss_exact_linear(theta, LinearClassifier(v, t), tol=1e-9)
         b = loss_exact_linear(theta, LinearClassifier(-v, -t), tol=1e-9)
-        assert a.value == b.value
+        assert a == b
 
     def test_monotone_in_beta_at_zero_offset(self):
         for xi in (0.1, 0.5, 1.0):
@@ -173,7 +151,7 @@ class TestLossExactLinear:
             losses = []
             for beta in np.linspace(0.0, math.pi / 2.0 * 0.999, 25):
                 v = np.array([math.cos(beta), math.sin(beta)])
-                losses.append(loss_exact_linear(theta, LinearClassifier(v, 0.0), tol=1e-10).value)
+                losses.append(loss_exact_linear(theta, LinearClassifier(v, 0.0), tol=1e-10))
             diffs = np.diff(losses)
             assert np.all(diffs >= -1e-9)
 
@@ -184,7 +162,25 @@ class TestLossExactLinear:
         theta = MixtureParams([-0.8, 0.0], [0.8, 0.0], 1.0)
         clf = LinearClassifier(np.array([1.0, 0.0]), 0.3)
         expected = 0.5 * (norm.cdf(0.8 + 0.3) - norm.cdf(0.8 - 0.3))
-        assert loss_exact_linear(theta, clf, tol=1e-10).value == pytest.approx(expected, rel=1e-10)
+        assert loss_exact_linear(theta, clf, tol=1e-10) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "v",
+        [[0.0, 1.0], [1.0, 0.0], [math.cos(0.3), math.sin(0.3)]],
+        ids=["orthogonal", "aligned", "tilted"],
+    )
+    def test_value_is_a_float(self, v):
+        theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 1.0)
+        assert type(loss_exact_linear(theta, LinearClassifier(np.array(v), 0.2))) is float
+
+    def test_out_of_range_value_raises(self, monkeypatch):
+        # A quadrature that returns a value outside [0, 1/2], or NaN, is a fault.
+        theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 1.0)
+        clf = LinearClassifier(np.array([math.cos(0.3), math.sin(0.3)]), 0.2)
+        for bad in (1.5, math.nan):
+            monkeypatch.setattr(loss_module, "_adaptive_quad", lambda f, pts, tol, bad=bad: bad)
+            with pytest.raises(NumericalError, match=r"\[0, 1/2\]"):
+                loss_exact_linear(theta, clf)
 
     def test_dimension_mismatch(self):
         theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 1.0)
@@ -204,8 +200,7 @@ class TestLossExactLinear:
         theta = MixtureParams(mu0 - h, mu0 + h, float(rng.uniform(0.2, 3.0)))
         v = rng.normal(size=d)
         v /= np.linalg.norm(v)
-        est = loss_exact_linear(theta, LinearClassifier(v, float(rng.normal())), tol=1e-8)
-        assert 0.0 <= est.value <= 0.5
+        assert 0.0 <= loss_exact_linear(theta, LinearClassifier(v, float(rng.normal())), tol=1e-8) <= 0.5
 
 
 def random_case(k, snr=(0.05, 3.0)):
@@ -236,8 +231,8 @@ class TestLossProperties:
         c = 5.0 * rng.normal(size=theta.d)
         moved = MixtureParams(theta.mu1 + c, theta.mu2 + c, theta.sigma)
         clf_moved = LinearClassifier(clf.v, clf.t + float(clf.v @ c))
-        before = loss_exact_linear(theta, clf, tol=self.TOL).value
-        assert loss_exact_linear(moved, clf_moved, tol=self.TOL).value == pytest.approx(before, abs=1e-9)
+        before = loss_exact_linear(theta, clf, tol=self.TOL)
+        assert loss_exact_linear(moved, clf_moved, tol=self.TOL) == pytest.approx(before, abs=1e-9)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=50, deadline=None)
@@ -245,23 +240,23 @@ class TestLossProperties:
         rng, theta, clf = random_case(k)
         q, _ = np.linalg.qr(rng.normal(size=(theta.d, theta.d)))
         turned = MixtureParams(q @ theta.mu1, q @ theta.mu2, theta.sigma)
-        before = loss_exact_linear(theta, clf, tol=self.TOL).value
-        after = loss_exact_linear(turned, LinearClassifier(q @ clf.v, clf.t), tol=self.TOL).value
+        before = loss_exact_linear(theta, clf, tol=self.TOL)
+        after = loss_exact_linear(turned, LinearClassifier(q @ clf.v, clf.t), tol=self.TOL)
         assert after == pytest.approx(before, abs=1e-9)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=50, deadline=None)
     def test_flipped_rule(self, k):
         _, theta, clf = random_case(k)
-        before = loss_exact_linear(theta, clf, tol=self.TOL).value
-        flipped = loss_exact_linear(theta, LinearClassifier(-clf.v, -clf.t), tol=self.TOL).value
+        before = loss_exact_linear(theta, clf, tol=self.TOL)
+        flipped = loss_exact_linear(theta, LinearClassifier(-clf.v, -clf.t), tol=self.TOL)
         assert flipped == pytest.approx(before, abs=1e-9)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=50, deadline=None)
     def test_optimal_rule_has_zero_loss(self, k):
         _, theta, _ = random_case(k)
-        assert loss_exact_linear(theta, bayes_classifier(theta), tol=self.TOL).value == pytest.approx(0.0, abs=1e-12)
+        assert loss_exact_linear(theta, bayes_classifier(theta), tol=self.TOL) == pytest.approx(0.0, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -270,10 +265,10 @@ class TestLossProperties:
         losses under 1% are skipped, where the normal approximation to the
         binomial count is poor at N = 20000."""
         _, theta, clf = random_case(k, snr=(0.05, 2.0))
-        exact = loss_exact_linear(theta, clf, tol=self.TOL).value
+        exact = loss_exact_linear(theta, clf, tol=self.TOL)
         assume(exact >= 0.01)
         n_samples = 20_000
-        mc = loss_monte_carlo(theta, clf.predict, n_samples, seed=k).value
+        mc, _ = loss_monte_carlo(theta, clf.predict, n_samples, seed=k)
         assert abs(mc - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n_samples)
 
 
@@ -281,23 +276,34 @@ class TestLossMonteCarlo:
     def test_bayes_rule_exactly_zero(self):
         theta = MixtureParams([-0.4, 0.1], [0.4, -0.1], 1.0)
         clf = bayes_classifier(theta)
-        est = loss_monte_carlo(theta, clf.predict, 10**4, seed=5)
-        assert est.value == 0.0
-        assert est.std_err == 0.0
+        assert loss_monte_carlo(theta, clf.predict, 10**4, seed=5) == (0.0, 0.0)
 
     def test_determinism(self):
         theta, theta_p = symmetric_pair(0.5, 0.3)
         clf = bayes_classifier(theta_p)
-        a = loss_monte_carlo(theta, clf.predict, 10**4, seed=9)
-        b = loss_monte_carlo(theta, clf.predict, 10**4, seed=9)
-        assert a.value == b.value and a.std_err == b.std_err
+        assert loss_monte_carlo(theta, clf.predict, 10**4, seed=9) == loss_monte_carlo(theta, clf.predict, 10**4, seed=9)
 
     def test_agrees_with_quadrature(self):
         theta, theta_p = symmetric_pair(0.5, 0.3)
         clf = bayes_classifier(theta_p)
         q = loss_exact_linear(theta, clf, tol=1e-9)
-        m = loss_monte_carlo(theta, clf.predict, 10**6, seed=21)
-        assert abs(q.value - m.value) <= 3.0 * m.std_err
+        m, se = loss_monte_carlo(theta, clf.predict, 10**6, seed=21)
+        assert abs(q - m) <= 3.0 * se
+
+    def test_returns_estimate_and_std_err(self):
+        theta, theta_p = symmetric_pair(0.5, 0.3)
+        clf = bayes_classifier(theta_p)
+
+        def swapped(points):  # labels opposite to clf's: p_hat > 1/2
+            return 3 - clf.predict(points)
+
+        n = 10**4
+        out = loss_monte_carlo(theta, swapped, n, seed=9)
+        ds = sample(theta, n, 9)
+        p_hat = float(np.mean(swapped(ds.points) != bayes_classifier(theta).predict(ds.points)))
+        assert p_hat > 0.5
+        assert type(out) is tuple and len(out) == 2
+        assert out == (1.0 - p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n))
 
     def test_too_few_samples(self):
         theta = MixtureParams([-1.0], [1.0], 1.0)
@@ -309,7 +315,8 @@ class TestLossMonteCarlo:
         theta = MixtureParams([-1.0], [1.0], 1.0)
         with pytest.raises(DomainError, match="^n_samples "):
             loss_monte_carlo(theta, bayes_classifier(theta).predict, n_samples, seed=0)
-        assert loss_monte_carlo(theta, bayes_classifier(theta).predict, 150.0, seed=0).n_samples == 150
+        clf = bayes_classifier(theta)
+        assert loss_monte_carlo(theta, clf.predict, 150.0, seed=0) == loss_monte_carlo(theta, clf.predict, 150, seed=0)
 
     def test_nonlinear_rule(self):
         # quadrant rule in 2-D: still a valid clustering for the MC path
@@ -318,9 +325,9 @@ class TestLossMonteCarlo:
         def classify(points):
             return np.where(points[:, 0] * points[:, 1] >= 0.0, 1, 2)
 
-        est = loss_monte_carlo(theta, classify, 10**5, seed=3)
-        assert 0.0 <= est.value <= 0.5
-        assert est.std_err > 0.0
+        est, se = loss_monte_carlo(theta, classify, 10**5, seed=3)
+        assert 0.0 <= est <= 0.5
+        assert se > 0.0
 
     def test_mc_quadrature_agreement_sweep(self):
         # 1000 random linear configurations, 4-sigma agreement in >= 99%
@@ -337,28 +344,18 @@ class TestLossMonteCarlo:
             t = float(mu0 @ v + rng.normal() * theta.sigma)
             clf = LinearClassifier(v, t)
             q = loss_exact_linear(theta, clf, tol=1e-9)
-            m = loss_monte_carlo(theta, clf.predict, 10**4, seed=int(rng.integers(2**62)))
-            if abs(q.value - m.value) > 4.0 * max(m.std_err, 1e-12):
+            m, se = loss_monte_carlo(theta, clf.predict, 10**4, seed=int(rng.integers(2**62)))
+            if abs(q - m) > 4.0 * max(se, 1e-12):
                 disagree += 1
         assert disagree <= 10
 
 
 class TestGeometryDecomposition:
-    def test_fields(self):
-        theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 2.0)
-        beta = 0.3
-        v = np.array([math.cos(beta), math.sin(beta)])
-        clf = LinearClassifier(v, float(0.5))
-        geo = geometry_decomposition(theta, clf)
-        assert geo.cos_beta == pytest.approx(math.cos(beta), rel=1e-12)
-        assert geo.r == pytest.approx(0.5 / math.cos(beta), rel=1e-12)
-        assert geo.snr == pytest.approx(0.5, rel=1e-12)
-
     def test_sandwich_grid_property(self):
         # quadrature loss sits inside the closed-form sandwich across the grid
         for xi in (0.05, 0.1, 0.2, 0.5, 1.0):
             for beta in (0.05, 0.1, 0.3, 0.6):
                 theta, theta_p = symmetric_pair(xi, beta)
-                value = loss_exact_linear(theta, bayes_classifier(theta_p), tol=1e-8).value
+                value = loss_exact_linear(theta, bayes_classifier(theta_p), tol=1e-8)
                 lower, upper = loss_bounds_symmetric(xi, beta)
                 assert lower - 1e-7 <= value <= upper + 1e-7

@@ -19,6 +19,7 @@ from mixbench.errors import (
     InvalidParams,
     ShapeError,
 )
+from mixbench.loss import loss_exact_linear
 from mixbench.model import (
     _LOG_2PI,
     Dataset,
@@ -137,6 +138,30 @@ class TestMixtureParams:
     def test_sigma_at_the_edges_of_the_float_range_accepted(self, sigma):
         theta = MixtureParams([0.0], [1.0], sigma)
         assert math.isfinite(mixture_log_density(theta, np.zeros(1)))
+
+    # The loss and the bounds square h: at +-1e200 ||h|| was inf and the
+    # aligned rule scored 0.5, at +-1e-200 ||h|| underflowed to 0 (a false
+    # "mu1 == mu2"), and (mu1 + mu2)/2 overflowed at 1.7e308.
+    @pytest.mark.parametrize(
+        "mu1, mu2, message",
+        [
+            ([-1e200, 0.0], [1e200, 0.0], "each nonzero entry of h"),
+            ([-1e-200, 0.0], [1e-200, 0.0], "each nonzero entry of h"),
+            ([1.7e308], [1.7e308], "the center"),
+            ([-1.7e308], [1.7e308], "each nonzero entry of h"),
+            (np.zeros(16), np.full(16, 2.0**511), "\\|\\|h\\|\\| "),
+        ],
+        ids=["h-1e200", "h-1e-200", "center-overflow", "h-overflow", "norm-overflow"],
+    )
+    def test_derived_vectors_outside_the_float_range_rejected(self, mu1, mu2, message):
+        with pytest.raises(InvalidParams, match=f"^{message}"):
+            MixtureParams(mu1, mu2, 1.0)
+
+    @pytest.mark.parametrize("scale", [2.0**-510, 2.0**510])
+    def test_derived_vectors_at_the_edges_of_the_float_range_accepted(self, scale):
+        theta = MixtureParams([-scale, 0.0], [scale, 0.0], 1.0)
+        assert theta.half_separation_norm == scale
+        assert loss_exact_linear(theta, LinearClassifier([1.0, 0.0], 0.0)) == 0.0
 
     def test_immutability(self):
         theta = MixtureParams([0.0], [1.0], 1.0)

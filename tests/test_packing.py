@@ -203,15 +203,33 @@ class TestLowerBoundFamily:
             lower_bound_family(regime, n, d, s=s, lam=0.2, sigma=1.0)
 
     # The construction squares lambda, sigma and lambda / (2 sigma): 1e200
-    # squared was an OverflowError.
+    # squared was an OverflowError. The Fano certificate takes the fourth
+    # power of lambda / (2 sigma): at 1e100 that was an OverflowError too.
     @pytest.mark.parametrize(
         "lam, sigma, name",
-        [(1e200, 1.0, "lambda"), (0.2, 1e200, "sigma"), (1e150, 1e-150, "lambda / \\(2 sigma\\)")],
+        [
+            (1e200, 1.0, "lambda"),
+            (0.2, 1e200, "sigma"),
+            (1e150, 1e-150, "lambda / \\(2 sigma\\)"),
+            (2e100, 1.0, "lambda / \\(2 sigma\\)"),
+            (2.0**256 * 1.000001, 1.0, "lambda / \\(2 sigma\\)"),
+        ],
     )
     @pytest.mark.parametrize("regime, d, s", [("dense", 9, None), ("sparse", 41, 8)])
     def test_squares_out_of_float_range_rejected(self, regime, d, s, lam, sigma, name):
-        with pytest.raises(DomainError, match=f"^{name} must be 0 or lie between 2\\^-510 and 2\\^510"):
+        with pytest.raises(DomainError, match=f"^{name} must be (0 or lie between 2\\^-510 and 2\\^510|at most 2\\^255)"):
             lower_bound_family(regime, 10_000, d, s=s, lam=lam, sigma=sigma)
+
+    def test_fourth_power_edge_builds_and_certifies(self):
+        fam = lower_bound_family("dense", 10_000, 9, lam=2.0**256, sigma=1.0)
+        assert math.isfinite(fano_check(fam).max_kl)
+
+    def test_triangle_check_rejects_xi_whose_fourth_power_overflows(self):
+        h = np.array([1e100, 0.0])
+        hp = 1e100 * np.array([math.cos(0.1), math.sin(0.1)])
+        theta, theta_p = MixtureParams(-h, h, 1.0), MixtureParams(-hp, hp, 1.0)
+        with pytest.raises(DomainError, match="^xi "):
+            local_triangle_check(theta, theta_p, bayes_classifier(theta))
 
 
 def inflate_epsilon(fam: PackingFamily, factor: float) -> PackingFamily:
@@ -300,7 +318,7 @@ class TestFanoCheck:
         if round_trip:
             fam = family_from_json_dict(family_to_json_dict(fam))
         expected = [
-            loss_exact_linear(fam.thetas[i], bayes_classifier(fam.thetas[j]), tol=1e-9).value
+            loss_exact_linear(fam.thetas[i], bayes_classifier(fam.thetas[j]), tol=1e-9)
             for i, j in itertools.combinations(range(fam.size), 2)
         ]
         assert list(fano_check(fam).pair_losses) == expected
