@@ -19,7 +19,8 @@ from .errors import (
     TooFewSamples,
 )
 from .estimators import screening_alpha
-from .model import MixtureParams, _count, _real_number, _squarable, _whole_number, mixture_log_density, sample
+from .model import MixtureParams, _block_rows, _count, _log_density_kernel, _placer, _real_number, _squarable, _whole_number, make_rng
+from .model import mixture_log_density, sample  # not called here; perfbench/tracing.py BINDINGS rebinds these names
 
 __all__ = [
     "theorem_bound",
@@ -153,10 +154,22 @@ def kl_monte_carlo(
     n_samples = _whole_number("n_samples", n_samples)
     if n_samples < 10_000:
         raise TooFewSamples(f"need at least 1e4 samples, got {n_samples}")
-    ds = sample(theta, n_samples, seed)
-    # The log-ratio is formed in place, in the first density's output.
-    diff = mixture_log_density(theta, ds.points)
-    diff -= mixture_log_density(theta_prime, ds.points)
+    # sample's draws and steps, block by block: the same rows, bit for bit,
+    # and no (n, d) array. Beside the labels and diff, one block's buffers.
+    step = _block_rows(n_samples, theta.d)
+    place = _placer(theta, step)
+    log_p, log_q = _log_density_kernel(theta, step), _log_density_kernel(theta_prime, step)
+    block, other = np.empty((step, theta.d)), np.empty(step)
+    rng = make_rng(seed)
+    labels = rng.integers(0, 2, size=n_samples)
+    diff = np.empty(n_samples)
+    for start in range(0, n_samples, step):
+        m = min(step, n_samples - start)
+        z, res = block[:m], diff[start : start + m]
+        rng.standard_normal(out=z)
+        place(z, labels[start : start + m])
+        log_p(z, res)
+        res -= log_q(z, other[:m])
     est = float(np.mean(diff))
     se = float(np.std(diff, ddof=1) / math.sqrt(n_samples))
     return est, se

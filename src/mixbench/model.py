@@ -340,6 +340,27 @@ class Dataset:
         return self.points.shape[1]
 
 
+def _placer(theta: MixtureParams, step: int):
+    """``sample``'s in-place step z -> sigma*z +/- h + center on a block of at
+    most ``step`` standard normal rows and their labels in {0, 1} (0 takes
+    -h), with its buffers made once. Each step rounds, so the order fixes the
+    bits of every report; x + (-h) rounds exactly as x - h."""
+    offsets = np.stack((-theta.half_separation, theta.half_separation))
+    center = np.tile(theta.center, (step, 1))
+    shift = np.empty((step, theta.d))
+
+    def place(block: np.ndarray, labels: np.ndarray) -> None:
+        m = len(block)
+        block *= theta.sigma
+        # The index is 0 or 1, so "clip" changes nothing; it lets take write
+        # to out without the buffer that the default "raise" makes.
+        np.take(offsets, labels, axis=0, out=shift[:m], mode="clip")
+        block += shift[:m]
+        block += center[:m]
+
+    return place
+
+
 def sample(theta: MixtureParams, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. points from the mixture: row = mu0 + Y*h + sigma*Z.
 
@@ -354,25 +375,13 @@ def sample(theta: MixtureParams, n: int, seed: int) -> Dataset:
     # The block buffers come before the points. Made after them, they left
     # glibc holding freed (n, d) arrays in two-thread sweeps: sweep-large's
     # peak RSS rose from 243 MB to 245-280 MB, depending on the seed.
-    offsets = np.stack((-theta.half_separation, theta.half_separation))
     step = _block_rows(n, theta.d)
-    center = np.tile(theta.center, (step, 1))
-    shift = np.empty((step, theta.d))
+    place = _placer(theta, step)
     rng = make_rng(seed)
     labels = rng.integers(0, 2, size=n)  # 0 or 1 here: the row of offsets to add
-    # In place, with no (n, d) temporary. Each step rounds, so the order
-    # sigma*z, +/- h, + center fixes the bits of every report; x + (-h)
-    # rounds exactly as x - h.
     points = rng.standard_normal((n, theta.d))
-    points *= theta.sigma
     for start in range(0, n, step):
-        block = points[start : start + step]
-        m = len(block)
-        # The index is 0 or 1, so "clip" changes nothing; it lets take write
-        # to out without the buffer that the default "raise" makes.
-        np.take(offsets, labels[start : start + m], axis=0, out=shift[:m], mode="clip")
-        block += shift[:m]
-        block += center[:m]
+        place(points[start : start + step], labels[start : start + step])
     labels += 1  # label 1 is Y = -1, label 2 is Y = +1
     points.setflags(write=False)
     labels.setflags(write=False)
@@ -389,6 +398,39 @@ def bayes_classifier(theta: MixtureParams) -> LinearClassifier:
     return LinearClassifier(v=v, t=t)
 
 
+def _log_density_kernel(theta: MixtureParams, step: int):
+    """A function that writes log p_theta of each row of a block of at most
+    ``step`` rows into ``out``, with its buffers made once.
+
+    q[k] is sum((x - mu_k)^2) per row, with the bits of a whole-array
+    np.sum(axis=1), and every later step is elementwise: the blocks do not
+    change a bit of norm_const + logaddexp(-q1, -q2) - log 2. The working set
+    is one block's buffers.
+    """
+    s2 = theta.sigma**2
+    norm_const = -0.5 * theta.d * (_LOG_2PI + np.log(s2))
+    log2 = np.log(2.0)
+    means = (np.tile(theta.mu1, (step, 1)), np.tile(theta.mu2, (step, 1)))
+    buf = np.empty((step, theta.d))
+    q = np.empty((2, step))
+
+    def log_density(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+        m = len(block)
+        for k, mean in enumerate(means):
+            np.subtract(block, mean[:m], out=buf[:m])
+            np.square(buf[:m], out=buf[:m])
+            _row_sums(buf[:m], q[k, :m])
+        qm = q[:, :m]
+        qm /= 2.0 * s2
+        np.negative(qm, out=qm)
+        np.logaddexp(qm[0], qm[1], out=out)
+        out += norm_const
+        out -= log2
+        return out
+
+    return log_density
+
+
 def mixture_log_density(theta: MixtureParams, x: np.ndarray) -> float | np.ndarray:
     """log p_theta(x) via log-sum-exp of the two component log-densities.
 
@@ -399,32 +441,10 @@ def mixture_log_density(theta: MixtureParams, x: np.ndarray) -> float | np.ndarr
     pts = np.atleast_2d(arr)
     if pts.shape[1] != theta.d:
         raise ShapeError(f"x has dimension {pts.shape[1]}, theta has {theta.d}")
-    s2 = theta.sigma**2
-    norm_const = -0.5 * theta.d * (_LOG_2PI + np.log(s2))
-    log2 = np.log(2.0)
-    # q[k] is sum((x - mu_k)^2) per row, with the bits of a whole-array
-    # np.sum(axis=1), and every later step is elementwise: the blocks do not
-    # change a bit of norm_const + logaddexp(-q1, -q2) - log 2. Beside the
-    # result, the working set is one block's buffers.
     n = pts.shape[0]
     step = _block_rows(n, theta.d)
-    means = (np.tile(theta.mu1, (step, 1)), np.tile(theta.mu2, (step, 1)))
-    buf = np.empty((step, theta.d))
-    q = np.empty((2, step))
+    log_density = _log_density_kernel(theta, step)
     out = np.empty(n)
     for start in range(0, n, step):
-        block = pts[start : start + step]
-        m = len(block)
-        for k, mean in enumerate(means):
-            np.subtract(block, mean[:m], out=buf[:m])
-            np.square(buf[:m], out=buf[:m])
-            _row_sums(buf[:m], q[k, :m])
-        qm = q[:, :m]
-        qm /= 2.0 * s2
-        np.negative(qm, out=qm)
-        res = out[start : start + m]
-        np.logaddexp(qm[0], qm[1], out=res)
-        res += norm_const
-        res -= log2
+        log_density(pts[start : start + step], out[start : start + step])
     return float(out[0]) if single else out
-

@@ -159,7 +159,9 @@ def suite_fano(families=None) -> list[dict]:
         entry = rep.to_json_dict()
         entry["check"] = "fano"
         entry["regime"] = fam.regime
-        entry["holds"] = rep.holds and rep.window_holds
+        # A certificate whose implied lower bound is not positive certifies
+        # nothing: gamma < 0 for a dense family past lambda/sigma of about 0.48.
+        entry["holds"] = rep.holds and rep.window_holds and rep.implied_lower_bound > 0
         out.append(entry)
     return out
 

@@ -102,6 +102,18 @@ class TestPackingCommand:
         entries = json.loads(check.stdout)
         assert len(entries) == 1 and entries[0]["holds"]
 
+    # Past lambda/sigma of about 0.48, gamma and so the implied lower bound
+    # are negative, while the KL budget and the loss window still hold.
+    @pytest.mark.parametrize("lam", ["0.5", "1", "20"])
+    def test_family_that_certifies_nothing_fails_verify(self, tmp_path, lam):
+        out = tmp_path / "family.json"
+        proc = run_cli("packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", lam, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        check = run_cli("verify", "--suite", "fano", "--family", str(out))
+        assert check.returncode == 1, check.stdout + check.stderr
+        (entry,) = json.loads(check.stdout)
+        assert entry["implied_lower_bound"] < 0 and not entry["holds"]
+
     @pytest.mark.parametrize("flag, name", [("--lambda", "lambda"), ("--sigma", "sigma")])
     def test_nan_parameter_exits_2_naming_it(self, tmp_path, flag, name):
         args = {"--lambda": "0.2", "--sigma": "1.0", flag: "nan"}
