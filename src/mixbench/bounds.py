@@ -70,17 +70,21 @@ def _checked(name: str, value):
     return x
 
 
-def theorem_bound(kind: str, *, n: int, d: int, lam: float, s: int = 0, sigma: float = 1.0) -> float:
+def theorem_bound(kind: str, *, n: int, d: int, lam: float, s: int | None = None, sigma: float = 1.0) -> float:
     """Evaluate one of the headline minimax bounds at concrete parameters.
 
-    Each kind enforces its stated hypotheses and raises PreconditionViolated
-    naming the failed condition. The constants are loose by design; values
-    above 1/2 are expected at desk scale.
+    Only thm3_upper and thm4_lower read ``s``, and they require it; the other
+    kinds reject it. Each kind enforces its stated hypotheses and raises
+    PreconditionViolated naming the failed condition. The constants are loose
+    by design; values above 1/2 are expected at desk scale.
     """
     if kind not in THEOREM_KINDS:
         raise DomainError(f"unknown theorem kind {kind!r}")
+    sparse = kind in ("thm3_upper", "thm4_lower")
+    if (s is None) == sparse:
+        raise DomainError(f"s is {'required' if sparse else 'not read'} by {kind}")
     n, d, sigma, lam = _checked("n", n), _checked("d", d), _checked("sigma", sigma), _checked("lambda", lam)
-    if kind in ("thm3_upper", "thm4_lower"):
+    if sparse:
         s = _checked("s", s)
     if kind in ("thm1_upper", "thm2_lower", "thm3_upper", "thm4_lower") and lam <= 0.0:
         raise DomainError("lambda must be positive")
@@ -106,7 +110,7 @@ def theorem_bound(kind: str, *, n: int, d: int, lam: float, s: int = 0, sigma: f
         _require(d >= 2, f"requires d >= 2, got d = {d}")
         alpha = screening_alpha(n, d)
         _require(alpha <= 0.25, f"requires alpha <= 1/4, got alpha = {alpha:.4f}")
-        _require(s >= 1, "requires s >= 1")
+        _require(1 <= s <= d, f"requires 1 <= s <= d = {d}, got s = {s}")
         return 603.0 * max(16.0 * sigma**2 / lam**2, 1.0) * math.sqrt(s * math.log(n * s) / n) + 220.0 * (
             sigma * math.sqrt(s) / lam
         ) * (math.log(n * d) / n) ** 0.25

@@ -1,11 +1,14 @@
 """Command-line entry points.
 
 Subcommands:
-  simulate          run a configured sweep and write a CSV/JSON report
+  simulate          run a configured sweep (at sigma = 1, so its lambda is
+                    lambda / sigma) and write a CSV/JSON report
   rates             run a configured sweep and print its fitted slope
   packing           construct a lower-bound family and write it as JSON
+                    (--s and --seed, default 0, for the sparse regime only)
   verify            run a verification suite; exit 0 iff every check holds
   bounds            evaluate a closed-form theorem bound at parameters
+                    (--s for thm3_upper and thm4_lower only)
 
 Outputs are deterministic for fixed inputs (reports carry no timings, and
 their runtime_ms column reads 0.0) and serial/parallel runs agree; simulate
@@ -48,7 +51,7 @@ def _add_packing(sub):
     p.add_argument("--s", type=int, default=None, help="internal sparsity (sparse regime)")
     p.add_argument("--lambda", dest="lam", required=True, type=float)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="code seed (sparse regime; default 0)")
     p.add_argument("--out", required=True, help="output JSON path")
 
 
@@ -64,7 +67,7 @@ def _add_bounds(sub):
     p.add_argument("--kind", required=True, choices=list(THEOREM_KINDS))
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--d", required=True, type=int)
-    p.add_argument("--s", type=int, default=0)
+    p.add_argument("--s", type=int, default=None, help="sparsity (thm3_upper and thm4_lower only)")
     p.add_argument("--lambda", dest="lam", required=True, type=float)
     p.add_argument("--sigma", type=float, default=1.0)
 
@@ -142,22 +145,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bounds(args) -> int:
     value = theorem_bound(args.kind, n=args.n, d=args.d, s=args.s, lam=args.lam, sigma=args.sigma)
-    print(
-        json.dumps(
-            {
-                "kind": args.kind,
-                "n": args.n,
-                "d": args.d,
-                "s": args.s,
-                "lambda": args.lam,
-                "sigma": args.sigma,
-                "bound_value": value,
-                "vacuous": value > 0.5,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    inputs = {"kind": args.kind, "n": args.n, "d": args.d, "s": args.s, "lambda": args.lam, "sigma": args.sigma}
+    print(json.dumps({**inputs, "bound_value": value, "vacuous": value > 0.5}, indent=2, sort_keys=True))
     return 0
 
 

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DomainError,
     InvalidDimension,
     InvalidMatrix,
     InvalidParams,
     PreconditionViolated,
     TooFewSamples,
 )
-from .model import Dataset, LinearClassifier, MixtureParams, _canonical_direction, _count, _real_number, _whole_number, json_record, sample, stream_seed
+from .model import Dataset, LinearClassifier, MixtureParams, _canonical_direction, _whole_number, json_record, sample, stream_seed
 
 __all__ = [
     "ScreeningResult",
@@ -45,6 +44,7 @@ __all__ = [
 # reruns are bit-identical.
 _RESTART_KEY = 0x5EED0F
 _EPS = float(np.finfo(np.float64).eps)
+_TOL = 1e-10  # power iteration's residual bound, relative to ||m||_2
 
 
 @dataclass(frozen=True)
@@ -148,24 +148,20 @@ def _member(name: str, bad) -> str:
     return name if np.ndim(bad) == 0 else f"{name}[{_first(bad)}]"
 
 
-def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = None) -> tuple[np.ndarray, bool]:
+def top_eigenvector(m: np.ndarray) -> tuple[np.ndarray, bool]:
     """Leading eigenvector by power iteration from a deterministic start.
 
     Starts at the basis vector of the largest diagonal entry, with one fixed
     pseudorandom restart if that start sits in the nullspace. On convergence
-    the residual ||m v - rho v||, rho = v' m v, is below tol * ||m||_2 (tol a
-    finite real > 0, max_iter a whole number >= 1). The flag comes back False
-    without convergence, when a second eigenvalue of m (by eigvalsh) lies
-    within that bound of rho (a tied top eigenvalue, at any d >= 2, leaves the
-    direction undefined), or when an eigenvalue exceeds |rho| + bound in
-    magnitude (v is an eigenvector, but not the top one).
+    the residual ||m v - rho v||, rho = v' m v, is below _TOL * ||m||_2. The
+    flag comes back False without convergence in int(10 d log d) + 500
+    steps, when a second eigenvalue of m (by eigvalsh) lies within that bound
+    of rho (a tied top eigenvalue, at any d >= 2, leaves the direction
+    undefined), or when an eigenvalue exceeds |rho| + bound in magnitude (v
+    is an eigenvector, but not the top one).
     """
     m = _check_symmetric(m)
-    tol = _real_number("tol", tol)
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
     d = m.shape[0]
-    max_iter = _count("max_iter", int(10 * d * math.log(d)) + 500 if max_iter is None else max_iter)
     if d == 1:
         return np.array([1.0]), True
     v = np.zeros(d)
@@ -186,7 +182,7 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
     norm_est = 0.0
     restarted = False
     ok = False
-    for _ in range(max_iter):
+    for _ in range(int(10 * d * math.log(d)) + 500):
         mv(v, out=w)
         ww = float(w.dot(w))
         nw = math.sqrt(ww)
@@ -199,7 +195,7 @@ def top_eigenvector(m: np.ndarray, tol: float = 1e-10, max_iter: int | None = No
             continue
         norm_est = max(norm_est, nw)
         rho = float(v.dot(w))
-        bound = tol * max(norm_est, 1e-300)
+        bound = _TOL * max(norm_est, 1e-300)
         v_in_range, in_range = in_range, 1e-250 < ww < 1e250
         if not (v_in_range and in_range and ww - rho * rho > bound * bound + slack * ww):
             np.multiply(v, rho, out=r)

@@ -81,14 +81,14 @@ class ExperimentConfig:
     must have the JSON type of its annotation. Construction resolves every
     sweep point into ``points``, one ``SweepPoint`` per axis value, so a
     config that cannot run fails here, before any compute, and a run builds
-    no mixture of its own.
+    no mixture of its own. Its mixtures have sigma = 1, as the loss and the
+    estimators read lambda and sigma only through lambda / sigma.
     """
 
     estimator: str
     n: int
     d: int
     lam: float
-    sigma: float = 1.0
     s: int | None = None
     replicates: int = 1
     master_seed: int = 0
@@ -110,8 +110,6 @@ class ExperimentConfig:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.lam <= 0:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
         values = (self.n,)
         if self.sweep_axis is not None or self.sweep_values is not None:
             if self.sweep_axis not in AXES:
@@ -136,7 +134,7 @@ class ExperimentConfig:
             if self.estimator == "sparse_pca" and at["d"] < 2:
                 raise ConfigError(f"sparse_pca needs d >= 2, got d = {at['d']}")
             try:
-                theta = MixtureParams(-h, h, self.sigma)
+                theta = MixtureParams(-h, h, 1.0)
             except InvalidParams as exc:
                 raise ConfigError(f"lambda = {at['lambda']!r} cannot build its mixture: {exc}") from None
             points.append(SweepPoint(float(value), theta, at["n"], at["s"]))
@@ -167,7 +165,7 @@ class SweepRow:
     d: int
     s: int | None
     lam: float
-    sigma: float
+    sigma: float  # the point's, so always 1.0; ROADMAP item 1b drops it
     estimator: str
     loss: float
     loss_method: str
@@ -229,7 +227,7 @@ def _run_one(config: ExperimentConfig, axis: str, point: SweepPoint, replicate: 
         d=theta.d,
         s=point.s,
         lam=theta.separation,
-        sigma=config.sigma,
+        sigma=theta.sigma,
         estimator=config.estimator,
         loss=loss_exact_linear(theta, clf),
         loss_method="quadrature",

@@ -223,7 +223,7 @@ def lower_bound_family(
     s: int | None = None,
     lam: float = 0.2,
     sigma: float = 1.0,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> PackingFamily:
     """Construct the hypothesis family used by the minimax lower bounds.
 
@@ -238,12 +238,13 @@ def lower_bound_family(
 
     Every member has separation exactly lambda by construction. ``s`` is
     required in the sparse regime and rejected in the dense one. ``seed``, a
-    whole number in [0, 2^64), picks the sparse regime's code.
+    whole number in [0, 2^64), picks the sparse code (0 when None) and is
+    rejected in the dense regime, whose code has no seed.
     """
-    return _family(regime, n, d, s, lam, sigma, _seed("seed", seed), None)
+    return _family(regime, n, d, s, lam, sigma, None if seed is None else _seed("seed", seed), None)
 
 
-def _family(regime, n, d, s, lam, sigma, seed: int, code: BinaryCode | None) -> PackingFamily:
+def _family(regime, n, d, s, lam, sigma, seed: int | None, code: BinaryCode | None) -> PackingFamily:
     """The family of ``lower_bound_family`` on ``code`` (a sparse one of weight
     s), or on the regime's code made from ``seed`` when ``code`` is None."""
     n, d = _whole_number("n", n), _whole_number("d", d)
@@ -261,6 +262,8 @@ def _family(regime, n, d, s, lam, sigma, seed: int, code: BinaryCode | None) -> 
     if regime == "dense":
         if s is not None:
             raise DomainError(f"s applies to the sparse regime only, got s = {s!r} in the dense regime")
+        if seed is not None:
+            raise DomainError(f"seed applies to the sparse regime only, got seed = {seed!r} in the dense regime")
         if d < 9:
             raise PreconditionViolated(f"dense regime requires d >= 9, got d = {d}")
         eps = min(
@@ -282,7 +285,7 @@ def _family(regime, n, d, s, lam, sigma, seed: int, code: BinaryCode | None) -> 
             0.5 * lam / math.sqrt(s),
         )
         lambda0_sq = lam**2 - s * eps**2
-        code = sparse_code(d - 1, s, seed=seed) if code is None else code
+        code = sparse_code(d - 1, s, seed=seed or 0) if code is None else code
         if code.weight != s:
             raise DomainError(f"code_weight must be s = {s} in the sparse regime, got {code.weight!r}")
         signs = code.words.astype(np.float64)
@@ -465,4 +468,4 @@ def family_from_json_dict(obj: dict) -> PackingFamily:
     code = BinaryCode(d - 1, words, min_distance, _optional_whole(obj, "code_weight"))
     if not code.verify():
         raise DomainError("codewords do not have the declared code_min_distance and code_weight, or repeat a word")
-    return _family(obj["regime"], obj["n"], d, _optional_whole(obj, "s"), obj["lambda"], obj["sigma"], 0, code)
+    return _family(obj["regime"], obj["n"], d, _optional_whole(obj, "s"), obj["lambda"], obj["sigma"], None, code)

@@ -89,7 +89,6 @@ def test_criterion_03_rate_in_n():
             n=1000,
             d=16,
             lam=0.8,
-            sigma=1.0,
             replicates=200,
             master_seed=303,
             sweep_axis="n",
@@ -107,7 +106,6 @@ def test_criterion_04_rate_in_d():
             n=20000,
             d=8,
             lam=0.8,
-            sigma=1.0,
             replicates=200,
             master_seed=404,
             sweep_axis="d",
@@ -125,7 +123,6 @@ def test_criterion_05_snr_dependence():
             n=20000,
             d=16,
             lam=0.4,
-            sigma=1.0,
             replicates=200,
             master_seed=505,
             sweep_axis="lambda",

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import chdtr, chdtrc
 
 from mixbench.bounds import (
     THEOREM_KINDS,
@@ -78,6 +79,26 @@ class TestTheoremBound:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             theorem_bound("thm9", n=100, d=10, lam=1.0)
+
+    @pytest.mark.parametrize("kind, lam", [("thm1_upper", 1.0), ("thm1_upper_largesep", 300.0), ("thm2_lower", 0.2)])
+    def test_s_rejected_where_not_read(self, kind, lam):
+        # s = 5 returned the value these kinds give for any s.
+        with pytest.raises(DomainError, match=f"^s is not read by {kind}$"):
+            theorem_bound(kind, n=10**4, d=10, lam=lam, s=5)
+
+    @pytest.mark.parametrize("kind", ["thm3_upper", "thm4_lower"])
+    def test_s_required_where_read(self, kind):
+        with pytest.raises(DomainError, match=f"^s is required by {kind}$"):
+            theorem_bound(kind, n=10**4, d=41, lam=0.2)
+
+    @pytest.mark.parametrize("s", [11, 50])
+    def test_thm3_s_above_d_rejected(self, s):
+        # s = 50 > d = 10 returned 2757.87.
+        with pytest.raises(PreconditionViolated, match=f"^requires 1 <= s <= d = 10, got s = {s}$"):
+            theorem_bound("thm3_upper", n=10**4, d=10, s=s, lam=1.0)
+
+    def test_thm3_s_equal_d_accepted(self):
+        assert math.isfinite(theorem_bound("thm3_upper", n=10**4, d=10, s=10, lam=1.0))
 
     def test_monotonicity(self):
         # thm1 decreasing in n, increasing in d
@@ -188,9 +209,10 @@ class TestParameterDomain:
         # evaluates or fails by name.
         edges = (2.0**-510, 2.0**-255, 1.0, 2.0**255, 2.0**510)
         for kind in THEOREM_KINDS:
+            s = {"s": 5} if kind in ("thm3_upper", "thm4_lower") else {}
             for lam, sigma in itertools.product(edges, edges):
                 try:
-                    theorem_bound(kind, n=10**4, d=41, s=5, lam=lam, sigma=sigma)
+                    theorem_bound(kind, n=10**4, d=41, lam=lam, sigma=sigma, **s)
                 except MixbenchError:
                     pass
         for kind in ("mean_concentration", "angle_concentration"):
@@ -373,6 +395,25 @@ class TestConcentrationBound:
 
 
 class TestChisqTailDominance:
+    # chisq_upper and gaussian_mean bound P(X > (1 + eps) d), and chisq_lower
+    # P(X < (1 - eps) d), for X chi-square with d degrees of freedom, whose
+    # exact tails are chdtrc and chdtr. Grids (d, upper eps, lower eps):
+    # suite_concentration's, and a wider one fixed before the first run.
+    SUITE_GRID = ((5, 50), (0.1, 0.5, 1.0), (0.1, 0.5))
+    WIDE_GRID = ((1, 2, 3, 10, 100, 1000), (0.01, 0.05, 0.25, 2.0, 5.0, 20.0), (0.01, 0.05, 0.25, 0.75, 0.9, 0.99))
+
+    @pytest.mark.parametrize("grid", [SUITE_GRID, WIDE_GRID], ids=["suite", "wide"])
+    def test_exact_tail_at_most_bound(self, grid):
+        ds, upper, lower = grid
+        for d in ds:
+            for eps in upper:
+                exact = float(chdtrc(d, (1.0 + eps) * d))
+                for kind in ("chisq_upper", "gaussian_mean"):
+                    assert exact <= concentration_bound(kind, d=d, eps=eps), (kind, d, eps)
+            for eps in lower:
+                exact = float(chdtr(d, (1.0 - eps) * d))
+                assert exact <= concentration_bound("chisq_lower", d=d, eps=eps), ("chisq_lower", d, eps)
+
     def test_empirical_frequencies(self):
         rng = np.random.default_rng(30)
         trials = 10**5

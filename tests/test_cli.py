@@ -26,7 +26,6 @@ SMOKE_CONFIG = {
     "n": 200,
     "d": 4,
     "lambda": 2.0,
-    "sigma": 1.0,
     "replicates": 3,
     "master_seed": 42,
 }
@@ -77,6 +76,25 @@ class TestBoundsCommand:
         assert proc.returncode == 2
         assert "required: --lambda" in proc.stderr
 
+    def test_s_for_a_kind_that_does_not_read_it_exits_2(self):
+        # thm1_upper does not read s: --s 5 printed "s": 5 beside a value that ignores it.
+        proc = run_cli("bounds", "--kind", "thm1_upper", "--n", "10000", "--d", "10", "--lambda", "1", "--s", "5")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: s is not read by thm1_upper\n")
+
+    def test_s_prints_null_where_not_read(self):
+        proc = run_cli("bounds", "--kind", "thm2_lower", "--n", "10000", "--d", "10", "--lambda", "0.2")
+        assert proc.returncode == 0 and json.loads(proc.stdout)["s"] is None
+
+    @pytest.mark.parametrize("kind, d", [("thm3_upper", "100"), ("thm4_lower", "41")])
+    def test_sparse_kinds_need_s(self, kind, d):
+        proc = run_cli("bounds", "--kind", kind, "--n", "10000", "--d", d, "--lambda", "0.2")
+        assert (proc.returncode, proc.stderr) == (2, f"error: s is required by {kind}\n")
+
+    def test_thm3_s_above_d_exits_2(self):
+        # It printed 2757.87 for s = 50 > d = 10.
+        proc = run_cli("bounds", "--kind", "thm3_upper", "--n", "10000", "--d", "10", "--s", "50", "--lambda", "1")
+        assert (proc.returncode, proc.stderr) == (2, "error: requires 1 <= s <= d = 10, got s = 50\n")
+
     @pytest.mark.parametrize(
         "n_args, named", [([], "--n"), (["--n", "0"], "error: n must")], ids=["missing", "zero"]
     )
@@ -91,7 +109,7 @@ class TestPackingCommand:
         out = tmp_path / "family.json"
         proc = run_cli(
             "packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", "0.2",
-            "--sigma", "1.0", "--seed", "0", "--out", str(out),
+            "--sigma", "1.0", "--out", str(out),
         )
         assert proc.returncode == 0, proc.stderr
         obj = json.loads(out.read_text())
@@ -180,6 +198,15 @@ class TestPackingCommand:
         assert code == 0
         assert peak - marks["held"] < out.stat().st_size
 
+    @pytest.mark.parametrize("seed", ["5", "0"])
+    def test_dense_with_seed_exits_2(self, tmp_path, seed):
+        # The dense code has no seed: --seed 5 wrote seed 0's family.
+        out = tmp_path / "family.json"
+        proc = run_cli("packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", "0.2", "--seed", seed, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: seed applies to the sparse regime only, got seed = {seed} in the dense regime\n"
+        assert not out.exists()
+
     def test_dense_with_s_exits_2(self, tmp_path):
         out = tmp_path / "family.json"
         proc = run_cli(
@@ -219,6 +246,13 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 2
         assert "mystery" in proc.stderr
+
+    def test_sigma_key_exits_2(self, tmp_path):
+        # Sweeps run at sigma = 1, and lambda is read as lambda / sigma.
+        out = tmp_path / "x.csv"
+        proc = run_cli("simulate", "--config", str(write_config(tmp_path, {**SMOKE_CONFIG, "sigma": 1.0})), "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (2, "error: unknown config keys: ['sigma']\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("signal_profile", "equal_coords"), ("custom_signal", [1.0, 0.0, 0.0, 0.0])])
     def test_removed_signal_keys_exit_2(self, tmp_path, key, value):
@@ -502,7 +536,7 @@ class TestVerifyCommand:
         assert run_cli("packing", *args).returncode == 0
         proc = run_cli("verify", "--suite", "fano", "--family", str(family), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
-        entries = suite_fano([lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0, seed=0)])
+        entries = suite_fano([lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0)])
         assert out.read_bytes() == (json.dumps(entries, indent=2, sort_keys=True) + "\n").encode()
 
 
@@ -693,7 +727,7 @@ class TestReportBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == "1d7ce71691fdc813a2d02d48ddc8d626c6bf9696ed57ed2b4cba1715d0689e91"
 
     def test_dense_fano_entry(self):
-        family = lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0, seed=0)
+        family = lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0)
         (entry,) = suite_fano([family])
         text = json.dumps(entry, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == "f71f149dd1eef99ee3908594a47b047d396bb06f5ff46fde720d7c1518db98b8"
@@ -707,12 +741,12 @@ class TestReportBytes:
         "args, digest",
         [
             (["--regime", "dense", "--d", "9"], "e29977d5130548e28af3a2c67e030f73fe8a866fc4b79e1aebb944088363e601"),
-            (["--regime", "sparse", "--d", "41", "--s", "8"], "ea8ff200e30679e971597b08a766044370209b73cf4bd9c211b52580ceb64b4d"),
+            (["--regime", "sparse", "--d", "41", "--s", "8", "--seed", "0"], "ea8ff200e30679e971597b08a766044370209b73cf4bd9c211b52580ceb64b4d"),
         ],
         ids=["dense", "sparse"],
     )
     def test_packing_family(self, tmp_path, args, digest):
         out = tmp_path / "family.json"
-        proc = run_cli("packing", *args, "--n", "10000", "--lambda", "0.2", "--seed", "0", "--out", str(out))
+        proc = run_cli("packing", *args, "--n", "10000", "--lambda", "0.2", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

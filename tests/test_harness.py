@@ -37,7 +37,6 @@ def smoke_config(**overrides):
         n=200,
         d=4,
         lam=2.0,
-        sigma=1.0,
         replicates=3,
         master_seed=42,
     )
@@ -96,7 +95,7 @@ class TestConfig:
 
     def test_json_types_enforced(self):
         base = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0}
-        for key, value in (("n", "1000"), ("d", True), ("replicates", 2.9), ("sigma", None)):
+        for key, value in (("n", "1000"), ("d", True), ("replicates", 2.9), ("lambda", None)):
             with pytest.raises(ConfigError, match=key):
                 load_config({**base, key: value})
 
@@ -141,9 +140,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^unknown config keys: \\['custom_signal', 'signal_profile'\\]$"):
             load_config({**base, "signal_profile": "custom", "custom_signal": [0.5, 0.0, 0.0]})
 
+    def test_sigma_is_not_a_key(self):
+        """Sweeps run at sigma = 1: lambda is read as lambda / sigma, and a
+        report's sigma column reads each point's 1.0."""
+        base = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0}
+        with pytest.raises(ConfigError, match="^unknown config keys: \\['sigma'\\]$"):
+            load_config({**base, "sigma": 1.0})
+        rows = run_experiment(load_config({**base, "sweep": {"axis": "lambda", "values": [0.5, 2.0]}})).rows
+        assert [(r.lam, r.sigma) for r in rows] == [(0.5, 1.0), (2.0, 1.0)]
+
     def test_fields_are_the_config_keys(self):
         assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
-            "estimator", "n", "d", "lam", "sigma", "s", "replicates", "master_seed", "sweep_axis", "sweep_values",
+            "estimator", "n", "d", "lam", "s", "replicates", "master_seed", "sweep_axis", "sweep_values",
         ]
 
     def test_readme_example_config_loads(self):
@@ -167,7 +175,6 @@ class TestConfig:
             "d": 16,
             "s": 2,
             "lambda": 1.5,
-            "sigma": 2.0,
             "replicates": 4,
             "master_seed": 9,
             "sweep": {"axis": "n", "values": [500, 1000]},

@@ -194,6 +194,18 @@ class TestLowerBoundFamily:
         with pytest.raises(DomainError, match="^s applies to the sparse regime only"):
             lower_bound_family("dense", 10_000, 9, s=s, lam=0.2)
 
+    @pytest.mark.parametrize("seed", [5, 0])
+    def test_dense_regime_rejects_seed(self, seed):
+        # The dense code has no seed: seed 5 built seed 0's family.
+        with pytest.raises(DomainError, match=f"^seed applies to the sparse regime only, got seed = {seed} in the dense regime$"):
+            lower_bound_family("dense", 10_000, 9, lam=0.2, seed=seed)
+
+    def test_sparse_seed_defaults_to_0(self):
+        a = lower_bound_family("sparse", 10_000, 41, s=8, lam=0.2)
+        b = lower_bound_family("sparse", 10_000, 41, s=8, lam=0.2, seed=0)
+        c = lower_bound_family("sparse", 10_000, 41, s=8, lam=0.2, seed=5)
+        assert np.array_equal(a.code.words, b.code.words) and not np.array_equal(a.code.words, c.code.words)
+
     @pytest.mark.parametrize(
         "regime, n, d, s, name",
         [("dense", 10_000.9, 9, None, "n"), ("dense", 10_000, 9.5, None, "d"), ("sparse", 10_000, 17, 4.5, "s")],
@@ -404,13 +416,13 @@ class TestLocalTriangle:
 
 
 # The family that TestFamilySerialization.written("dense") records.
-DENSE = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0, seed=2)
+DENSE = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
 
 
 class TestFamilySerialization:
-    @pytest.mark.parametrize("regime, d, kwargs", [("sparse", 17, {"s": 4}), ("dense", 9, {})])
+    @pytest.mark.parametrize("regime, d, kwargs", [("sparse", 17, {"s": 4, "seed": 2}), ("dense", 9, {})])
     def test_round_trip_keeps_every_count(self, regime, d, kwargs):
-        fam = lower_bound_family(regime, 10**4, d, lam=0.2, sigma=1.0, seed=2, **kwargs)
+        fam = lower_bound_family(regime, 10**4, d, lam=0.2, sigma=1.0, **kwargs)
         back = family_from_json_dict(family_to_json_dict(fam))
         for a, b in [(back.n, fam.n), (back.d, fam.d), (back.s, fam.s),
                      (back.code.min_distance, fam.code.min_distance), (back.code.weight, fam.code.weight)]:
@@ -429,7 +441,7 @@ class TestFamilySerialization:
     @staticmethod
     def written(regime="sparse"):
         if regime == "dense":
-            return family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0, seed=2))
+            return family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0))
         return family_to_json_dict(lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2))
 
     @pytest.mark.parametrize(
@@ -473,15 +485,15 @@ class TestFamilySerialization:
         # The file holds only inputs, so a file with an edited input holds the family of the edited inputs.
         inputs = {"n": 10**4, "lambda": 0.2, "sigma": 1.0, key: value}
         obj = {**self.written("dense"), **inputs}
-        expected = lower_bound_family("dense", inputs["n"], 9, lam=inputs["lambda"], sigma=inputs["sigma"], seed=2)
+        expected = lower_bound_family("dense", inputs["n"], 9, lam=inputs["lambda"], sigma=inputs["sigma"])
         assert self.certified(family_from_json_dict(obj)) == self.certified(expected)
 
     @pytest.mark.parametrize("regime", ["sparse", "dense"])
     def test_separation_agrees_within_rounding(self, regime):
         obj = self.written(regime)
         obj["lambda"] *= 1.0 + 1e-13
-        s = 4 if regime == "sparse" else None
-        expected = lower_bound_family(regime, 10**4, obj["d"], s=s, lam=obj["lambda"], sigma=1.0, seed=2)
+        kwargs = {"s": 4, "seed": 2} if regime == "sparse" else {}
+        expected = lower_bound_family(regime, 10**4, obj["d"], lam=obj["lambda"], sigma=1.0, **kwargs)
         assert self.certified(family_from_json_dict(obj)) == self.certified(expected)
 
     def test_whole_valued_floats_accepted(self):
@@ -537,7 +549,8 @@ class TestFamilySerialization:
         "regime, d, s", [("dense", 9, None), ("dense", 17, None), ("sparse", 17, 4), ("sparse", 161, 8)]
     )
     def test_record_round_trip_is_exact(self, regime, d, s):
-        obj = family_to_json_dict(lower_bound_family(regime, 10**4, d, s=s, lam=0.2, sigma=1.0, seed=3))
+        seed = None if s is None else 3
+        obj = family_to_json_dict(lower_bound_family(regime, 10**4, d, s=s, lam=0.2, sigma=1.0, seed=seed))
         assert family_to_json_dict(family_from_json_dict(obj)) == obj
 
     @pytest.mark.parametrize(
