@@ -267,9 +267,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     return SweepResult(rows=tuple(rows), summary=tuple(summaries), fitted_slope=slope, slope_ci95=ci)
 
 
-def fit_rate(points) -> tuple[float, float, tuple[float, float]]:
+def fit_rate(points) -> tuple[float, float, tuple[float, float] | None]:
     """Ordinary least squares of log y on log x; returns (slope, intercept,
-    ci95) with the usual slope-variance interval."""
+    ci95) with the usual slope-variance interval. ci95 is None for a fit
+    through two points: it leaves no residual degree of freedom to estimate
+    the slope's variance with."""
     pts = [(float(x), float(y)) for x, y in points]
     for x, y in pts:
         if not (0 < x < math.inf and 0 < y < math.inf):
@@ -286,11 +288,9 @@ def fit_rate(points) -> tuple[float, float, tuple[float, float]]:
     resid = ly - (intercept + slope * lx)
     dof = n - 2
     if dof <= 0:
-        return slope, intercept, (slope, slope)
+        return slope, intercept, None
     s2 = float(np.sum(resid**2) / dof)
     se = math.sqrt(s2 / sxx)
-    if se == 0.0:
-        return slope, intercept, (slope, slope)
     tq = float(stdtrit(dof, 0.975))  # Student's t quantile: the bits of stats.t.ppf, without importing scipy.stats
     return slope, intercept, (slope - tq * se, slope + tq * se)
 

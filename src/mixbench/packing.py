@@ -334,6 +334,8 @@ def fano_check(family: PackingFamily) -> FanoReport:
     m_count = family.size - 1
     if m_count < 2:
         raise PreconditionViolated(f"the reduction requires M >= 2 hypotheses beyond the base, got M = {m_count}")
+    if family.size != family.code.count:
+        raise PreconditionViolated(f"one member per codeword is required, got {family.size} members and {family.code.count} codewords")
     xi = family.lam / (2.0 * family.sigma)
 
     theta0 = family.thetas[0]
@@ -346,28 +348,17 @@ def fano_check(family: PackingFamily) -> FanoReport:
     window_low = 0.5 * g_function(xi) * scale
     window_high = _REGIME_CONSTANTS[family.regime][1] * scale
 
-    rules = [bayes_classifier(theta) for theta in family.thetas]
-    # loss_exact_linear reads a pair (theta_i, rule j) only through |v_j.h_i|,
-    # t_j - c_i.v_j, ||h_i|| and sigma (tol is fixed here), so pairs with equal
-    # keys get the same bits. A family built from a code has only a few
-    # distinct overlaps between codewords. Each row's dots are one stacked
-    # matmul of (1, d) by (d, 1) members: the ddot of the per-pair 1-D @.
-    directions = np.stack([rule.v for rule in rules])[:, None, :]
-    offsets = [rule.t for rule in rules]
-    by_key: dict[tuple, float] = {}
+    # Members have center 0, ||h|| = lambda/2 and rules with t = 0, so a pair's
+    # loss is fixed by the Hamming distance between its codewords.
+    words = family.code.words
+    by_distance: dict[int, float] = {}
     losses = []
-    in_window = True
     for i, theta in enumerate(family.thetas[:-1]):
-        later = directions[i + 1 :]
-        v_dot_h = np.abs(np.matmul(later, theta.half_separation[:, None])).ravel().tolist()
-        c_dot_v = np.matmul(theta.center[None, None, :], np.swapaxes(later, -2, -1)).ravel().tolist()
-        for j, vh, cv in zip(range(i + 1, family.size), v_dot_h, c_dot_v):
-            key = (vh, offsets[j] - cv, theta.half_separation_norm, theta.sigma)
-            val = by_key.get(key)
-            if val is None:
-                val = by_key[key] = loss_exact_linear(theta, rules[j], tol=_QUAD_TOL)
-                in_window &= window_low - 10.0 * _QUAD_TOL <= val <= window_high + 10.0 * _QUAD_TOL
-            losses.append(val)
+        for j, dist in enumerate(np.count_nonzero(words[i + 1 :] != words[i], axis=1).tolist(), start=i + 1):
+            if dist not in by_distance:
+                by_distance[dist] = loss_exact_linear(theta, bayes_classifier(family.thetas[j]), tol=_QUAD_TOL)
+            losses.append(by_distance[dist])
+    in_window = all(window_low - 10.0 * _QUAD_TOL <= val <= window_high + 10.0 * _QUAD_TOL for val in by_distance.values())
     return FanoReport(
         alpha_fano=alpha_fano,
         holds=alpha_fano < 1.0 / 8.0,

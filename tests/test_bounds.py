@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.special import chdtr, chdtrc
+from scipy.stats import binomtest
 
 from mixbench.bounds import (
     THEOREM_KINDS,
@@ -19,6 +20,7 @@ from mixbench.bounds import (
 from mixbench.errors import DomainError, MixbenchError, PreconditionViolated, ShapeError, TooFewSamples
 from mixbench.loss import loss_exact_linear
 from mixbench.model import LinearClassifier, MixtureParams, mixture_log_density, sample, stream_seed
+from mixbench.verify import suite_concentration
 
 
 class TestTheoremBound:
@@ -413,6 +415,20 @@ class TestChisqTailDominance:
             for eps in lower:
                 exact = float(chdtr(d, (1.0 - eps) * d))
                 assert exact <= concentration_bound("chisq_lower", d=d, eps=eps), ("chisq_lower", d, eps)
+
+    def test_suite_frequencies_match_exact_tails(self):
+        # suite_concentration's ten chi-square frequencies against the exact
+        # tails, each by an exact two-sided binomial test. The family-wise level
+        # 0.01 was fixed before the first run; Bonferroni over the ten gives
+        # 0.001 each. A failure is a finding about the sampler, not a level to relax.
+        entries = [e for e in suite_concentration() if e["check"] in ("chisq_upper", "chisq_lower")]
+        assert len(entries) == 10
+        for e in entries:
+            d, eps, trials = e["d"], e["eps"], e["trials"]
+            exact = float(chdtrc(d, (1.0 + eps) * d) if e["check"] == "chisq_upper" else chdtr(d, (1.0 - eps) * d))
+            count = round(e["frequency"] * trials)
+            p = binomtest(count, trials, exact).pvalue
+            assert p >= 0.01 / len(entries), (e["check"], d, eps, count, exact * trials, p)
 
     def test_empirical_frequencies(self):
         rng = np.random.default_rng(30)

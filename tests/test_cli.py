@@ -334,6 +334,13 @@ class TestRatesCommand:
         assert len(obj["mean_losses"]) == 3
         assert obj["fitted_slope"] is not None
 
+    def test_two_point_sweep_prints_null_interval(self, tmp_path):
+        cfg = write_config(tmp_path, {**SMOKE_CONFIG, "replicates": 2, "sweep": {"axis": "n", "values": [200, 400]}})
+        proc = run_cli("rates", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["fitted_slope"] is not None
+        assert '"slope_ci95": null' in proc.stdout
+
     def test_config_without_sweep_exits_2(self, tmp_path):
         proc = run_cli("rates", "--config", str(write_config(tmp_path, SMOKE_CONFIG)))
         assert proc.returncode == 2
@@ -645,7 +652,8 @@ class TestImportPath:
 class TestReportBytes:
     """Report bytes pinned by sha256. A change to the serializers that moves a
     byte of a report fails here; the digests were taken before the report
-    writers were derived from the dataclass fields."""
+    writers were derived from the dataclass fields. CONFIG's two-point sweep
+    has no slope interval, so its ci95 line and key read empty and null."""
 
     CONFIG = {
         "estimator": "oracle_support_pca",
@@ -658,8 +666,8 @@ class TestReportBytes:
         "sweep": {"axis": "n", "values": [200, 400]},
     }
     DIGESTS = {
-        "csv": "0c99a6680d1af978bac6bd5e6239c25f146f680f544125b2aaa1b9e16086abd3",
-        "json": "dea9b4e146499aca4a9f19dd3e9ba38f7d72e5cb4667b6ad6c6cc735737b35dd",
+        "csv": "2d363c02b03118f50762e8a10afbb483bfee5afa6ad52a8cdade21a91cb17114",
+        "json": "d1241338346038f2f9e7a57927f98c12acd8aedcffbfe24bd8f79a3ac497319d",
     }
 
     # sparse_pca inside the screening guarantee: screening selects the 4

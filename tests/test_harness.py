@@ -305,6 +305,12 @@ class TestFitRate:
         assert 0.45 <= slope <= 0.55
         assert ci[0] <= slope <= ci[1]
 
+    def test_two_points_have_no_interval(self):
+        # No residual degree of freedom: the slope's variance is undefined.
+        slope, intercept, ci = fit_rate([(1.0, 2.0), (4.0, 1.0)])
+        assert slope == pytest.approx(-0.5, abs=1e-12)
+        assert ci is None
+
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             fit_rate([(1.0, 2.0)])
@@ -394,7 +400,7 @@ class TestEmitReport:
         assert [ln for ln in lines[1:] if not ln.startswith("#")] == []
 
     def test_json_round_trip(self, tmp_path):
-        cfg = smoke_config(replicates=2, sweep_axis="n", sweep_values=(100, 200))
+        cfg = smoke_config(replicates=2, sweep_axis="n", sweep_values=(100, 200, 400))
         res = run_experiment(cfg)
         path = tmp_path / "out.json"
         emit_report(res, "json", path)
@@ -403,6 +409,18 @@ class TestEmitReport:
         assert back["summary"] == [dataclasses.asdict(sm) for sm in res.summary]
         assert back["fitted_slope"] == res.fitted_slope
         assert back["slope_ci95"] == list(res.slope_ci95)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_undefined_slope_interval_is_written_empty(self, tmp_path, fmt):
+        # Two points leave no residual degree of freedom for the interval.
+        res = run_experiment(smoke_config(replicates=2, sweep_axis="n", sweep_values=(100, 200)))
+        assert res.fitted_slope is not None and res.slope_ci95 is None
+        path = tmp_path / f"out.{fmt}"
+        emit_report(res, fmt, path)
+        if fmt == "json":
+            assert json.loads(path.read_text())["slope_ci95"] is None
+        else:
+            assert path.read_text().splitlines()[-1] == f"# fitted_slope,{res.fitted_slope!r},ci95,"
 
     def test_timing_zeroed_by_default(self, tmp_path):
         res = run_experiment(smoke_config())

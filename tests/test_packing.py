@@ -1,5 +1,6 @@
 """Tests for packing codes, lower-bound families and their certification."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -309,6 +310,14 @@ class TestFanoCheck:
         with pytest.raises(PreconditionViolated):
             fano_check(small)
 
+    def test_members_must_match_codewords(self):
+        # Pair losses are keyed by codeword distance, so a member per codeword
+        # is required; a family with one member too few would report short.
+        fam = lower_bound_family("sparse", 10**4, 41, s=8)
+        short = dataclasses.replace(fam, thetas=fam.thetas[:-1])
+        with pytest.raises(PreconditionViolated, match="one member per codeword"):
+            fano_check(short)
+
     def test_monte_carlo_agrees_with_bound(self):
         # Monte-Carlo KL needs enough samples to resolve values of order 1e-6
         # against the budget; 2e6 per pair does it for both families.
@@ -324,11 +333,28 @@ class TestFanoCheck:
             assert (alpha_mc < 1.0 / 8.0) == fano_check(fam).holds
 
     @pytest.mark.parametrize("round_trip", [False, True])
-    @pytest.mark.parametrize("regime, d, kwargs", [("sparse", 41, {"s": 8}), ("dense", 17, {}), ("sparse", 161, {"s": 8})])
+    @pytest.mark.parametrize(
+        "regime, d, kwargs",
+        [
+            ("sparse", 41, {"s": 8}),
+            ("dense", 17, {}),
+            ("sparse", 161, {"s": 8}),
+            # The families of the verify suites, the acceptance criteria, CI and
+            # the benchmark; "inflate" scales eps as test_inflated_epsilon_fails does.
+            ("dense", 9, {}),
+            ("dense", 9, {"inflate": 10.0}),
+            ("sparse", 17, {"s": 4}),
+            *(("sparse", 161, {"s": 8, "seed": seed}) for seed in range(1, 6)),
+        ],
+    )
     def test_pair_losses_equal_one_integration_per_pair(self, regime, d, kwargs, round_trip):
+        kwargs = dict(kwargs)
+        factor = kwargs.pop("inflate", None)
         fam = lower_bound_family(regime, 10**4, d, **kwargs)
         if round_trip:
             fam = family_from_json_dict(family_to_json_dict(fam))
+        if factor is not None:
+            fam = inflate_epsilon(fam, factor)
         expected = [
             loss_exact_linear(fam.thetas[i], bayes_classifier(fam.thetas[j]), tol=1e-9)
             for i, j in itertools.combinations(range(fam.size), 2)
@@ -358,8 +384,8 @@ class TestFanoCheck:
         finally:
             tracemalloc.stop()
         assert len(rep.pair_losses) == 7260
-        # The rules' directions (0.16 MB), the 7260 losses as a list and a tuple
-        # (0.12 MB) and one row's dots; a whole-family dedup array reached 1.7 MB.
+        # The 7260 losses as a list and a tuple (0.12 MB) and one row's codeword
+        # comparison; a whole-family dedup array once reached 1.7 MB.
         assert peak <= 600_000
 
 
