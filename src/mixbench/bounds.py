@@ -70,8 +70,8 @@ def _checked(name: str, value):
     return x
 
 
-def theorem_bound(kind: str, *, n: int, d: int, lam: float, s: int | None = None, sigma: float = 1.0) -> float:
-    """Evaluate one of the headline minimax bounds at concrete parameters.
+def theorem_bound(kind: str, *, n: int, d: int, lam: float, s: int | None = None) -> float:
+    """Evaluate one of the headline minimax bounds, at lambda in units of sigma.
 
     Only thm3_upper and thm4_lower read ``s``, and they require it; the other
     kinds reject it. Each kind enforces its stated hypotheses and raises
@@ -83,7 +83,7 @@ def theorem_bound(kind: str, *, n: int, d: int, lam: float, s: int | None = None
     sparse = kind in ("thm3_upper", "thm4_lower")
     if (s is None) == sparse:
         raise DomainError(f"s is {'required' if sparse else 'not read'} by {kind}")
-    n, d, sigma, lam = _checked("n", n), _checked("d", d), _checked("sigma", sigma), _checked("lambda", lam)
+    n, d, lam = _checked("n", n), _checked("d", d), _checked("lambda", lam)
     if sparse:
         s = _checked("s", s)
     if kind in ("thm1_upper", "thm2_lower", "thm3_upper", "thm4_lower") and lam <= 0.0:
@@ -91,18 +91,18 @@ def theorem_bound(kind: str, *, n: int, d: int, lam: float, s: int | None = None
 
     if kind == "thm1_upper":
         _require(n >= max(68, 4 * d), f"requires n >= max(68, 4d) = {max(68, 4 * d)}, got n = {n}")
-        return 600.0 * max(4.0 * sigma**2 / lam**2, 1.0) * math.sqrt(d * math.log(n * d) / n)
+        return 600.0 * max(4.0 / lam**2, 1.0) * math.sqrt(d * math.log(n * d) / n)
 
     if kind == "thm1_upper_largesep":
         thresh = 2.0 * max(80.0, 14.0 * math.sqrt(5.0 * d))
-        _require(lam / sigma >= thresh, f"requires lambda/sigma >= {thresh:.6g}, got {lam / sigma:.6g}")
-        return 17.0 * math.exp(-n / 32.0) + 9.0 * math.exp(-(lam**2) / (80.0 * sigma**2))
+        _require(lam >= thresh, f"requires lambda >= {thresh:.6g}, got {lam:.6g}")
+        return 17.0 * math.exp(-n / 32.0) + 9.0 * math.exp(-(lam**2) / 80.0)
 
     if kind == "thm2_lower":
         _require(d >= 9, f"requires d >= 9, got d = {d}")
-        _require(lam / sigma <= 0.2, f"requires lambda/sigma <= 0.2, got {lam / sigma:.6g}")
+        _require(lam <= 0.2, f"requires lambda <= 0.2, got {lam:.6g}")
         return (1.0 / 500.0) * min(
-            (math.sqrt(math.log(2.0)) / 3.0) * (sigma**2 / lam**2) * math.sqrt((d - 1) / n), 0.25
+            (math.sqrt(math.log(2.0)) / 3.0) * (1.0 / lam**2) * math.sqrt((d - 1) / n), 0.25
         )
 
     if kind == "thm3_upper":
@@ -111,16 +111,16 @@ def theorem_bound(kind: str, *, n: int, d: int, lam: float, s: int | None = None
         alpha = screening_alpha(n, d)
         _require(alpha <= 0.25, f"requires alpha <= 1/4, got alpha = {alpha:.4f}")
         _require(1 <= s <= d, f"requires 1 <= s <= d = {d}, got s = {s}")
-        return 603.0 * max(16.0 * sigma**2 / lam**2, 1.0) * math.sqrt(s * math.log(n * s) / n) + 220.0 * (
-            sigma * math.sqrt(s) / lam
+        return 603.0 * max(16.0 / lam**2, 1.0) * math.sqrt(s * math.log(n * s) / n) + 220.0 * (
+            math.sqrt(s) / lam
         ) * (math.log(n * d) / n) ** 0.25
 
     # thm4_lower
-    _require(lam / sigma <= 0.2, f"requires lambda/sigma <= 0.2, got {lam / sigma:.6g}")
+    _require(lam <= 0.2, f"requires lambda <= 0.2, got {lam:.6g}")
     _require(d >= 17, f"requires d >= 17, got d = {d}")
     _require(5 <= s <= (d - 1) / 4 + 1, f"requires 5 <= s <= (d-1)/4 + 1 = {(d - 1) / 4 + 1:.6g}, got s = {s}")
     return (1.0 / 600.0) * min(
-        math.sqrt(8.0 / 45.0) * (sigma**2 / lam**2) * math.sqrt((s - 1) / n * math.log((d - 1) / (s - 1))),
+        math.sqrt(8.0 / 45.0) * (1.0 / lam**2) * math.sqrt((s - 1) / n * math.log((d - 1) / (s - 1))),
         0.5,
     )
 

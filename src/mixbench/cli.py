@@ -1,8 +1,7 @@
 """Command-line entry points.
 
-Subcommands:
-  simulate          run a configured sweep (at sigma = 1, so its lambda is
-                    lambda / sigma) and write a CSV/JSON report
+Subcommands (every lambda is in units of sigma; none takes a sigma):
+  simulate          run a configured sweep and write a CSV/JSON report
   rates             run a configured sweep and print its fitted slope
   packing           construct a lower-bound family and write it as JSON
                     (--s and --seed, default 0, for the sparse regime only)
@@ -50,7 +49,6 @@ def _add_packing(sub):
     p.add_argument("--d", required=True, type=int)
     p.add_argument("--s", type=int, default=None, help="internal sparsity (sparse regime)")
     p.add_argument("--lambda", dest="lam", required=True, type=float)
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=None, help="code seed (sparse regime; default 0)")
     p.add_argument("--out", required=True, help="output JSON path")
 
@@ -69,7 +67,6 @@ def _add_bounds(sub):
     p.add_argument("--d", required=True, type=int)
     p.add_argument("--s", type=int, default=None, help="sparsity (thm3_upper and thm4_lower only)")
     p.add_argument("--lambda", dest="lam", required=True, type=float)
-    p.add_argument("--sigma", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +116,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_packing(args) -> int:
-    family = lower_bound_family(args.regime, args.n, args.d, s=args.s, lam=args.lam, sigma=args.sigma, seed=args.seed)
+    family = lower_bound_family(args.regime, args.n, args.d, s=args.s, lam=args.lam, seed=args.seed)
     write_atomic(args.out, json_chunks(family_to_json_dict(family)))
     return 0
 
@@ -144,8 +141,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    value = theorem_bound(args.kind, n=args.n, d=args.d, s=args.s, lam=args.lam, sigma=args.sigma)
-    inputs = {"kind": args.kind, "n": args.n, "d": args.d, "s": args.s, "lambda": args.lam, "sigma": args.sigma}
+    value = theorem_bound(args.kind, n=args.n, d=args.d, s=args.s, lam=args.lam)
+    inputs = {"kind": args.kind, "n": args.n, "d": args.d, "s": args.s, "lambda": args.lam}
     print(json.dumps({**inputs, "bound_value": value, "vacuous": value > 0.5}, indent=2, sort_keys=True))
     return 0
 

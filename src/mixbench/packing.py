@@ -1,7 +1,7 @@
 """Packing codes and the hypothesis families behind the minimax lower bounds.
 
-A lower-bound family places 2^k-style collections of mixture parameters on a
-sphere of radius lambda: each binary codeword perturbs the first d-1
+A lower-bound family places 2^k-style collections of mixtures with sigma = 1
+on a sphere of radius lambda: each binary codeword perturbs the first d-1
 coordinates of a base direction by +/- eps (dense) or by eps on its support
 (sparse), with the last coordinate set to lambda_0 so that every member has
 separation exactly lambda. Codewords with guaranteed pairwise Hamming
@@ -104,7 +104,6 @@ class PackingFamily:
     d: int
     s: int | None
     lam: float
-    sigma: float
 
     @property
     def size(self) -> int:
@@ -222,42 +221,41 @@ def lower_bound_family(
     d: int,
     s: int | None = None,
     lam: float = 0.2,
-    sigma: float = 1.0,
     seed: int | None = None,
 ) -> PackingFamily:
     """Construct the hypothesis family used by the minimax lower bounds.
 
-    dense:  eps = min( (sqrt(log 2)/3) (sigma^2/lambda) / sqrt(n),
+    dense:  eps = min( (sqrt(log 2)/3) / (lambda sqrt(n)),
                        lambda / (4 sqrt(d-1)) ),  codewords over {0,1}^(d-1)
             with signs 2w-1, lambda_0^2 = lambda^2 - (d-1) eps^2.
-    sparse: eps = min( sqrt(8/45) (sigma^2/lambda) sqrt(log((d-1)/s)/n),
+    sparse: eps = min( sqrt(8/45) sqrt(log((d-1)/s)/n) / lambda,
                        lambda / (2 sqrt(s)) ),  weight-s codewords,
             lambda_0^2 = lambda^2 - s eps^2. ``s`` is the construction's
             internal sparsity; members lie in the class with s + 1 relevant
             coordinates.
 
-    Every member has separation exactly lambda by construction. ``s`` is
-    required in the sparse regime and rejected in the dense one. ``seed``, a
-    whole number in [0, 2^64), picks the sparse code (0 when None) and is
-    rejected in the dense regime, whose code has no seed.
+    Every member has sigma = 1 and separation exactly lambda by construction.
+    ``s`` is required in the sparse regime and rejected in the dense one.
+    ``seed``, a whole number in [0, 2^64), picks the sparse code (0 when None)
+    and is rejected in the dense regime, whose code has no seed.
     """
-    return _family(regime, n, d, s, lam, sigma, None if seed is None else _seed("seed", seed), None)
+    return _family(regime, n, d, s, lam, None if seed is None else _seed("seed", seed), None)
 
 
-def _family(regime, n, d, s, lam, sigma, seed: int | None, code: BinaryCode | None) -> PackingFamily:
+def _family(regime, n, d, s, lam, seed: int | None, code: BinaryCode | None) -> PackingFamily:
     """The family of ``lower_bound_family`` on ``code`` (a sparse one of weight
     s), or on the regime's code made from ``seed`` when ``code`` is None."""
     n, d = _whole_number("n", n), _whole_number("d", d)
-    # The construction squares lambda, sigma and xi = lambda / (2 sigma), and
-    # the Fano certificate's KL bound takes xi^4.
-    lam, sigma = _squarable("lambda", lam), _squarable("sigma", sigma)
-    if lam <= 0.0 or sigma <= 0.0:
-        raise DomainError("lambda and sigma must be positive")
+    # The construction squares lambda and xi = lambda / 2, and the Fano
+    # certificate's KL bound takes xi^4.
+    lam = _squarable("lambda", lam)
+    if lam <= 0.0:
+        raise DomainError("lambda must be positive")
     if n < 1:
         raise DomainError("n must be positive")
-    xi = _squarable("lambda / (2 sigma)", lam / (2.0 * sigma))
+    xi = _squarable("lambda / 2", lam / 2.0)
     if xi > 2.0**255:
-        raise DomainError(f"lambda / (2 sigma) must be at most 2^255, as the KL bound takes its fourth power, got {xi!r}")
+        raise DomainError(f"lambda / 2 must be at most 2^255, as the KL bound takes its fourth power, got {xi!r}")
 
     if regime == "dense":
         if s is not None:
@@ -266,8 +264,9 @@ def _family(regime, n, d, s, lam, sigma, seed: int | None, code: BinaryCode | No
             raise DomainError(f"seed applies to the sparse regime only, got seed = {seed!r} in the dense regime")
         if d < 9:
             raise PreconditionViolated(f"dense regime requires d >= 9, got d = {d}")
+        # Both regimes take * (1.0 / lam), not / lam: the pinned bytes are the product's.
         eps = min(
-            (math.sqrt(math.log(2.0)) / 3.0) * (sigma**2 / lam) / math.sqrt(n),
+            (math.sqrt(math.log(2.0)) / 3.0) * (1.0 / lam) / math.sqrt(n),
             lam / (4.0 * math.sqrt(d - 1.0)),
         )
         lambda0_sq = lam**2 - (d - 1) * eps**2
@@ -281,7 +280,7 @@ def _family(regime, n, d, s, lam, sigma, seed: int | None, code: BinaryCode | No
         if not (4 <= s <= (d - 1) / 4.0):
             raise PreconditionViolated(f"sparse regime requires 4 <= s <= (d-1)/4 = {(d - 1) / 4.0:.6g}, got s = {s}")
         eps = min(
-            math.sqrt(8.0 / 45.0) * (sigma**2 / lam) * math.sqrt(math.log((d - 1.0) / s) / n),
+            math.sqrt(8.0 / 45.0) * (1.0 / lam) * math.sqrt(math.log((d - 1.0) / s) / n),
             0.5 * lam / math.sqrt(s),
         )
         lambda0_sq = lam**2 - s * eps**2
@@ -299,7 +298,7 @@ def _family(regime, n, d, s, lam, sigma, seed: int | None, code: BinaryCode | No
         mu = np.zeros(d)
         mu[: d - 1] = row * eps
         mu[d - 1] = lambda0
-        thetas.append(MixtureParams(-mu / 2.0, mu / 2.0, sigma))
+        thetas.append(MixtureParams(-mu / 2.0, mu / 2.0, 1.0))
     gamma = 0.25 * (g_function(xi) - _REGIME_CONSTANTS[regime][0] * xi**2) * math.sqrt(k_eff) * eps / lam
     return PackingFamily(
         thetas=tuple(thetas),
@@ -312,7 +311,6 @@ def _family(regime, n, d, s, lam, sigma, seed: int | None, code: BinaryCode | No
         d=d,
         s=s,
         lam=lam,
-        sigma=sigma,
     )
 
 
@@ -336,7 +334,7 @@ def fano_check(family: PackingFamily) -> FanoReport:
         raise PreconditionViolated(f"the reduction requires M >= 2 hypotheses beyond the base, got M = {m_count}")
     if family.size != family.code.count:
         raise PreconditionViolated(f"one member per codeword is required, got {family.size} members and {family.code.count} codewords")
-    xi = family.lam / (2.0 * family.sigma)
+    xi = family.lam / 2.0
 
     theta0 = family.thetas[0]
     max_kl = float(max(kl_bound(xi, _pair_cos_beta(theta_i, theta0)) for theta_i in family.thetas[1:]))
@@ -415,7 +413,7 @@ def local_triangle_check(
 
 
 # The keys of a family file: the construction's inputs and its code.
-_FAMILY_KEYS = ("regime", "n", "d", "s", "lambda", "sigma", "codewords", "code_min_distance", "code_weight")
+_FAMILY_KEYS = ("regime", "n", "d", "s", "lambda", "codewords", "code_min_distance", "code_weight")
 
 
 def family_to_json_dict(family: PackingFamily) -> dict:
@@ -425,7 +423,6 @@ def family_to_json_dict(family: PackingFamily) -> dict:
         "d": family.d,
         "s": family.s,
         "lambda": family.lam,
-        "sigma": family.sigma,
         "codewords": family.code.words.tolist(),
         "code_min_distance": family.code.min_distance,
         "code_weight": family.code.weight,
@@ -439,7 +436,7 @@ def _optional_whole(obj: dict, key: str) -> int | None:
 
 def family_from_json_dict(obj: dict) -> PackingFamily:
     """The family that ``family_to_json_dict`` wrote, built by the construction
-    from its regime, n, d, s, lambda, sigma and code. The record must have
+    from its regime, n, d, s, lambda and code. The record must have
     exactly those keys, and the code its declared distance and weight. A
     DomainError names the missing and the unknown keys, the key of a value
     that is not a (whole) number, or a codeword entry not 0 or 1."""
@@ -459,4 +456,4 @@ def family_from_json_dict(obj: dict) -> PackingFamily:
     code = BinaryCode(d - 1, words, min_distance, _optional_whole(obj, "code_weight"))
     if not code.verify():
         raise DomainError("codewords do not have the declared code_min_distance and code_weight, or repeat a word")
-    return _family(obj["regime"], obj["n"], d, _optional_whole(obj, "s"), obj["lambda"], obj["sigma"], None, code)
+    return _family(obj["regime"], obj["n"], d, _optional_whole(obj, "s"), obj["lambda"], None, code)

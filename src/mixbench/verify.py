@@ -17,7 +17,7 @@ from .bounds import concentration_bound, kl_bound, kl_monte_carlo
 from .errors import DomainError
 from .estimators import davis_kahan_check, support_recovery_check
 from .loss import loss_bounds_symmetric, loss_exact_linear
-from .model import MixtureParams, _count, bayes_classifier, make_rng, stream_seed
+from .model import MixtureParams, _block_rows, _count, bayes_classifier, make_rng, stream_seed
 from .packing import fano_check, local_triangle_check, lower_bound_family
 
 __all__ = [
@@ -138,8 +138,13 @@ def suite_concentration() -> list[dict]:
             freq = float(np.mean(x < (1.0 - eps) * d))
             out.append(_freq_entry("chisq_lower", {"d": d, "eps": eps}, freq, concentration_bound("chisq_lower", d=d, eps=eps)))
     for i, n in enumerate((50, 500)):
-        rng = make_rng(stream_seed(CONCENTRATION_SEED, 100 + i))
-        means = np.mean(rng.standard_normal((CONCENTRATION_TRIALS, n)) * rng.standard_normal((CONCENTRATION_TRIALS, n)), axis=1)
+        # Row blocks of the stream's two (trials, n) factors: `second` first draws past the first.
+        first, second = (make_rng(stream_seed(CONCENTRATION_SEED, 100 + i)) for _ in range(2))
+        step = _block_rows(CONCENTRATION_TRIALS, n)
+        sizes = [min(step, CONCENTRATION_TRIALS - start) for start in range(0, CONCENTRATION_TRIALS, step)]
+        for m in sizes:
+            second.standard_normal((m, n))
+        means = np.concatenate([np.mean(first.standard_normal((m, n)) * second.standard_normal((m, n)), axis=1) for m in sizes])
         for eps in (0.1, 0.5, 1.0):
             freq = float(np.mean(np.abs(means) > eps / 2.0))
             out.append(_freq_entry("prodnormal", {"n": n, "eps": eps}, freq, concentration_bound("prodnormal", n=n, eps=eps)))
@@ -150,8 +155,8 @@ def suite_fano(families=None) -> list[dict]:
     """KL budget and pairwise loss window of the lower-bound families."""
     if families is None:
         families = [
-            lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0),
-            lower_bound_family("sparse", 10_000, 17, s=4, lam=0.2, sigma=1.0),
+            lower_bound_family("dense", 10_000, 9, lam=0.2),
+            lower_bound_family("sparse", 10_000, 17, s=4, lam=0.2),
         ]
     out = []
     for fam in families:
@@ -169,7 +174,7 @@ def suite_fano(families=None) -> list[dict]:
 def suite_triangle(seed: int = 0) -> list[dict]:
     """Local triangle inequality on family pairs and an identity case. The
     dense family has no seed: ``seed`` stays only as perfbench passes it."""
-    dense = lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0)
+    dense = lower_bound_family("dense", 10_000, 9, lam=0.2)
     out = []
     theta0 = dense.thetas[0]
     ident = local_triangle_check(theta0, theta0, bayes_classifier(theta0))

@@ -191,8 +191,8 @@ def test_criterion_08_packing_certification():
 
 def test_criterion_09_fano_budget():
     with _Criterion(9, "fano-budget", 60):
-        dense = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
-        sparse = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0)
+        dense = lower_bound_family("dense", 10**4, 9, lam=0.2)
+        sparse = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2)
         for fam in (dense, sparse):
             rep = fano_check(fam)
             assert rep.alpha_fano <= 1.0 / 9.0 < 1.0 / 8.0, rep.alpha_fano
@@ -243,9 +243,9 @@ def test_criterion_11_cli_determinism(tmp_path):
 
         fam1, fam2 = tmp_path / "f1.json", tmp_path / "f2.json"
         run("packing", "--regime", "sparse", "--n", "10000", "--d", "17", "--s", "4",
-            "--lambda", "0.2", "--sigma", "1.0", "--seed", "3", "--out", str(fam1))
+            "--lambda", "0.2", "--seed", "3", "--out", str(fam1))
         run("packing", "--regime", "sparse", "--n", "10000", "--d", "17", "--s", "4",
-            "--lambda", "0.2", "--sigma", "1.0", "--seed", "3", "--out", str(fam2))
+            "--lambda", "0.2", "--seed", "3", "--out", str(fam2))
         assert fam1.read_bytes() == fam2.read_bytes()
 
         out1 = run("bounds", "--kind", "thm2_lower", "--n", "10000", "--d", "10", "--lambda", "0.2")

@@ -1,6 +1,8 @@
 """Tests for the closed-form bound evaluators and their MC verifiers."""
 
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -25,34 +27,34 @@ from mixbench.verify import suite_concentration
 
 class TestTheoremBound:
     def test_thm1_frozen_value(self):
-        assert theorem_bound("thm1_upper", n=10**4, d=10, lam=1.0, sigma=1.0) == pytest.approx(
+        assert theorem_bound("thm1_upper", n=10**4, d=10, lam=1.0) == pytest.approx(
             257.51592315472167, rel=1e-12
         )
 
     def test_thm1_hypothesis(self):
         with pytest.raises(PreconditionViolated):
-            theorem_bound("thm1_upper", n=50, d=10, lam=1.0, sigma=1.0)
+            theorem_bound("thm1_upper", n=50, d=10, lam=1.0)
         with pytest.raises(PreconditionViolated):
-            theorem_bound("thm1_upper", n=100, d=30, lam=1.0, sigma=1.0)  # n < 4d
+            theorem_bound("thm1_upper", n=100, d=30, lam=1.0)  # n < 4d
 
     def test_thm1_largesep(self):
         lam = 2.0 * max(80.0, 14.0 * math.sqrt(50.0)) + 1.0
-        val = theorem_bound("thm1_upper_largesep", n=1000, d=10, lam=lam, sigma=1.0)
+        val = theorem_bound("thm1_upper_largesep", n=1000, d=10, lam=lam)
         expected = 17.0 * math.exp(-1000 / 32.0) + 9.0 * math.exp(-(lam**2) / 80.0)
         assert val == pytest.approx(expected, rel=1e-12)
         with pytest.raises(PreconditionViolated):
-            theorem_bound("thm1_upper_largesep", n=1000, d=10, lam=10.0, sigma=1.0)
+            theorem_bound("thm1_upper_largesep", n=1000, d=10, lam=10.0)
 
     def test_thm2_frozen_value(self):
-        assert theorem_bound("thm2_lower", n=10**4, d=10, lam=0.2, sigma=1.0) == pytest.approx(
+        assert theorem_bound("thm2_lower", n=10**4, d=10, lam=0.2) == pytest.approx(
             4.162773055788489e-4, rel=1e-10
         )
 
     def test_thm2_hypotheses(self):
         with pytest.raises(PreconditionViolated):
-            theorem_bound("thm2_lower", n=10**4, d=5, lam=0.2, sigma=1.0)
+            theorem_bound("thm2_lower", n=10**4, d=5, lam=0.2)
         with pytest.raises(PreconditionViolated):
-            theorem_bound("thm2_lower", n=10**4, d=10, lam=0.5, sigma=1.0)
+            theorem_bound("thm2_lower", n=10**4, d=10, lam=0.5)
 
     def test_thm3_value_and_hypotheses(self):
         n, d, s, lam = 10**4, 100, 4, 1.0
@@ -61,22 +63,28 @@ class TestTheoremBound:
         expected = 603.0 * 16.0 * math.sqrt(s * math.log(n * s) / n) + 220.0 * (
             math.sqrt(s) / lam
         ) * (math.log(n * d) / n) ** 0.25
-        assert theorem_bound("thm3_upper", n=n, d=d, s=s, lam=lam, sigma=1.0) == pytest.approx(expected, rel=1e-12)
+        assert theorem_bound("thm3_upper", n=n, d=d, s=s, lam=lam) == pytest.approx(expected, rel=1e-12)
         with pytest.raises(PreconditionViolated):
-            theorem_bound("thm3_upper", n=100, d=100, s=4, lam=1.0, sigma=1.0)  # alpha > 1/4
+            theorem_bound("thm3_upper", n=100, d=100, s=4, lam=1.0)  # alpha > 1/4
 
     def test_thm4_value_and_hypotheses(self):
-        val = theorem_bound("thm4_lower", n=10**4, d=41, s=5, lam=0.2, sigma=1.0)
+        val = theorem_bound("thm4_lower", n=10**4, d=41, s=5, lam=0.2)
         expected = (1.0 / 600.0) * min(
             math.sqrt(8.0 / 45.0) * 25.0 * math.sqrt(4.0 / 10**4 * math.log(40.0 / 4.0)), 0.5
         )
         assert val == pytest.approx(expected, rel=1e-12)
         with pytest.raises(PreconditionViolated):
-            theorem_bound("thm4_lower", n=10**4, d=16, s=5, lam=0.2, sigma=1.0)  # d < 17
+            theorem_bound("thm4_lower", n=10**4, d=16, s=5, lam=0.2)  # d < 17
         with pytest.raises(PreconditionViolated):
-            theorem_bound("thm4_lower", n=10**4, d=41, s=12, lam=0.2, sigma=1.0)  # s too large
+            theorem_bound("thm4_lower", n=10**4, d=41, s=12, lam=0.2)  # s too large
         with pytest.raises(PreconditionViolated):
-            theorem_bound("thm4_lower", n=10**4, d=41, s=4, lam=0.2, sigma=1.0)  # s < 5
+            theorem_bound("thm4_lower", n=10**4, d=41, s=4, lam=0.2)  # s < 5
+
+    def test_sigma_is_not_a_parameter(self):
+        # Every kind reads lambda and sigma only through lambda / sigma, so
+        # lambda is given in units of sigma.
+        with pytest.raises(TypeError, match="sigma"):
+            theorem_bound("thm1_upper", n=10**4, d=10, lam=1.0, sigma=1.0)
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
@@ -104,11 +112,11 @@ class TestTheoremBound:
 
     def test_monotonicity(self):
         # thm1 decreasing in n, increasing in d
-        b = lambda n, d: theorem_bound("thm1_upper", n=n, d=d, lam=1.0, sigma=1.0)
+        b = lambda n, d: theorem_bound("thm1_upper", n=n, d=d, lam=1.0)
         assert b(20000, 10) < b(10000, 10)
         assert b(10000, 20) > b(10000, 10)
         # thm2 increasing in d, decreasing in n and lambda
-        c = lambda n, d, lam: theorem_bound("thm2_lower", n=n, d=d, lam=lam, sigma=1.0)
+        c = lambda n, d, lam: theorem_bound("thm2_lower", n=n, d=d, lam=lam)
         assert c(10**6, 20, 0.1) > c(10**6, 10, 0.1)
         assert c(4 * 10**6, 10, 0.1) < c(10**6, 10, 0.1)
         assert c(10**6, 10, 0.2) < c(10**6, 10, 0.1)
@@ -120,7 +128,7 @@ class TestTheoremBound:
             ("thm3_upper", dict(n=10**4, d=100, s=4, lam=1.0)),
             ("thm4_lower", dict(n=10**4, d=41, s=5, lam=0.2)),
         ]:
-            assert theorem_bound(kind, sigma=1.0, **kwargs) >= 0.0
+            assert theorem_bound(kind, **kwargs) >= 0.0
 
 
 class TestParameterDomain:
@@ -139,9 +147,9 @@ class TestParameterDomain:
             ("thm1_upper_largesep", dict(n=1000, d=-1, lam=200.0), "d"),
             ("thm2_lower", dict(n=10**4, d=10.5, lam=0.2), "d"),
             ("thm3_upper", dict(n=10**4, d=100, s=4.5, lam=1.0), "s"),
-            ("thm1_upper", dict(n=10**4, d=10, lam=1.0, sigma=float("nan")), "sigma"),
+            ("thm1_upper", dict(n=10**4, d=10, lam=float("inf")), "lambda"),
             ("thm1_upper", dict(n=10**4, d=10, lam=float("nan")), "lambda"),
-            ("thm2_lower", dict(n=10**4, d=10, lam=0.2, sigma=float("inf")), "sigma"),
+            ("thm2_lower", dict(n=10**4, d=10, lam=-float("inf")), "lambda"),
             ("thm2_lower", dict(n=True, d=10, lam=0.2), "n"),
             ("thm1_upper", dict(n=10**4, d=10, lam="1.0"), "lambda"),
             # lambda**2 underflowed to 0, then a ZeroDivisionError; or overflowed.
@@ -150,7 +158,6 @@ class TestParameterDomain:
             ("thm3_upper", dict(n=10**4, d=100, s=4, lam=1e-200), "lambda"),
             ("thm4_lower", dict(n=10**4, d=41, s=5, lam=1e-200), "lambda"),
             ("thm1_upper_largesep", dict(n=10**4, d=10, lam=1e200), "lambda"),
-            ("thm1_upper", dict(n=10**4, d=10, lam=1.0, sigma=1e200), "sigma"),
         ],
     )
     def test_theorem_bound_rejects(self, kind, kwargs, name):
@@ -212,9 +219,9 @@ class TestParameterDomain:
         edges = (2.0**-510, 2.0**-255, 1.0, 2.0**255, 2.0**510)
         for kind in THEOREM_KINDS:
             s = {"s": 5} if kind in ("thm3_upper", "thm4_lower") else {}
-            for lam, sigma in itertools.product(edges, edges):
+            for lam in edges:
                 try:
-                    theorem_bound(kind, n=10**4, d=41, lam=lam, sigma=sigma, **s)
+                    theorem_bound(kind, n=10**4, d=41, lam=lam, **s)
                 except MixbenchError:
                     pass
         for kind in ("mean_concentration", "angle_concentration"):
@@ -456,6 +463,22 @@ class TestChisqTailDominance:
                 bound = concentration_bound("prodnormal", n=n, eps=eps)
                 se = math.sqrt(freq * (1 - freq) / trials)
                 assert freq <= bound + 3 * se
+
+
+class TestSuiteConcentration:
+    def test_product_normal_draws_are_blocked_and_keep_their_bits(self):
+        # The product-normal means once came from two whole (1e5, 500) arrays,
+        # a 400 MB peak each; the 8 MB bound was fixed before the first run.
+        # The digest is that of the whole-array entries.
+        tracemalloc.start()
+        try:
+            entries = suite_concentration()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, peak
+        digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+        assert (len(entries), digest) == (16, "6ce94482812cf00e79ac9ace6707dbdee8a8a9383e3fec6f57ff0805acacc58d")
 
 
 class TestGeneralLossUpper:

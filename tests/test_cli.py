@@ -32,7 +32,7 @@ SMOKE_CONFIG = {
 
 
 # A family file holds the construction's inputs and its code, nothing derived.
-FAMILY_KEYS = ("regime", "n", "d", "s", "lambda", "sigma", "codewords", "code_min_distance", "code_weight")
+FAMILY_KEYS = ("regime", "n", "d", "s", "lambda", "codewords", "code_min_distance", "code_weight")
 
 
 def run_cli(*args, **kwargs):
@@ -57,8 +57,16 @@ class TestBoundsCommand:
         proc = run_cli("bounds", "--kind", "thm1_upper", "--n", "10000", "--d", "10", "--lambda", "1.0")
         assert proc.returncode == 0
         obj = json.loads(proc.stdout)
-        assert obj["bound_value"] == theorem_bound("thm1_upper", n=10000, d=10, lam=1.0, sigma=1.0)
+        assert obj["bound_value"] == theorem_bound("thm1_upper", n=10000, d=10, lam=1.0)
         assert obj["vacuous"] is True
+        assert sorted(obj) == ["bound_value", "d", "kind", "lambda", "n", "s", "vacuous"]
+
+    def test_sigma_flag_exits_2(self):
+        # Every kind reads lambda and sigma only through lambda / sigma.
+        proc = run_cli("bounds", "--kind", "thm1_upper", "--n", "10000", "--d", "10", "--lambda", "1", "--sigma", "1")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --sigma" in proc.stderr
+        assert proc.stdout == ""
 
     def test_hypothesis_violation_reports_error(self):
         proc = run_cli("bounds", "--kind", "thm2_lower", "--n", "10000", "--d", "5", "--lambda", "0.2")
@@ -107,10 +115,7 @@ class TestBoundsCommand:
 class TestPackingCommand:
     def test_writes_family_and_verify_reads_it(self, tmp_path):
         out = tmp_path / "family.json"
-        proc = run_cli(
-            "packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", "0.2",
-            "--sigma", "1.0", "--out", str(out),
-        )
+        proc = run_cli("packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", "0.2", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         obj = json.loads(out.read_text())
         assert obj["regime"] == "dense"
@@ -132,15 +137,19 @@ class TestPackingCommand:
         (entry,) = json.loads(check.stdout)
         assert entry["implied_lower_bound"] < 0 and not entry["holds"]
 
-    @pytest.mark.parametrize("flag, name", [("--lambda", "lambda"), ("--sigma", "sigma")])
+    @pytest.mark.parametrize("flag, name", [("--lambda", "lambda")])
     def test_nan_parameter_exits_2_naming_it(self, tmp_path, flag, name):
-        args = {"--lambda": "0.2", "--sigma": "1.0", flag: "nan"}
-        proc = run_cli(
-            "packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", args["--lambda"],
-            "--sigma", args["--sigma"], "--out", str(tmp_path / "family.json"),
-        )
+        proc = run_cli("packing", "--regime", "dense", "--n", "10000", "--d", "9", flag, "nan", "--out", str(tmp_path / "family.json"))
         assert proc.returncode == 2
         assert proc.stderr == f"error: {name} must be finite, got nan\n"
+
+    def test_sigma_flag_exits_2(self, tmp_path):
+        # lambda is read in units of sigma: --sigma only rescaled it.
+        out = tmp_path / "family.json"
+        proc = run_cli("packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", "0.2", "--sigma", "1", "--out", str(out))
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --sigma" in proc.stderr
+        assert not out.exists()
 
     def test_lambda_beyond_float_square_exits_2(self, tmp_path):
         out = tmp_path / "family.json"
@@ -154,7 +163,7 @@ class TestPackingCommand:
         out = tmp_path / "family.json"
         proc = run_cli("packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", "2e100", "--out", str(out))
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: lambda / (2 sigma) must be at most 2^255")
+        assert proc.stderr.startswith("error: lambda / 2 must be at most 2^255")
         assert not out.exists()
 
     @pytest.mark.parametrize("regime", [["--regime", "dense", "--d", "9"], ["--regime", "sparse", "--d", "41", "--s", "8"]])
@@ -172,7 +181,7 @@ class TestPackingCommand:
         proc = run_cli("packing", "--regime", "sparse", "--n", "10000", "--d", "161", "--s", "8", "--lambda", "0.2",
                        "--seed", "3", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
-        family = lower_bound_family("sparse", 10_000, 161, s=8, lam=0.2, sigma=1.0, seed=3)
+        family = lower_bound_family("sparse", 10_000, 161, s=8, lam=0.2, seed=3)
         text = json.dumps(family_to_json_dict(family), indent=2, sort_keys=True) + "\n"
         assert out.read_bytes() == text.encode()
 
@@ -434,7 +443,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("key, value", [("n", 10000.7), ("code_min_distance", 1.5), ("s", 2.5)])
     def test_family_fractional_count_exits_2(self, tmp_path, key, value):
-        obj = family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0))
+        obj = family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2))
         obj[key] = value
         path = write_config(tmp_path, obj, name="family.json")
         proc = run_cli("verify", "--suite", "fano", "--family", str(path))
@@ -445,11 +454,11 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "key, value, named",
-        [("d", 12, "codewords"), ("sigma", "1.0", "sigma"), ("lambda", True, "lambda"), ("lambda", 2e100, "lambda / (2 sigma)")],
-        ids=["d-12", "sigma-1.0", "lambda-True", "lambda-2e100"],
+        [("d", 12, "codewords"), ("lambda", True, "lambda"), ("lambda", 2e100, "lambda / 2")],
+        ids=["d-12", "lambda-True", "lambda-2e100"],
     )
     def test_family_header_not_matching_members_exits_2(self, tmp_path, key, value, named):
-        obj = family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0))
+        obj = family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2))
         obj[key] = value
         path = write_config(tmp_path, obj, name="family.json")
         proc = run_cli("verify", "--suite", "fano", "--family", str(path))
@@ -471,7 +480,7 @@ class TestVerifyCommand:
         ids=["epsilon-x3", "gamma-x100", "lambda0", "sparse-s8", "min-distance"],
     )
     def test_family_not_rebuilt_by_construction_exits_2(self, tmp_path, edit):
-        fam = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2)
         obj = family_to_json_dict(fam)
         edit(obj, fam)
         path = write_config(tmp_path, obj, name="family.json")
@@ -492,7 +501,7 @@ class TestVerifyCommand:
         ids=["old-format", "epsilon", "gamma", "lambda0", "thetas", "list", "string"],
     )
     def test_family_file_holds_only_inputs_and_code(self, tmp_path, make, named):
-        fam = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2)
         new = family_to_json_dict(fam)
         # The file as packing once wrote it, with the derived values and every member.
         old = {**new, "epsilon": fam.epsilon, "gamma": fam.gamma, "lambda0": fam.lambda0,
@@ -504,16 +513,26 @@ class TestVerifyCommand:
         assert proc.stderr.endswith(named + "\n")
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("key, value", [("sigma", 3.0), ("n", 10**6)], ids=["sigma-3.0", "n"])
+    @pytest.mark.parametrize("key, value", [("n", 10**6)], ids=["n"])
     def test_family_of_edited_inputs_is_certified(self, tmp_path, key, value):
         # The file holds only inputs, so a file with an edited input holds the family of the edited inputs.
-        inputs = {"n": 10**4, "sigma": 1.0, key: value}
-        obj = {**family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)), **inputs}
+        obj = {**family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2)), key: value}
         path = write_config(tmp_path, obj, name="family.json")
         proc = run_cli("verify", "--suite", "fano", "--family", str(path))
-        entries = suite_fano([lower_bound_family("dense", inputs["n"], 9, lam=0.2, sigma=inputs["sigma"])])
+        entries = suite_fano([lower_bound_family("dense", value, 9, lam=0.2)])
         assert proc.stdout == json.dumps(entries, indent=2, sort_keys=True) + "\n"
         assert proc.returncode == (0 if all(e["holds"] for e in entries) else 1), proc.stderr
+
+    def test_family_file_with_sigma_exits_2(self, tmp_path):
+        # lambda is read in units of sigma, so a file written with a sigma key
+        # no longer loads, and the error names the key.
+        obj = {**family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2)), "sigma": 1.0}
+        path = write_config(tmp_path, obj, name="family.json")
+        proc = run_cli("verify", "--suite", "fano", "--family", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: family file {path} is malformed: DomainError(")
+        assert proc.stderr.endswith("missing: none; unknown: sigma')\n")
+        assert proc.stdout == ""
 
     def test_missing_family_file_keeps_its_own_error(self, tmp_path):
         path = tmp_path / "absent.json"
@@ -543,7 +562,7 @@ class TestVerifyCommand:
         assert run_cli("packing", *args).returncode == 0
         proc = run_cli("verify", "--suite", "fano", "--family", str(family), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
-        entries = suite_fano([lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0)])
+        entries = suite_fano([lower_bound_family("dense", 10_000, 9, lam=0.2)])
         assert out.read_bytes() == (json.dumps(entries, indent=2, sort_keys=True) + "\n").encode()
 
 
@@ -729,13 +748,13 @@ class TestReportBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DENSE_DIGESTS[fmt]
 
     def test_fano_entry(self):
-        family = lower_bound_family("sparse", 10_000, 17, s=4, lam=0.2, sigma=1.0, seed=0)
+        family = lower_bound_family("sparse", 10_000, 17, s=4, lam=0.2, seed=0)
         (entry,) = suite_fano([family])
         text = json.dumps(entry, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == "1d7ce71691fdc813a2d02d48ddc8d626c6bf9696ed57ed2b4cba1715d0689e91"
 
     def test_dense_fano_entry(self):
-        family = lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0)
+        family = lower_bound_family("dense", 10_000, 9, lam=0.2)
         (entry,) = suite_fano([family])
         text = json.dumps(entry, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == "f71f149dd1eef99ee3908594a47b047d396bb06f5ff46fde720d7c1518db98b8"
@@ -748,8 +767,8 @@ class TestReportBytes:
     @pytest.mark.parametrize(
         "args, digest",
         [
-            (["--regime", "dense", "--d", "9"], "e29977d5130548e28af3a2c67e030f73fe8a866fc4b79e1aebb944088363e601"),
-            (["--regime", "sparse", "--d", "41", "--s", "8", "--seed", "0"], "ea8ff200e30679e971597b08a766044370209b73cf4bd9c211b52580ceb64b4d"),
+            (["--regime", "dense", "--d", "9"], "91df67867681c30881cae52236a024834dbe6942aee698b28bfae73e865968f6"),
+            (["--regime", "sparse", "--d", "41", "--s", "8", "--seed", "0"], "66106379f44cb310fbf09de21630b38d9de7c11f49438b73d545f49f88a1eb8c"),
         ],
         ids=["dense", "sparse"],
     )

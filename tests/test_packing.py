@@ -132,36 +132,36 @@ class TestBinaryCode:
 
 class TestLowerBoundFamily:
     def test_dense_frozen_values(self):
-        fam = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2)
         assert fam.epsilon == pytest.approx(0.013875910185961629, rel=1e-12)
         assert fam.lambda0 == pytest.approx(0.19611137889497644, rel=1e-12)
 
     def test_sparse_frozen_values(self):
-        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0)
+        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2)
         assert fam.epsilon == pytest.approx(0.024821982740393561, rel=1e-12)
         assert fam.lambda0 == pytest.approx(0.19374074607924482, rel=1e-12)
 
     def test_members_on_sphere(self):
         for regime, kwargs in (("dense", {}), ("sparse", {"s": 4})):
-            fam = lower_bound_family(regime, 10**4, 17, lam=0.2, sigma=1.0, **kwargs)
+            fam = lower_bound_family(regime, 10**4, 17, lam=0.2, **kwargs)
             for theta in fam.thetas:
                 assert theta.separation == pytest.approx(0.2, rel=1e-12)
 
     def test_sparse_member_sparsity(self):
-        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0)
+        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2)
         for theta in fam.thetas:
             assert theta.sparsity <= 5  # s' + 1 with the shared last coordinate
 
     def test_eps_cap_keeps_lambda0_large(self):
         # tiny n activates the cap branch of eps
-        fam = lower_bound_family("dense", 10, 9, lam=0.2, sigma=1.0)
+        fam = lower_bound_family("dense", 10, 9, lam=0.2)
         assert fam.lambda0**2 >= (15.0 / 16.0) * 0.04 - 1e-15
-        fam = lower_bound_family("sparse", 10, 17, s=4, lam=0.2, sigma=1.0)
+        fam = lower_bound_family("sparse", 10, 17, s=4, lam=0.2)
         assert fam.lambda0**2 >= 0.75 * 0.04 - 1e-15
 
     def test_dense_cosine_identity(self):
         # pairwise cos(beta) must equal 1 - 2 rho eps^2 / lambda^2
-        fam = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2)
         words = fam.code.words
         for i in range(fam.size):
             for j in range(fam.size):
@@ -175,20 +175,20 @@ class TestLowerBoundFamily:
                 assert cos == pytest.approx(expected, abs=1e-12)
 
     def test_gamma_formula(self):
-        fam = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2)
         xi = 0.1
         expected = 0.25 * (g_function(xi) - 2.0 * xi**2) * math.sqrt(8.0) * fam.epsilon / 0.2
         assert fam.gamma == pytest.approx(expected, rel=1e-12)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionViolated):
-            lower_bound_family("dense", 100, 8, lam=0.2, sigma=1.0)
+            lower_bound_family("dense", 100, 8, lam=0.2)
         with pytest.raises(PreconditionViolated):
-            lower_bound_family("sparse", 100, 17, s=3, lam=0.2, sigma=1.0)
+            lower_bound_family("sparse", 100, 17, s=3, lam=0.2)
         with pytest.raises(PreconditionViolated):
-            lower_bound_family("sparse", 100, 17, s=5, lam=0.2, sigma=1.0)
+            lower_bound_family("sparse", 100, 17, s=5, lam=0.2)
         with pytest.raises(DomainError):
-            lower_bound_family("other", 100, 9, lam=0.2, sigma=1.0)
+            lower_bound_family("other", 100, 9, lam=0.2)
 
     @pytest.mark.parametrize("s", [4, 0])
     def test_dense_regime_rejects_s(self, s):
@@ -213,28 +213,29 @@ class TestLowerBoundFamily:
     )
     def test_counts_must_be_whole(self, regime, n, d, s, name):
         with pytest.raises(DomainError, match=f"^{name} "):
-            lower_bound_family(regime, n, d, s=s, lam=0.2, sigma=1.0)
+            lower_bound_family(regime, n, d, s=s, lam=0.2)
 
-    # The construction squares lambda, sigma and lambda / (2 sigma): 1e200
-    # squared was an OverflowError. The Fano certificate takes the fourth
-    # power of lambda / (2 sigma): at 1e100 that was an OverflowError too.
+    # The construction squares lambda and lambda / 2: 1e200 squared was an
+    # OverflowError. The Fano certificate takes the fourth power of
+    # lambda / 2: at 1e100 that was an OverflowError too.
     @pytest.mark.parametrize(
-        "lam, sigma, name",
-        [
-            (1e200, 1.0, "lambda"),
-            (0.2, 1e200, "sigma"),
-            (1e150, 1e-150, "lambda / \\(2 sigma\\)"),
-            (2e100, 1.0, "lambda / \\(2 sigma\\)"),
-            (2.0**256 * 1.000001, 1.0, "lambda / \\(2 sigma\\)"),
-        ],
+        "lam, name",
+        [(1e200, "lambda"), (2e100, "lambda / 2"), (2.0**256 * 1.000001, "lambda / 2")],
     )
     @pytest.mark.parametrize("regime, d, s", [("dense", 9, None), ("sparse", 41, 8)])
-    def test_squares_out_of_float_range_rejected(self, regime, d, s, lam, sigma, name):
+    def test_squares_out_of_float_range_rejected(self, regime, d, s, lam, name):
         with pytest.raises(DomainError, match=f"^{name} must be (0 or lie between 2\\^-510 and 2\\^510|at most 2\\^255)"):
-            lower_bound_family(regime, 10_000, d, s=s, lam=lam, sigma=sigma)
+            lower_bound_family(regime, 10_000, d, s=s, lam=lam)
+
+    def test_sigma_is_not_a_parameter(self):
+        # The certificate reads lambda and sigma only through lambda / sigma,
+        # so lambda is given in units of sigma and the members have sigma = 1.
+        with pytest.raises(TypeError, match="sigma"):
+            lower_bound_family("dense", 10_000, 9, lam=0.2, sigma=1.0)
+        assert {theta.sigma for theta in lower_bound_family("dense", 10_000, 9, lam=0.2).thetas} == {1.0}
 
     def test_fourth_power_edge_builds_and_certifies(self):
-        fam = lower_bound_family("dense", 10_000, 9, lam=2.0**256, sigma=1.0)
+        fam = lower_bound_family("dense", 10_000, 9, lam=2.0**256)
         assert math.isfinite(fano_check(fam).max_kl)
 
     def test_triangle_check_rejects_xi_whose_fourth_power_overflows(self):
@@ -255,25 +256,13 @@ def inflate_epsilon(fam: PackingFamily, factor: float) -> PackingFamily:
         mu = np.zeros(d)
         mu[: d - 1] = row * eps
         mu[d - 1] = fam.lambda0
-        thetas.append(MixtureParams(-mu / 2.0, mu / 2.0, fam.sigma))
-    return PackingFamily(
-        thetas=tuple(thetas),
-        code=fam.code,
-        epsilon=eps,
-        lambda0=fam.lambda0,
-        gamma=fam.gamma,
-        regime=fam.regime,
-        n=fam.n,
-        d=fam.d,
-        s=fam.s,
-        lam=fam.lam,
-        sigma=fam.sigma,
-    )
+        thetas.append(MixtureParams(-mu / 2.0, mu / 2.0, 1.0))
+    return dataclasses.replace(fam, thetas=tuple(thetas), epsilon=eps)
 
 
 class TestFanoCheck:
     def test_dense_budget(self):
-        fam = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2)
         rep = fano_check(fam)
         assert rep.holds
         assert rep.alpha_fano <= 1.0 / 9.0
@@ -281,32 +270,20 @@ class TestFanoCheck:
         assert rep.implied_lower_bound == pytest.approx(0.07 * fam.gamma, rel=1e-12)
 
     def test_sparse_budget(self):
-        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0)
+        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2)
         rep = fano_check(fam)
         assert rep.holds
         assert rep.alpha_fano <= 1.0 / 9.0
         assert rep.window_holds
 
     def test_inflated_epsilon_fails(self):
-        fam = inflate_epsilon(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0), 10.0)
+        fam = inflate_epsilon(lower_bound_family("dense", 10**4, 9, lam=0.2), 10.0)
         rep = fano_check(fam)
         assert not rep.holds
 
     def test_single_hypothesis_rejected(self):
-        fam = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
-        small = PackingFamily(
-            thetas=fam.thetas[:2],
-            code=fam.code,
-            epsilon=fam.epsilon,
-            lambda0=fam.lambda0,
-            gamma=fam.gamma,
-            regime=fam.regime,
-            n=fam.n,
-            d=fam.d,
-            s=fam.s,
-            lam=fam.lam,
-            sigma=fam.sigma,
-        )
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2)
+        small = dataclasses.replace(fam, thetas=fam.thetas[:2])
         with pytest.raises(PreconditionViolated):
             fano_check(small)
 
@@ -323,7 +300,7 @@ class TestFanoCheck:
         # against the budget; 2e6 per pair does it for both families.
         for regime, kwargs in (("dense", {}), ("sparse", {"s": 4})):
             d = 9 if regime == "dense" else 17
-            fam = lower_bound_family(regime, 10**4, d, lam=0.2, sigma=1.0, **kwargs)
+            fam = lower_bound_family(regime, 10**4, d, lam=0.2, **kwargs)
             theta0 = fam.thetas[0]
             ests = [
                 kl_monte_carlo(theta_i, theta0, n_samples=2_000_000, seed=stream_seed(3, i))[0]
@@ -398,7 +375,7 @@ class TestLocalTriangle:
         assert rep.holds
 
     def test_family_pairs_hold(self):
-        fam = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2)
         clf0 = bayes_classifier(fam.thetas[0])
         for i in (1, 2):
             for j in range(fam.size):
@@ -442,13 +419,13 @@ class TestLocalTriangle:
 
 
 # The family that TestFamilySerialization.written("dense") records.
-DENSE = lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0)
+DENSE = lower_bound_family("dense", 10**4, 9, lam=0.2)
 
 
 class TestFamilySerialization:
     @pytest.mark.parametrize("regime, d, kwargs", [("sparse", 17, {"s": 4, "seed": 2}), ("dense", 9, {})])
     def test_round_trip_keeps_every_count(self, regime, d, kwargs):
-        fam = lower_bound_family(regime, 10**4, d, lam=0.2, sigma=1.0, **kwargs)
+        fam = lower_bound_family(regime, 10**4, d, lam=0.2, **kwargs)
         back = family_from_json_dict(family_to_json_dict(fam))
         for a, b in [(back.n, fam.n), (back.d, fam.d), (back.s, fam.s),
                      (back.code.min_distance, fam.code.min_distance), (back.code.weight, fam.code.weight)]:
@@ -459,7 +436,7 @@ class TestFamilySerialization:
         [("n", 10000.7), ("d", 17.5), ("s", 2.5), ("s", True), ("code_min_distance", 1.5), ("code_weight", 4.2)],
     )
     def test_fractional_counts_rejected(self, key, value):
-        obj = family_to_json_dict(lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2))
+        obj = family_to_json_dict(lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, seed=2))
         obj[key] = value
         with pytest.raises(DomainError, match=f"^{key} must be a whole number"):
             family_from_json_dict(obj)
@@ -467,12 +444,12 @@ class TestFamilySerialization:
     @staticmethod
     def written(regime="sparse"):
         if regime == "dense":
-            return family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2, sigma=1.0))
-        return family_to_json_dict(lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2))
+            return family_to_json_dict(lower_bound_family("dense", 10**4, 9, lam=0.2))
+        return family_to_json_dict(lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, seed=2))
 
     @pytest.mark.parametrize(
         "key, value",
-        [("sigma", "1.0"), ("lambda", True)],
+        [("lambda", True)],
     )
     def test_header_numbers_must_be_numbers(self, key, value):
         obj = self.written()
@@ -506,12 +483,12 @@ class TestFamilySerialization:
         """The bytes that ``verify --suite fano --family`` prints for ``family``."""
         return json.dumps(suite_fano([family]), indent=2, sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize("key, value", [("sigma", 3.0), ("lambda", 0.2 * (1.0 + 1e-9)), ("n", 10**6)], ids=["sigma", "lambda", "n"])
+    @pytest.mark.parametrize("key, value", [("lambda", 0.2 * (1.0 + 1e-9)), ("n", 10**6)], ids=["lambda", "n"])
     def test_edited_inputs_build_the_edited_family(self, key, value):
         # The file holds only inputs, so a file with an edited input holds the family of the edited inputs.
-        inputs = {"n": 10**4, "lambda": 0.2, "sigma": 1.0, key: value}
+        inputs = {"n": 10**4, "lambda": 0.2, key: value}
         obj = {**self.written("dense"), **inputs}
-        expected = lower_bound_family("dense", inputs["n"], 9, lam=inputs["lambda"], sigma=inputs["sigma"])
+        expected = lower_bound_family("dense", inputs["n"], 9, lam=inputs["lambda"])
         assert self.certified(family_from_json_dict(obj)) == self.certified(expected)
 
     @pytest.mark.parametrize("regime", ["sparse", "dense"])
@@ -519,11 +496,11 @@ class TestFamilySerialization:
         obj = self.written(regime)
         obj["lambda"] *= 1.0 + 1e-13
         kwargs = {"s": 4, "seed": 2} if regime == "sparse" else {}
-        expected = lower_bound_family(regime, 10**4, obj["d"], lam=obj["lambda"], sigma=1.0, **kwargs)
+        expected = lower_bound_family(regime, 10**4, obj["d"], lam=obj["lambda"], **kwargs)
         assert self.certified(family_from_json_dict(obj)) == self.certified(expected)
 
     def test_whole_valued_floats_accepted(self):
-        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2)
+        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, seed=2)
         obj = family_to_json_dict(fam)
         obj.update(n=1e4, s=4.0, code_weight=float(fam.code.weight), codewords=fam.code.words.astype(float).tolist())
         back = family_from_json_dict(obj)
@@ -532,7 +509,7 @@ class TestFamilySerialization:
         assert type(back.n) is int and type(back.s) is int
 
     def test_json_round_trip(self):
-        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2)
+        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, seed=2)
         obj = family_to_json_dict(fam)
         back = family_from_json_dict(obj)
         assert back.regime == fam.regime
@@ -564,7 +541,7 @@ class TestFamilySerialization:
             family_from_json_dict(obj)
 
     def test_word_of_wrong_weight_rejected_with_matching_members(self):
-        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, sigma=1.0, seed=2)
+        fam = lower_bound_family("sparse", 10**4, 17, s=4, lam=0.2, seed=2)
         obj = family_to_json_dict(fam)
         word = obj["codewords"][1]
         word[word.index(0)] = 1  # weight s + 1
@@ -576,12 +553,12 @@ class TestFamilySerialization:
     )
     def test_record_round_trip_is_exact(self, regime, d, s):
         seed = None if s is None else 3
-        obj = family_to_json_dict(lower_bound_family(regime, 10**4, d, s=s, lam=0.2, sigma=1.0, seed=seed))
+        obj = family_to_json_dict(lower_bound_family(regime, 10**4, d, s=s, lam=0.2, seed=seed))
         assert family_to_json_dict(family_from_json_dict(obj)) == obj
 
     @pytest.mark.parametrize(
         "kwargs, name",
-        [({"lam": math.nan}, "lambda"), ({"sigma": math.inf}, "sigma"), ({"lam": "0.2"}, "lambda"), ({"sigma": True}, "sigma")],
+        [({"lam": math.nan}, "lambda"), ({"lam": math.inf}, "lambda"), ({"lam": "0.2"}, "lambda"), ({"lam": True}, "lambda")],
     )
     def test_lambda_and_sigma_must_be_finite_numbers(self, kwargs, name):
         with pytest.raises(DomainError, match=f"^{name} must be (a number|finite)"):
