@@ -12,12 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    PreconditionViolated,
-    ShapeError,
-    TooFewSamples,
-)
+from .errors import DomainError, PreconditionViolated
 from .estimators import screening_alpha
 from .model import MixtureParams, _block_rows, _count, _log_density_kernel, _placer, _real_number, _squarable, _whole_number, make_rng
 from .model import mixture_log_density, sample  # not called here; perfbench/tracing.py BINDINGS rebinds these names
@@ -152,12 +147,12 @@ def kl_monte_carlo(
     for a fixed seed.
     """
     if theta.d != theta_prime.d:
-        raise ShapeError(f"dimensions differ: {theta.d} vs {theta_prime.d}")
+        raise DomainError(f"dimensions differ: {theta.d} vs {theta_prime.d}")
     if theta.sigma != theta_prime.sigma:
         raise PreconditionViolated("the two mixtures must share sigma")
     n_samples = _whole_number("n_samples", n_samples)
     if n_samples < 10_000:
-        raise TooFewSamples(f"need at least 1e4 samples, got {n_samples}")
+        raise DomainError(f"need at least 1e4 samples, got {n_samples}")
     # sample's draws and steps, block by block: the same rows, bit for bit,
     # and no (n, d) array. Beside the labels and diff, one block's buffers.
     step = _block_rows(n_samples, theta.d)

@@ -12,6 +12,10 @@ Subcommands (every lambda is in units of sigma; none takes a sigma):
 Outputs are deterministic for fixed inputs (reports carry no timings, and
 their runtime_ms column reads 0.0) and serial/parallel runs agree; simulate
 and rates run replicates on --threads threads (default 1).
+
+Any MixbenchError (a bad input, an unmet hypothesis, an exhausted budget or
+a failed quadrature) prints one ``error:`` line naming what failed and exits
+2, as an argument that argparse rejects does.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import os
 import sys
 
 from .bounds import THEOREM_KINDS, theorem_bound
-from .errors import ConfigError, MixbenchError
+from .errors import DomainError, MixbenchError
 from .harness import emit_report, json_chunks, load_config, read_json, run_experiment, write_atomic
 from .packing import family_from_json_dict, family_to_json_dict, lower_bound_family
 from .verify import SUITES, suite_fano
@@ -84,7 +88,7 @@ def _fmt_from_path(path: str) -> str:
     fmt = path.rpartition(".")[2]
     if fmt in ("csv", "json"):
         return fmt
-    raise MixbenchError(f"cannot infer format from {path!r}; use a .csv or .json extension")
+    raise DomainError(f"cannot infer format from {path!r}; use a .csv or .json extension")
 
 
 def _cmd_simulate(args) -> int:
@@ -99,7 +103,7 @@ def _cmd_rates(args) -> int:
     fmt = _fmt_from_path(args.out) if args.out else None
     config = load_config(args.config)
     if config.sweep_axis is None:
-        raise MixbenchError("rates requires a config with a sweep block")
+        raise DomainError("rates requires a config with a sweep block")
     result = run_experiment(config, threads=args.threads)
     report = {
         "axis": config.sweep_axis,
@@ -123,13 +127,13 @@ def _cmd_packing(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.family and args.suite != "fano":
-        raise ConfigError(f"--family applies to --suite fano only, not {args.suite}")
+        raise DomainError(f"--family applies to --suite fano only, not {args.suite}")
     if args.family:
         obj = read_json(args.family)
         try:
             family = family_from_json_dict(obj)
         except (ValueError, MixbenchError) as exc:  # ValueError: numpy on ragged codewords
-            raise ConfigError(f"family file {args.family} is malformed: {exc!r}") from None
+            raise DomainError(f"family file {args.family} is malformed: {exc!r}") from None
         entries = suite_fano([family])
     else:
         entries = SUITES[args.suite]()
@@ -160,9 +164,9 @@ def main(argv=None) -> int:
         # Before any compute, so that no run ends in a write that cannot succeed.
         out = getattr(args, "out", None)
         if out and not os.path.isdir(os.path.dirname(out) or "."):
-            raise MixbenchError(f"cannot write {out}: its directory does not exist")
+            raise DomainError(f"cannot write {out}: its directory does not exist")
         if out and os.path.isdir(out):
-            raise MixbenchError(f"cannot write {out}: it is a directory")
+            raise DomainError(f"cannot write {out}: it is a directory")
         return handlers[args.command](args)
     except MixbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

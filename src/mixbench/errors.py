@@ -1,9 +1,18 @@
-"""Semantic exception hierarchy.
+"""Semantic exception hierarchy: one class per failure mode.
 
-Every error raised by this package derives from :class:`MixbenchError`, so
-callers can catch one base class. The subclasses mirror the distinct failure
-modes of the API: bad inputs, violated method hypotheses, and exhausted
-search budgets.
+Every check in this package raises a subclass of :class:`MixbenchError`, so
+callers can catch one base class. Each subclass is a failure mode, and the
+message names the field or condition that failed:
+
+- :class:`DomainError`: an input that the call does not accept (a value out
+  of range, a count too small, mismatched shapes, a malformed config, an
+  unwritable output path).
+- :class:`PreconditionViolated`: the inputs are well formed, but a stated
+  hypothesis of a bound or construction does not hold for them.
+- :class:`BudgetExceeded`: an enumeration or a randomized construction would
+  exceed, or ran out of, its search budget.
+- :class:`NumericalError`: an adaptive numerical routine could not reach the
+  requested accuracy.
 """
 
 
@@ -11,44 +20,8 @@ class MixbenchError(Exception):
     """Base class for all mixbench errors."""
 
 
-class InvalidParams(MixbenchError):
-    """Mixture parameters are malformed (non-finite, non-positive sigma, ...)."""
-
-
-class EmptySample(MixbenchError):
-    """An operation received zero data points."""
-
-
-class TooFewSamples(MixbenchError):
-    """More observations are required for the requested operation."""
-
-
-class DegenerateSeparation(MixbenchError):
-    """The two component means coincide, so no separating direction exists."""
-
-
-class ShapeError(MixbenchError):
-    """Dimensions of the supplied arrays do not agree."""
-
-
-class InvalidClassifier(MixbenchError):
-    """A linear classifier with a non-unit direction vector."""
-
-
-class InvalidTolerance(MixbenchError):
-    """Quadrature tolerance outside the supported range."""
-
-
 class DomainError(MixbenchError):
-    """A scalar argument lies outside the mathematical domain of the function."""
-
-
-class InvalidDimension(MixbenchError):
-    """The ambient dimension is unsupported for this operation."""
-
-
-class InvalidMatrix(MixbenchError):
-    """A matrix argument is not (numerically) symmetric or not square."""
+    """An input that the call does not accept; the message names it."""
 
 
 class PreconditionViolated(MixbenchError):
@@ -56,19 +29,7 @@ class PreconditionViolated(MixbenchError):
 
 
 class BudgetExceeded(MixbenchError):
-    """The requested problem size exceeds the enumeration budget."""
-
-
-class ConstructionFailed(MixbenchError):
-    """A randomized construction ran out of budget before reaching its target."""
-
-
-class TooFewPoints(MixbenchError):
-    """A regression fit needs at least two distinct abscissae."""
-
-
-class ConfigError(MixbenchError):
-    """An experiment configuration is invalid; the message names the field."""
+    """A search would exceed, or ran out of, its budget."""
 
 
 class NumericalError(MixbenchError):

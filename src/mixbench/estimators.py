@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidDimension,
-    InvalidMatrix,
-    InvalidParams,
-    PreconditionViolated,
-    TooFewSamples,
-)
+from .errors import DomainError, PreconditionViolated
 from .model import Dataset, LinearClassifier, MixtureParams, _canonical_direction, _whole_number, json_record, sample, stream_seed
 
 __all__ = [
@@ -104,7 +98,7 @@ def screening_alpha(n: int, d: int) -> float:
     n = _whole_number("n", n)
     d = _whole_number("d", d)
     if n < 1 or d < 1:
-        raise InvalidParams("n and d must be positive")
+        raise DomainError("n and d must be positive")
     lognd = math.log(n * d)
     return math.sqrt(6.0 * lognd / n) + 2.0 * lognd / n
 
@@ -123,17 +117,17 @@ def _check_symmetric(m: np.ndarray, name: str = "matrix", stack: bool = False) -
     1e-10 of its largest entry. A failed check on a stack names the member."""
     m = np.asarray(m)
     if m.dtype.kind not in "iuf":
-        raise InvalidMatrix(f"{name} must have a real numeric dtype, got {m.dtype}")
+        raise DomainError(f"{name} must have a real numeric dtype, got {m.dtype}")
     m = m.astype(np.float64, copy=False)
     if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-2] != m.shape[-1] or m.size == 0:
-        raise InvalidMatrix(f"{name} must be square and non-empty, got shape {m.shape}")
+        raise DomainError(f"{name} must be square and non-empty, got shape {m.shape}")
     top = np.max(np.abs(m), axis=(-2, -1))
     finite = np.isfinite(top)
     if not finite.all():
-        raise InvalidMatrix(f"{_member(name, ~finite)} has a non-finite entry")
+        raise DomainError(f"{_member(name, ~finite)} has a non-finite entry")
     bad = np.max(np.abs(m - np.swapaxes(m, -2, -1)), axis=(-2, -1)) > 1e-10 * np.maximum(1.0, top)
     if bad.any():
-        raise InvalidMatrix(f"{_member(name, bad)} is not symmetric within 1e-10")
+        raise DomainError(f"{_member(name, bad)} is not symmetric within 1e-10")
     return m
 
 
@@ -218,7 +212,7 @@ def pca_classifier(data: Dataset) -> LinearClassifier:
     """Dense estimator: split along the top sample-covariance eigenvector at
     the projected sample mean."""
     if data.n < 2:
-        raise TooFewSamples(f"need n >= 2, got {data.n}")
+        raise DomainError(f"need n >= 2, got {data.n}")
     mean, cov = sample_mean_cov(data)
     v, ok = top_eigenvector(cov)
     return LinearClassifier(v=v, t=float(mean @ v), degenerate=not ok)
@@ -227,9 +221,9 @@ def pca_classifier(data: Dataset) -> LinearClassifier:
 def screening(data: Dataset) -> ScreeningResult:
     """Select coordinates whose sample variance strictly exceeds tau_hat."""
     if data.d < 2:
-        raise InvalidDimension(f"screening needs d >= 2, got d = {data.d}")
+        raise DomainError(f"screening needs d >= 2, got d = {data.d}")
     if data.n < 2:
-        raise TooFewSamples(f"need n >= 2, got {data.n}")
+        raise DomainError(f"need n >= 2, got {data.n}")
     diag = data.points.var(axis=0)
     alpha = screening_alpha(data.n, data.d)
     tau_hat = (1.0 + alpha) / (1.0 - alpha) * float(diag.min())
@@ -269,7 +263,7 @@ def oracle_support_pca(data: Dataset, theta: MixtureParams) -> LinearClassifier:
     estimator's difficulty comes from irrelevant coordinates.
     """
     if data.d != theta.d:
-        raise InvalidDimension(f"data dimension {data.d} != theta dimension {theta.d}")
+        raise DomainError(f"data dimension {data.d} != theta dimension {theta.d}")
     return _restricted_pca(data, theta.support)
 
 
@@ -285,14 +279,14 @@ def support_recovery_check(theta: MixtureParams, n: int, replicates: int, seed: 
     """Frequency of S_tilde <= S_hat <= S over seeded replicates, against the
     theoretical floor 1 - 6/n."""
     if theta.d < 2:
-        raise InvalidDimension("support recovery needs d >= 2")
+        raise DomainError("support recovery needs d >= 2")
     n = _whole_number("n", n)
     replicates = _whole_number("replicates", replicates)
     alpha = screening_alpha(n, theta.d)
     if alpha > 0.25:
         raise PreconditionViolated(f"alpha = {alpha:.4f} > 1/4: outside the guarantee's range")
     if replicates < 1:
-        raise InvalidParams(f"need at least one replicate, got {replicates}")
+        raise DomainError(f"need at least one replicate, got {replicates}")
     truth = support_truth(theta, n)
     s_set = set(truth.S)
     s_tilde_set = set(truth.S_tilde)
@@ -325,9 +319,9 @@ def davis_kahan_check(a: np.ndarray, e: np.ndarray) -> DavisKahanReport:
     a = _check_symmetric(a, "a", stack=True)
     e = _check_symmetric(e, "e", stack=True)
     if a.shape != e.shape:
-        raise InvalidMatrix(f"shapes differ: {a.shape} vs {e.shape}")
+        raise DomainError(f"shapes differ: {a.shape} vs {e.shape}")
     if a.shape[-1] < 2:
-        raise InvalidDimension(f"the check needs d >= 2, got d = {a.shape[-1]}")
+        raise DomainError(f"the check needs d >= 2, got d = {a.shape[-1]}")
     evals, evecs = np.linalg.eigh(a)  # ascending
     gap = evals[..., -1] - evals[..., -2]
     bad = gap <= 0.0

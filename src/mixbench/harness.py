@@ -23,7 +23,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 from scipy.special import stdtrit
 
-from .errors import ConfigError, DomainError, InvalidParams, MixbenchError, TooFewPoints
+from .errors import DomainError
 from .estimators import oracle_support_pca, pca_classifier, sparse_pca_classifier
 from .loss import loss_exact_linear
 from .loss import loss_monte_carlo  # not called here; perfbench/tracing.py BINDINGS rebinds this name
@@ -58,7 +58,7 @@ def _key(name: str) -> str:
 
 
 def _checked(key: str, kind: str, value):
-    """``value`` as the JSON type ``kind``; a ConfigError naming ``key`` otherwise.
+    """``value`` as the JSON type ``kind``; a DomainError naming ``key`` otherwise.
     Booleans are not numbers here, and integers are not strings."""
     if kind == "str":
         if isinstance(value, str):
@@ -71,7 +71,7 @@ def _checked(key: str, kind: str, value):
             return int(value)
         if kind == "float" and isinstance(value, numbers.Real) and math.isfinite(value):
             return float(value)
-    raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, got {value!r}")
+    raise DomainError(f"{key} must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -101,28 +101,28 @@ class ExperimentConfig:
             if value is not None or not f.type.endswith(" | None"):
                 object.__setattr__(self, f.name, _checked(_key(f.name), f.type.removesuffix(" | None"), value))
         if self.estimator not in ESTIMATORS:
-            raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
+            raise DomainError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if not 0 <= self.master_seed < 2**64:
-            raise ConfigError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
+            raise DomainError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+            raise DomainError(f"replicates must be >= 1, got {self.replicates}")
         if self.d < 1:
-            raise ConfigError(f"d must be >= 1, got {self.d}")
+            raise DomainError(f"d must be >= 1, got {self.d}")
         if self.lam <= 0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
+            raise DomainError(f"lambda must be positive, got {self.lam}")
         values = (self.n,)
         if self.sweep_axis is not None or self.sweep_values is not None:
             if self.sweep_axis not in AXES:
-                raise ConfigError(f"sweep.axis must be one of {AXES}, got {self.sweep_axis!r}")
+                raise DomainError(f"sweep.axis must be one of {AXES}, got {self.sweep_axis!r}")
             values = self.sweep_values or ()
             if len(values) < 1:
-                raise ConfigError("sweep.values must be nonempty")
+                raise DomainError("sweep.values must be nonempty")
             if any(v <= 0 for v in values):
-                raise ConfigError("sweep.values must be positive")
+                raise DomainError("sweep.values must be positive")
             if any(b <= a for a, b in zip(values, values[1:])):
-                raise ConfigError("sweep.values must be strictly increasing")
+                raise DomainError("sweep.values must be strictly increasing")
             if self.sweep_axis in ("n", "d", "s") and any(v != int(v) for v in values):
-                raise ConfigError(f"sweep.values on the {self.sweep_axis} axis must be whole numbers, got {values}")
+                raise DomainError(f"sweep.values on the {self.sweep_axis} axis must be whole numbers, got {values}")
         points = []
         for value in values:
             at = {"n": self.n, "d": self.d, "lambda": self.lam, "s": self.s}
@@ -130,13 +130,13 @@ class ExperimentConfig:
                 at[self.sweep_axis] = value if self.sweep_axis == "lambda" else int(value)
             h = signal_vector(at["d"], at["lambda"], at["s"])
             if at["n"] < 2:
-                raise ConfigError(f"n must be >= 2, got {at['n']}")
+                raise DomainError(f"n must be >= 2, got {at['n']}")
             if self.estimator == "sparse_pca" and at["d"] < 2:
-                raise ConfigError(f"sparse_pca needs d >= 2, got d = {at['d']}")
+                raise DomainError(f"sparse_pca needs d >= 2, got d = {at['d']}")
             try:
                 theta = MixtureParams(-h, h, 1.0)
-            except InvalidParams as exc:
-                raise ConfigError(f"lambda = {at['lambda']!r} cannot build its mixture: {exc}") from None
+            except DomainError as exc:
+                raise DomainError(f"lambda = {at['lambda']!r} cannot build its mixture: {exc}") from None
             points.append(SweepPoint(float(value), theta, at["n"], at["s"]))
         # Not a field: derived from the fields, so fields() stay the config keys.
         object.__setattr__(self, "points", tuple(points))
@@ -202,7 +202,7 @@ def signal_vector(d: int, lam: float, s: int | None = None) -> np.ndarray:
     first s coordinates (all d when s is None)."""
     s_eff = d if s is None else s
     if not (1 <= s_eff <= d):
-        raise ConfigError(f"s must lie in [1, d], got s = {s_eff}, d = {d}")
+        raise DomainError(f"s must lie in [1, d], got s = {s_eff}, d = {d}")
     h = np.zeros(d)
     h[:s_eff] = lam / (2.0 * math.sqrt(s_eff))
     return h
@@ -277,7 +277,7 @@ def fit_rate(points) -> tuple[float, float, tuple[float, float] | None]:
         if not (0 < x < math.inf and 0 < y < math.inf):
             raise DomainError(f"fit_rate needs positive finite coordinates, got ({x}, {y})")
     if len({x for x, _ in pts}) < 2:
-        raise TooFewPoints("need at least 2 distinct x values")
+        raise DomainError("need at least 2 distinct x values")
     lx = np.log([x for x, _ in pts])
     ly = np.log([y for _, y in pts])
     n = lx.size
@@ -324,13 +324,13 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
     """Write the text ``chunks`` to a temporary file beside ``path``, then
     move it onto ``path``: a write that fails part-way, in the encoder or on
     disk, leaves an existing file intact. A temporary file that cannot be
-    created, or moved onto ``path`` (a directory, say), is a MixbenchError
+    created, or moved onto ``path`` (a directory, say), is a DomainError
     naming ``path``, and no temporary file is left."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         fh = open(tmp, "w")
     except OSError as exc:
-        raise MixbenchError(f"cannot write {path}: {exc.strerror}") from None
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
     it = iter(chunks)
     try:
         with fh:
@@ -341,7 +341,7 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
         try:
             os.replace(tmp, path)
         except OSError as exc:
-            raise MixbenchError(f"cannot write {path}: {exc.strerror}") from None
+            raise DomainError(f"cannot write {path}: {exc.strerror}") from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -349,12 +349,12 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
 
 
 def read_json(path):
-    """Parse a JSON file; one that cannot be read or parsed is a ConfigError naming it."""
+    """Parse a JSON file; one that cannot be read or parsed is a DomainError naming it."""
     try:
         with open(str(path)) as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+        raise DomainError(f"cannot read {path}: {exc}") from None
 
 
 def emit_report(result: SweepResult, fmt: str, path) -> None:
@@ -390,17 +390,17 @@ def load_config(path_or_dict) -> ExperimentConfig:
     else:
         obj = read_json(path_or_dict)
         if not isinstance(obj, dict):
-            raise ConfigError("a config must be a JSON object")
+            raise DomainError("a config must be a JSON object")
     sweep = obj.pop("sweep", None)
     unknown = set(obj) - set(_CONFIG_FIELDS)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise DomainError(f"unknown config keys: {sorted(unknown)}")
     for key, f in _CONFIG_FIELDS.items():
         if f.default is MISSING and key not in obj:
-            raise ConfigError(f"missing required config key {key!r}")
+            raise DomainError(f"missing required config key {key!r}")
     kwargs = {_CONFIG_FIELDS[key].name: value for key, value in obj.items()}
     if sweep is not None:
         if not isinstance(sweep, dict) or set(sweep) != {"axis", "values"}:
-            raise ConfigError("sweep must be an object with keys 'axis' and 'values'")
+            raise DomainError("sweep must be an object with keys 'axis' and 'values'")
         kwargs.update({f"sweep_{k}": v for k, v in sweep.items()})
     return ExperimentConfig(**kwargs)

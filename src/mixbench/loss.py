@@ -23,14 +23,7 @@ import math
 import numpy as np
 from scipy.special import erfcx, ndtr
 
-from .errors import (
-    DegenerateSeparation,
-    DomainError,
-    InvalidClassifier,
-    InvalidTolerance,
-    NumericalError,
-    TooFewSamples,
-)
+from .errors import DomainError, NumericalError
 from .model import LinearClassifier, MixtureParams, _real_number, _whole_number, bayes_classifier, sample
 
 __all__ = [
@@ -175,12 +168,12 @@ def loss_exact_linear(theta: MixtureParams, clf: LinearClassifier, tol: float = 
     """
     tol = _real_number("tol", tol)
     if not (0.0 < tol <= 1e-4):
-        raise InvalidTolerance(f"tol must lie in (0, 1e-4], got {tol}")
+        raise DomainError(f"tol must lie in (0, 1e-4], got {tol}")
     nh = theta.half_separation_norm
     if nh == 0.0:
-        raise DegenerateSeparation("mu1 == mu2: loss relative to the optimal rule is undefined")
+        raise DomainError("mu1 == mu2: loss relative to the optimal rule is undefined")
     if clf.d != theta.d:
-        raise InvalidClassifier(f"classifier dimension {clf.d} != mixture dimension {theta.d}")
+        raise DomainError(f"classifier dimension {clf.d} != mixture dimension {theta.d}")
     cos_beta = float(abs(clf.v @ theta.half_separation) / nh)
     # Values within a couple of ulps of 1 are rounding noise from the unit
     # normalization; snapping keeps the aligned case exact.
@@ -218,12 +211,12 @@ def loss_monte_carlo(theta: MixtureParams, classify, n_samples: int, seed: int) 
     """
     n_samples = _whole_number("n_samples", n_samples)
     if n_samples < 100:
-        raise TooFewSamples(f"need at least 100 samples, got {n_samples}")
+        raise DomainError(f"need at least 100 samples, got {n_samples}")
     oracle = bayes_classifier(theta)
     ds = sample(theta, n_samples, seed)
     predicted = np.asarray(classify(ds.points), dtype=np.int64).reshape(-1)
     if predicted.shape[0] != n_samples:
-        raise InvalidClassifier("classify must return one label per row")
+        raise DomainError("classify must return one label per row")
     reference = oracle.predict(ds.points)
     p_hat = float(np.mean(predicted != reference))
     se = math.sqrt(p_hat * (1.0 - p_hat) / n_samples)

@@ -14,14 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    DegenerateSeparation,
-    DomainError,
-    EmptySample,
-    InvalidClassifier,
-    InvalidParams,
-    ShapeError,
-)
+from .errors import DomainError
 
 __all__ = [
     "MixtureParams",
@@ -192,9 +185,9 @@ class MixtureParams:
     ``center`` mu0 = (mu1 + mu2)/2, ``half_separation`` h = (mu2 - mu1)/2 (so
     mu_{1,2} = mu0 -/+ h) and ``half_separation_norm`` ||h|| are derived once,
     read-only, and are not fields: equality and the JSON record skip them.
-    Both must be finite, and each nonzero entry of h must lie between 2^-510
-    and 2^510 in magnitude, so that its square is a normal float; otherwise
-    InvalidParams.
+    The means are finite vectors of d >= 1 entries, the center and ||h|| must
+    be finite, and each nonzero entry of h must lie between 2^-510 and 2^510
+    in magnitude, so that its square is a normal float; otherwise DomainError.
     """
 
     mu1: np.ndarray
@@ -205,30 +198,32 @@ class MixtureParams:
         mu1 = _as_readonly(np.atleast_1d(self.mu1))
         mu2 = _as_readonly(np.atleast_1d(self.mu2))
         if mu1.ndim != 1 or mu2.ndim != 1:
-            raise InvalidParams("component means must be vectors")
+            raise DomainError("component means must be vectors")
         if mu1.shape != mu2.shape:
-            raise ShapeError(f"mean shapes differ: {mu1.shape} vs {mu2.shape}")
+            raise DomainError(f"mean shapes differ: {mu1.shape} vs {mu2.shape}")
+        if mu1.shape[0] == 0:
+            raise DomainError(f"component means need d >= 1 entries, got shape {mu1.shape}")
         if not (np.all(np.isfinite(mu1)) and np.all(np.isfinite(mu2))):
-            raise InvalidParams("component means must be finite")
+            raise DomainError("component means must be finite")
         sigma = _squarable("sigma", self.sigma)
         if sigma <= 0.0:
-            raise InvalidParams(f"sigma must be a positive real, got {sigma}")
+            raise DomainError(f"sigma must be a positive real, got {sigma}")
         with np.errstate(over="ignore"):
             center = _as_readonly((mu1 + mu2) / 2.0)
             h = _as_readonly((mu2 - mu1) / 2.0)
             nh = float(np.linalg.norm(h))
         if not np.all(np.isfinite(center)):
-            raise InvalidParams("the center (mu1 + mu2)/2 must be finite")
+            raise DomainError("the center (mu1 + mu2)/2 must be finite")
         # The loss and the bounds square h's entries and its norm; an entry
         # that overflowed is out of range too.
         entries = np.abs(h[h != 0.0])
         if entries.size and not 2.0**-510 <= entries.min() <= entries.max() <= 2.0**510:
             worst = entries.min() if entries.min() < 2.0**-510 else entries.max()
-            raise InvalidParams(
+            raise DomainError(
                 f"each nonzero entry of h = (mu2 - mu1)/2 must lie between 2^-510 and 2^510 in magnitude, got {float(worst)!r}"
             )
         if not math.isfinite(nh):
-            raise InvalidParams(f"||h|| = ||mu2 - mu1||/2 must be finite, got {nh}")
+            raise DomainError(f"||h|| = ||mu2 - mu1||/2 must be finite, got {nh}")
         object.__setattr__(self, "mu1", mu1)
         object.__setattr__(self, "mu2", mu2)
         object.__setattr__(self, "sigma", sigma)
@@ -278,10 +273,10 @@ class LinearClassifier:
     def __post_init__(self):
         v = np.array(np.atleast_1d(self.v), dtype=np.float64)
         if v.ndim != 1:
-            raise InvalidClassifier(f"direction must be a 1-D vector, got shape {v.shape}")
+            raise DomainError(f"direction must be a 1-D vector, got shape {v.shape}")
         nv = float(np.linalg.norm(v))
         if not np.isfinite(nv) or abs(nv - 1.0) > 1e-12:
-            raise InvalidClassifier(f"direction must be a unit vector, |v| = {nv}")
+            raise DomainError(f"direction must be a unit vector, |v| = {nv}")
         v, t = _canonical_direction(v, _real_number("t", self.t))
         v = _as_readonly(v)
         object.__setattr__(self, "v", v)
@@ -296,7 +291,7 @@ class LinearClassifier:
         """Labels in {1, 2} for an (n, d) array (or a single point)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if pts.shape[1] != self.d:
-            raise ShapeError(f"points have dimension {pts.shape[1]}, classifier has {self.d}")
+            raise DomainError(f"points have dimension {pts.shape[1]}, classifier has {self.d}")
         return np.where(pts @ self.v >= self.t, 1, 2).astype(np.int64)
 
 
@@ -313,22 +308,24 @@ class Dataset:
 
     def __post_init__(self):
         pts = _as_readonly(np.atleast_2d(self.points))
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise EmptySample("a dataset needs at least one row")
+        if pts.ndim != 2 or pts.shape[1] < 1:
+            raise DomainError(f"dataset points must be 2-D with at least one column, got shape {pts.shape}")
+        if pts.shape[0] < 1:
+            raise DomainError("a dataset needs at least one row")
         # A finite sum means every entry is finite, and needs no (n, d) bool
         # temporary; only a non-finite sum (or one that overflows) looks closer.
         with np.errstate(over="ignore", invalid="ignore"):
             total = pts.sum()
         if not (np.isfinite(total) or np.all(np.isfinite(pts))):
-            raise InvalidParams("all data rows must be finite")
+            raise DomainError("all data rows must be finite")
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
             lab = _as_readonly(self.labels, np.int64)
             if lab.shape != (pts.shape[0],):
-                raise ShapeError(f"labels have shape {lab.shape}, expected ({pts.shape[0]},)")
+                raise DomainError(f"labels have shape {lab.shape}, expected ({pts.shape[0]},)")
             # A label that the int64 cast changed (1.7 -> 1) is rejected, not truncated.
             if not (np.all((lab == 1) | (lab == 2)) and (lab is self.labels or np.array_equal(lab, self.labels))):
-                raise InvalidParams("labels must take values in {1, 2}")
+                raise DomainError("labels must take values in {1, 2}")
             object.__setattr__(self, "labels", lab)
 
     @property
@@ -368,10 +365,10 @@ def sample(theta: MixtureParams, n: int, seed: int) -> Dataset:
     normal in R^d. Identical (theta, n, seed) give bit-identical output.
     """
     if not isinstance(theta, MixtureParams):
-        raise InvalidParams("theta must be a MixtureParams")
+        raise DomainError("theta must be a MixtureParams")
     n = _whole_number("n", n)
     if n < 1:
-        raise EmptySample(f"need n >= 1 points, got {n}")
+        raise DomainError(f"need n >= 1 points, got {n}")
     # The block buffers come before the points. Made after them, they left
     # glibc holding freed (n, d) arrays in two-thread sweeps: sweep-large's
     # peak RSS rose from 243 MB to 245-280 MB, depending on the seed.
@@ -392,7 +389,7 @@ def bayes_classifier(theta: MixtureParams) -> LinearClassifier:
     """Optimal rule for known theta: the midpoint hyperplane normal to h."""
     nh = theta.half_separation_norm
     if nh == 0.0:
-        raise DegenerateSeparation("mu1 == mu2: no separating hyperplane")
+        raise DomainError("mu1 == mu2: no separating hyperplane")
     v = theta.half_separation / nh
     t = float(theta.center @ v)
     return LinearClassifier(v=v, t=t)
@@ -440,7 +437,7 @@ def mixture_log_density(theta: MixtureParams, x: np.ndarray) -> float | np.ndarr
     single = arr.ndim == 1
     pts = np.atleast_2d(arr)
     if pts.shape[1] != theta.d:
-        raise ShapeError(f"x has dimension {pts.shape[1]}, theta has {theta.d}")
+        raise DomainError(f"x has dimension {pts.shape[1]}, theta has {theta.d}")
     n = pts.shape[0]
     step = _block_rows(n, theta.d)
     log_density = _log_density_kernel(theta, step)

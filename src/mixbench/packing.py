@@ -18,12 +18,7 @@ import numpy as np
 
 from .bounds import kl_bound
 from .bounds import kl_monte_carlo  # not called here; perfbench/tracing.py BINDINGS rebinds this name
-from .errors import (
-    BudgetExceeded,
-    ConstructionFailed,
-    DomainError,
-    PreconditionViolated,
-)
+from .errors import BudgetExceeded, DomainError, PreconditionViolated
 from .loss import g_function, loss_exact_linear
 from .model import LinearClassifier, MixtureParams, _seed, _squarable, _whole_number, bayes_classifier, json_record, make_rng
 
@@ -171,7 +166,7 @@ def vg_code(m: int) -> BinaryCode:
             if len(admitted) >= target:
                 break
     if len(admitted) < target:  # cannot happen for 8 <= m <= 24
-        raise ConstructionFailed(f"greedy enumeration found only {len(admitted)} of {target} words")
+        raise BudgetExceeded(f"greedy enumeration found only {len(admitted)} of {target} words")
     words = np.stack([_int_to_word(x, m) for x in admitted])
     return BinaryCode(length=m, words=words, min_distance=dist)
 
@@ -181,7 +176,7 @@ def sparse_code(m: int, s: int, seed: int = 0) -> BinaryCode:
 
     Samples weight-s words uniformly and admits those far from everything
     admitted so far, until ceil((m/s)^(s/5)) words are collected. Requires
-    s <= m/4; exhausting the budget raises ConstructionFailed (existence is
+    s <= m/4; exhausting the budget raises BudgetExceeded (existence is
     guaranteed, so failure signals the budget, not the mathematics).
     """
     m, s, budget = _whole_number("m", m), _whole_number("s", s), _SPARSE_CODE_BUDGET
@@ -202,7 +197,7 @@ def sparse_code(m: int, s: int, seed: int = 0) -> BinaryCode:
         if count >= target:
             break
     else:
-        raise ConstructionFailed(f"budget of {budget} draws exhausted with {count}/{target} words")
+        raise BudgetExceeded(f"budget of {budget} draws exhausted with {count}/{target} words")
     # distances between equal-weight words are even, so > s/2 means >= the
     # next even integer
     declared = int(math.floor(min_dist_exclusive)) + 1
@@ -384,7 +379,7 @@ def local_triangle_check(
     L_theta(F_theta') +/- tau.
     """
     if theta.d != theta_prime.d:
-        raise PreconditionViolated("the pair must share a dimension")
+        raise DomainError("the pair must share a dimension")
     if theta.sigma != theta_prime.sigma:
         raise PreconditionViolated("the pair must share sigma")
     # Rounding only, as tau's KL is the bound for a shared center and equal separations.

@@ -18,7 +18,7 @@ from mixbench import cli
 
 from mixbench.harness import emit_report, load_config
 from mixbench.packing import family_to_json_dict, fano_check, lower_bound_family
-from mixbench.errors import ConfigError, DomainError
+from mixbench.errors import DomainError
 from mixbench.verify import SUITES, suite_davis_kahan, suite_fano, suite_kl
 
 SMOKE_CONFIG = {
@@ -314,7 +314,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("lam", [1e200, 1e-200])
     def test_lambda_that_cannot_build_its_mixture_exits_2_at_load(self, tmp_path, lam):
         obj = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": lam}
-        with pytest.raises(ConfigError, match="^" + re.escape(f"lambda = {lam!r} cannot build its mixture")):
+        with pytest.raises(DomainError, match="^" + re.escape(f"lambda = {lam!r} cannot build its mixture")):
             load_config(obj)
         out = tmp_path / "x.csv"
         proc = run_cli("simulate", "--config", str(write_config(tmp_path, obj)), "--out", str(out))

@@ -7,14 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixbench.errors import (
-    DomainError,
-    InvalidDimension,
-    InvalidMatrix,
-    InvalidParams,
-    PreconditionViolated,
-    TooFewSamples,
-)
+from mixbench.errors import DomainError, PreconditionViolated
 from mixbench.estimators import (
     _RESTART_KEY,
     _check_symmetric,
@@ -202,9 +195,9 @@ class TestTopEigenvector:
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
 
     def test_non_symmetric_rejected(self):
-        with pytest.raises(InvalidMatrix):
+        with pytest.raises(DomainError, match=r"^matrix is not symmetric within 1e-10$"):
             top_eigenvector(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(InvalidMatrix):
+        with pytest.raises(DomainError, match=r"^matrix must be square and non-empty, got shape \(2, 3\)$"):
             top_eigenvector(np.zeros((2, 3)))
 
     @pytest.mark.parametrize(
@@ -220,7 +213,7 @@ class TestTopEigenvector:
         ids=["nan-entry", "inf", "empty", "complex", "bool", "string"],
     )
     def test_non_finite_or_empty_rejected(self, m):
-        with pytest.raises(InvalidMatrix, match="^matrix "):
+        with pytest.raises(DomainError, match="^matrix "):
             top_eigenvector(m)
 
     def test_one_dimensional(self):
@@ -310,7 +303,7 @@ class TestPcaClassifier:
         assert clf_shift.t == pytest.approx(clf.t + float(clf.v @ c), rel=1e-9, abs=1e-9)
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(DomainError, match="^need n >= 2, got 1$"):
             pca_classifier(Dataset(points=np.zeros((1, 3))))
 
     def test_tied_eigensolve_flags_degenerate(self):
@@ -363,9 +356,9 @@ class TestScreening:
         assert screening_alpha(1000.0, 10.0) == screening_alpha(1000, 10)
 
     def test_dimension_and_sample_guards(self):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(DomainError, match="^screening needs d >= 2, got d = 1$"):
             screening(Dataset(points=np.zeros((10, 1))))
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(DomainError, match="^need n >= 2, got 1$"):
             screening(Dataset(points=np.zeros((1, 3))))
 
     def test_tau_hat_formula_exact(self):
@@ -481,7 +474,7 @@ class TestOracleSupportPca:
     def test_dimension_mismatch(self):
         theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 1.0)
         ds = Dataset(points=np.zeros((5, 3)))
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(DomainError, match="^data dimension 3 != theta dimension 2$"):
             oracle_support_pca(ds, theta)
 
 
@@ -507,7 +500,7 @@ class TestSupportRecovery:
         h = np.zeros(16)
         h[0] = 1.0
         theta = MixtureParams(-h, h, 1.0)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(DomainError, match="^need at least one replicate, got 0$"):
             support_recovery_check(theta, 4000, 0, seed=0)
 
     @pytest.mark.parametrize("n, replicates, name", [(4000, 2.9, "replicates"), (4000, True, "replicates"), (4000.5, 2, "n")])
@@ -558,30 +551,32 @@ class TestDavisKahan:
             davis_kahan_check(np.eye(2), np.zeros((2, 2)))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(InvalidMatrix, match="^a has a non-finite entry"):
+        with pytest.raises(DomainError, match="^a has a non-finite entry"):
             davis_kahan_check(np.array([[2.0, math.nan], [math.nan, 1.0]]), np.zeros((2, 2)))
 
     def test_complex_rejected(self):
         # A Hermitian e once passed as holds with sin_angle 0 after a cast.
-        with pytest.raises(InvalidMatrix, match="^e must have a real numeric dtype, got complex128$"):
+        with pytest.raises(DomainError, match="^e must have a real numeric dtype, got complex128$"):
             davis_kahan_check(np.diag([2.0, 1.0]), np.array([[0.0, 0.1j], [-0.1j, 0.0]]))
 
     def test_one_dimensional_rejected(self):
-        with pytest.raises(InvalidDimension, match="d >= 2, got d = 1$"):
+        with pytest.raises(DomainError, match="^the check needs d >= 2, got d = 1$"):
             davis_kahan_check(np.array([[2.0]]), np.array([[0.1]]))
 
     def test_stack_and_pair_shapes_differ(self):
-        with pytest.raises(InvalidMatrix, match="^shapes differ"):
+        with pytest.raises(DomainError, match="^shapes differ"):
             davis_kahan_check(np.diag([2.0, 1.0]), np.zeros((1, 2, 2)))
 
     @pytest.mark.parametrize(
         "member, a, e, error, match",
         [
-            (3, np.array([[2.0, math.nan], [math.nan, 1.0]]), np.zeros((2, 2)), InvalidMatrix, r"^a\[3\] has a non-finite entry$"),
-            (1, np.diag([2.0, 1.0]), np.array([[0.0, 0.1], [0.0, 0.0]]), InvalidMatrix, r"^e\[1\] is not symmetric"),
+            (3, np.array([[2.0, math.nan], [math.nan, 1.0]]), np.zeros((2, 2)), DomainError, r"^a\[3\] has a non-finite entry$"),
+            (1, np.diag([2.0, 1.0]), np.array([[0.0, 0.1], [0.0, 0.0]]), DomainError, r"^e\[1\] is not symmetric"),
             (2, np.eye(2), np.zeros((2, 2)), PreconditionViolated, r"^lambda_1\(a\[2\]\) - lambda_2\(a\[2\]\) must be"),
             (4, np.diag([2.0, 1.0]), np.array([[0.0, 0.3], [0.3, 0.0]]), PreconditionViolated, r"^\|\|e\[4\]\|\|_2 = 0\.3 exceeds"),
         ],
+        # A rejected matrix keeps its case label InvalidMatrix in the test id.
+        ids=lambda v: "InvalidMatrix" if v is DomainError else None,
     )
     def test_stack_failure_names_member(self, member, a, e, error, match):
         a_stack = np.stack([np.diag([2.0, 1.0])] * 5)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixbench import loss as loss_module
-from mixbench.errors import DomainError, InvalidTolerance, NumericalError, TooFewSamples
+from mixbench.errors import DomainError, NumericalError
 from mixbench.loss import (
     g_function,
     loss_bounds_symmetric,
@@ -124,9 +124,9 @@ class TestLossExactLinear:
     def test_tolerance_domain(self):
         theta = MixtureParams([-1.0], [1.0], 1.0)
         clf = bayes_classifier(theta)
-        with pytest.raises(InvalidTolerance):
+        with pytest.raises(DomainError, match=r"^tol must lie in \(0, 1e-4\], got 0\.001$"):
             loss_exact_linear(theta, clf, tol=1e-3)
-        with pytest.raises(InvalidTolerance):
+        with pytest.raises(DomainError, match=r"^tol must lie in \(0, 1e-4\], got 0\.0$"):
             loss_exact_linear(theta, clf, tol=0.0)
 
     @pytest.mark.parametrize("bad", ["1e-9", True, None])
@@ -184,9 +184,7 @@ class TestLossExactLinear:
 
     def test_dimension_mismatch(self):
         theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 1.0)
-        from mixbench.errors import InvalidClassifier
-
-        with pytest.raises(InvalidClassifier):
+        with pytest.raises(DomainError, match="^classifier dimension 1 != mixture dimension 2$"):
             loss_exact_linear(theta, LinearClassifier(np.array([1.0]), 0.0), tol=1e-8)
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -307,7 +305,7 @@ class TestLossMonteCarlo:
 
     def test_too_few_samples(self):
         theta = MixtureParams([-1.0], [1.0], 1.0)
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(DomainError, match="^need at least 100 samples, got 99$"):
             loss_monte_carlo(theta, bayes_classifier(theta).predict, 99, seed=0)
 
     @pytest.mark.parametrize("n_samples", [150.9, True, float("nan")])

@@ -11,14 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixbench import model
-from mixbench.errors import (
-    DegenerateSeparation,
-    DomainError,
-    EmptySample,
-    InvalidClassifier,
-    InvalidParams,
-    ShapeError,
-)
+from mixbench.errors import DomainError
 from mixbench.loss import loss_exact_linear
 from mixbench.model import (
     _LOG_2PI,
@@ -40,10 +33,10 @@ def _reference_sample(theta: MixtureParams, n: int, seed: int) -> Dataset:
     """sample as it was written before its passes walked row blocks: masked
     whole-array +/- h passes, then the center."""
     if not isinstance(theta, MixtureParams):
-        raise InvalidParams("theta must be a MixtureParams")
+        raise DomainError("theta must be a MixtureParams")
     n = _whole_number("n", n)
     if n < 1:
-        raise EmptySample(f"need n >= 1 points, got {n}")
+        raise DomainError(f"need n >= 1 points, got {n}")
     rng = make_rng(seed)
     labels = rng.integers(0, 2, size=n) + 1  # label 1 is Y = -1, label 2 is Y = +1
     up = (labels == 2)[:, None]
@@ -67,7 +60,7 @@ def _reference_mixture_log_density(theta: MixtureParams, x: np.ndarray) -> float
     single = arr.ndim == 1
     pts = np.atleast_2d(arr)
     if pts.shape[1] != theta.d:
-        raise ShapeError(f"x has dimension {pts.shape[1]}, theta has {theta.d}")
+        raise DomainError(f"x has dimension {pts.shape[1]}, theta has {theta.d}")
     s2 = theta.sigma**2
     norm_const = -0.5 * theta.d * (_LOG_2PI + np.log(s2))
     q1 = np.sum((pts - theta.mu1) ** 2, axis=1) / (2.0 * s2)
@@ -109,18 +102,23 @@ class TestMixtureParams:
         assert theta.sparsity == 2
 
     def test_invalid_sigma(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(DomainError, match=r"^sigma must be a positive real, got 0\.0$"):
             MixtureParams([0.0], [1.0], 0.0)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(DomainError, match=r"^sigma must be a positive real, got -1\.0$"):
             MixtureParams([0.0], [1.0], -1.0)
 
     def test_non_finite_means(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(DomainError, match="^component means must be finite$"):
             MixtureParams([np.nan], [1.0], 1.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match=r"^mean shapes differ: \(2,\) vs \(1,\)$"):
             MixtureParams([0.0, 1.0], [1.0], 1.0)
+
+    def test_zero_dimension_rejected(self):
+        # It built a d = 0 mixture, whose (n, 0) sample failed only in pca_classifier.
+        with pytest.raises(DomainError, match=r"^component means need d >= 1 entries, got shape \(0,\)$"):
+            MixtureParams([], [], 1.0)
 
     @pytest.mark.parametrize("sigma", ["2.0", True, float("nan"), float("inf")])
     def test_sigma_must_be_a_finite_number(self, sigma):
@@ -154,7 +152,7 @@ class TestMixtureParams:
         ids=["h-1e200", "h-1e-200", "center-overflow", "h-overflow", "norm-overflow"],
     )
     def test_derived_vectors_outside_the_float_range_rejected(self, mu1, mu2, message):
-        with pytest.raises(InvalidParams, match=f"^{message}"):
+        with pytest.raises(DomainError, match=f"^{message}"):
             MixtureParams(mu1, mu2, 1.0)
 
     @pytest.mark.parametrize("scale", [2.0**-510, 2.0**510])
@@ -191,7 +189,7 @@ class TestLinearClassifier:
         assert a.t == b.t
 
     def test_non_unit_direction_rejected(self):
-        with pytest.raises(InvalidClassifier):
+        with pytest.raises(DomainError, match=r"^direction must be a unit vector, \|v\| = "):
             LinearClassifier(np.array([1.0, 1.0]), 0.0)
 
     @pytest.mark.parametrize("t", [float("nan"), float("-inf"), "0.5", True])
@@ -237,7 +235,7 @@ class TestSample:
 
     def test_empty_sample(self):
         theta = MixtureParams([-1.0], [1.0], 1.0)
-        with pytest.raises(EmptySample):
+        with pytest.raises(DomainError, match="^need n >= 1 points, got 0$"):
             sample(theta, 0, seed=0)
 
     @pytest.mark.parametrize("n", [2.7, True, float("inf")])
@@ -323,7 +321,7 @@ class TestBayesClassifier:
 
     def test_degenerate(self):
         theta = MixtureParams([1.0, 1.0], [1.0, 1.0], 1.0)
-        with pytest.raises(DegenerateSeparation):
+        with pytest.raises(DomainError, match="^mu1 == mu2: no separating hyperplane$"):
             bayes_classifier(theta)
 
     def test_agrees_with_likelihood_comparison(self):
@@ -370,7 +368,7 @@ class TestMixtureLogDensity:
 
     def test_dimension_mismatch(self):
         theta = MixtureParams([-1.0, 0.0], [1.0, 0.0], 1.0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match="^x has dimension 3, theta has 2$"):
             mixture_log_density(theta, np.zeros(3))
 
     # 4, 5, 6, 10, 15 and 16: each of _row_sums's column orders and its np.sum edge.
@@ -461,6 +459,22 @@ class TestStreamSeed:
         assert stream_seed(42, 1, 0) != stream_seed(42, 1, 1)
 
 
+class TestDatasetShape:
+    @pytest.mark.parametrize(
+        "shape, shown",
+        [((2, 2, 2), "(2, 2, 2)"), ((3, 0), "(3, 0)"), ((0,), "(1, 0)"), ((0, 0), "(0, 0)")],
+        ids=["3d", "no-columns", "empty-vector", "empty-matrix"],
+    )
+    def test_points_must_be_2d_with_a_column(self, shape, shown):
+        # A 3-D array failed as "a dataset needs at least one row"; (n, 0) was taken.
+        with pytest.raises(DomainError, match="^" + re.escape(f"dataset points must be 2-D with at least one column, got shape {shown}") + "$"):
+            Dataset(points=np.zeros(shape))
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(DomainError, match="^a dataset needs at least one row$"):
+            Dataset(points=np.zeros((0, 3)))
+
+
 class TestDatasetCopies:
     """Dataset takes a read-only float64 array that owns its data as it is and
     copies anything else, so no caller can change a dataset after the fact."""
@@ -479,7 +493,7 @@ class TestDatasetCopies:
     def test_any_non_finite_entry_rejected(self, bad, where):
         pts = np.ones((5, 3))
         pts[where] = bad
-        with pytest.raises(InvalidParams):
+        with pytest.raises(DomainError, match="^all data rows must be finite$"):
             Dataset(points=pts)
 
     def test_sample_makes_no_points_sized_temporary(self):
@@ -522,18 +536,18 @@ class TestDatasetCopies:
     def test_checks_still_run_on_taken_arrays(self):
         pts = np.array([[0.0, np.nan]])
         pts.setflags(write=False)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(DomainError, match="^all data rows must be finite$"):
             Dataset(points=pts)
         labels = np.array([1, 3])
         labels.setflags(write=False)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(DomainError, match=r"^labels must take values in \{1, 2\}$"):
             Dataset(points=np.zeros((2, 2)), labels=labels)
 
 
 class TestDatasetSerialization:
     @pytest.mark.parametrize("labels", [np.array([1.7, 2.2]), [1.0, 2.5], np.array([1.0, 2.0000001])])
     def test_fractional_labels_rejected(self, labels):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(DomainError, match=r"^labels must take values in \{1, 2\}$"):
             Dataset(points=np.zeros((2, 2)), labels=labels)
 
     @pytest.mark.parametrize("labels", [np.array([1.0, 2.0]), [2.0, 1.0], np.array([1, 2], dtype=np.int8)])
@@ -543,7 +557,7 @@ class TestDatasetSerialization:
         assert np.array_equal(ds.labels, np.asarray(labels))
 
     def test_bad_labels_rejected(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(DomainError, match=r"^labels must take values in \{1, 2\}$"):
             Dataset(points=np.zeros((2, 2)), labels=np.array([1, 3]))
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match=r"^labels have shape \(3,\), expected \(2,\)$"):
             Dataset(points=np.zeros((2, 2)), labels=np.array([1, 2, 1]))

@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 from mixbench import packing
-from mixbench.errors import (
-    BudgetExceeded,
-    ConstructionFailed,
-    DomainError,
-    PreconditionViolated,
-)
+from mixbench.errors import BudgetExceeded, DomainError, PreconditionViolated
 from mixbench.bounds import kl_monte_carlo
 from mixbench.loss import g_function, loss_exact_linear
 from mixbench.model import LinearClassifier, MixtureParams, bayes_classifier, stream_seed
@@ -104,7 +99,7 @@ class TestSparseCode:
 
     def test_budget_exhaustion(self, monkeypatch):
         monkeypatch.setattr(packing, "_SPARSE_CODE_BUDGET", 2)
-        with pytest.raises(ConstructionFailed, match="^budget of 2 draws exhausted with 2/4 words$"):
+        with pytest.raises(BudgetExceeded, match="^budget of 2 draws exhausted with 2/4 words$"):
             sparse_code(16, 4, seed=0)
 
     @pytest.mark.parametrize("m, s, seed, name", [(16.5, 4, 100, "m"), (16, 4.5, 100, "s")])
@@ -393,6 +388,14 @@ class TestLocalTriangle:
         rep = local_triangle_check(theta, theta_p, clf)
         assert not rep.applicable
         assert rep.holds is None
+
+    def test_dimension_mismatch_is_a_domain_error(self):
+        # A pair of two dimensions is a bad input, as in the other dimension
+        # checks, not an unmet hypothesis of the KL bound.
+        a = MixtureParams([-0.1, 0.0], [0.1, 0.0], 1.0)
+        b = MixtureParams([-0.1, 0.0, 0.0], [0.1, 0.0, 0.0], 1.0)
+        with pytest.raises(DomainError, match="^the pair must share a dimension$"):
+            local_triangle_check(a, b, bayes_classifier(a))
 
     def test_unequal_norms_rejected(self):
         a = MixtureParams([-0.1, 0.0], [0.1, 0.0], 1.0)
