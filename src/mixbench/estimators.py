@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionViolated
-from .model import Dataset, LinearClassifier, MixtureParams, _canonical_direction, _whole_number, json_record, sample, stream_seed
+from .model import Dataset, LinearClassifier, MixtureParams, _canonical_direction, _count, _seed, json_record, sample, stream_seed
 
 __all__ = [
     "ScreeningResult",
@@ -95,10 +95,7 @@ class DavisKahanReport:
 
 def screening_alpha(n: int, d: int) -> float:
     """alpha = sqrt(6 log(nd)/n) + 2 log(nd)/n (natural log)."""
-    n = _whole_number("n", n)
-    d = _whole_number("d", d)
-    if n < 1 or d < 1:
-        raise DomainError("n and d must be positive")
+    n, d = _count("n", n), _count("d", d)
     lognd = math.log(n * d)
     return math.sqrt(6.0 * lognd / n) + 2.0 * lognd / n
 
@@ -280,13 +277,10 @@ def support_recovery_check(theta: MixtureParams, n: int, replicates: int, seed: 
     theoretical floor 1 - 6/n."""
     if theta.d < 2:
         raise DomainError("support recovery needs d >= 2")
-    n = _whole_number("n", n)
-    replicates = _whole_number("replicates", replicates)
+    n, replicates, seed = _count("n", n), _count("replicates", replicates), _seed("seed", seed)
     alpha = screening_alpha(n, theta.d)
     if alpha > 0.25:
         raise PreconditionViolated(f"alpha = {alpha:.4f} > 1/4: outside the guarantee's range")
-    if replicates < 1:
-        raise DomainError(f"need at least one replicate, got {replicates}")
     truth = support_truth(theta, n)
     s_set = set(truth.S)
     s_tilde_set = set(truth.S_tilde)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import os
 import warnings
 from collections.abc import Iterable, Iterator
@@ -27,7 +26,7 @@ from .errors import DomainError
 from .estimators import oracle_support_pca, pca_classifier, sparse_pca_classifier
 from .loss import loss_exact_linear
 from .loss import loss_monte_carlo  # not called here; perfbench/tracing.py BINDINGS rebinds this name
-from .model import MixtureParams, json_record, sample, stream_seed
+from .model import MixtureParams, _count, _real_number, _seed, _whole_number, json_record, sample, stream_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -48,37 +47,24 @@ __all__ = [
 ESTIMATORS = ("dense_pca", "sparse_pca", "oracle_support_pca")
 AXES = ("n", "d", "lambda", "s")
 
-# What each config field must be in JSON, by its annotation (less "| None").
-_JSON_TYPES = {"str": "a string", "int": "an integer", "float": "a finite number", "tuple[float, ...]": "a list of numbers"}
-
 
 def _key(name: str) -> str:
     """Config and report key of a field: ``lam`` is ``lambda``, ``sweep_axis`` is ``sweep.axis``."""
     return "lambda" if name == "lam" else name.replace("sweep_", "sweep.")
 
 
-def _checked(key: str, kind: str, value):
-    """``value`` as the JSON type ``kind``; a DomainError naming ``key`` otherwise.
-    Booleans are not numbers here, and integers are not strings."""
-    if kind == "str":
-        if isinstance(value, str):
-            return value
-    elif kind == "tuple[float, ...]":
-        if isinstance(value, (list, tuple)):
-            return tuple(_checked(key, "float", v) for v in value)
-    elif not isinstance(value, bool):
-        if kind == "int" and isinstance(value, numbers.Integral):
-            return int(value)
-        if kind == "float" and isinstance(value, numbers.Real) and math.isfinite(value):
-            return float(value)
-    raise DomainError(f"{key} must be {_JSON_TYPES[kind]}, got {value!r}")
+# The checker of each numeric config field, in field order.
+_FIELD_CHECKS = {"n": _count, "d": _count, "lam": _real_number, "s": _whole_number, "replicates": _count, "master_seed": _seed}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment. Its fields are the config keys (``lam`` is ``lambda``,
-    ``sweep_axis`` and ``sweep_values`` are the ``sweep`` object); each value
-    must have the JSON type of its annotation. Construction resolves every
+    ``sweep_axis`` and ``sweep_values`` are the ``sweep`` object). ``n``,
+    ``d`` and ``replicates`` are counts, ``master_seed`` a seed, ``s`` a
+    whole number, ``lambda`` and each sweep value a finite real, each read by
+    the checker of its kind in ``model``, and ``estimator`` and
+    ``sweep_axis`` must be one of their names. Construction resolves every
     sweep point into ``points``, one ``SweepPoint`` per axis value, so a
     config that cannot run fails here, before any compute, and a run builds
     no mixture of its own. Its mixtures have sigma = 1, as the loss and the
@@ -96,27 +82,22 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None or not f.type.endswith(" | None"):
-                object.__setattr__(self, f.name, _checked(_key(f.name), f.type.removesuffix(" | None"), value))
         if self.estimator not in ESTIMATORS:
             raise DomainError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
-        if not 0 <= self.master_seed < 2**64:
-            raise DomainError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
-        if self.replicates < 1:
-            raise DomainError(f"replicates must be >= 1, got {self.replicates}")
-        if self.d < 1:
-            raise DomainError(f"d must be >= 1, got {self.d}")
+        for name, check in _FIELD_CHECKS.items():
+            value = getattr(self, name)
+            if value is not None or name != "s":
+                object.__setattr__(self, name, check(_key(name), value))
         if self.lam <= 0:
             raise DomainError(f"lambda must be positive, got {self.lam}")
         values = (self.n,)
         if self.sweep_axis is not None or self.sweep_values is not None:
             if self.sweep_axis not in AXES:
                 raise DomainError(f"sweep.axis must be one of {AXES}, got {self.sweep_axis!r}")
-            values = self.sweep_values or ()
-            if len(values) < 1:
-                raise DomainError("sweep.values must be nonempty")
+            if not isinstance(self.sweep_values, (list, tuple)) or not self.sweep_values:
+                raise DomainError(f"sweep.values must be a nonempty list, got {self.sweep_values!r}")
+            values = tuple(_real_number("sweep.values", v) for v in self.sweep_values)
+            object.__setattr__(self, "sweep_values", values)
             if any(v <= 0 for v in values):
                 raise DomainError("sweep.values must be positive")
             if any(b <= a for a, b in zip(values, values[1:])):
@@ -238,8 +219,7 @@ def _run_one(config: ExperimentConfig, axis: str, point: SweepPoint, replicate: 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Run the configured sweep. Replicate seeds depend only on the task
     index, so serial and parallel executions give identical rows."""
-    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
-        raise DomainError(f"threads must be a whole number >= 1, got {threads!r}")
+    threads = _count("threads", threads)
     axis = config.sweep_axis or "none"
     if config.estimator == "dense_pca":
         for p in config.points:
@@ -384,7 +364,7 @@ def emit_report(result: SweepResult, fmt: str, path) -> None:
 def load_config(path_or_dict) -> ExperimentConfig:
     """Parse a JSON config: the fields of ExperimentConfig, with the sweep as
     an object ``{"axis": ..., "values": [...]}``. Unknown keys are rejected by
-    name; values go to ExperimentConfig as they are, which checks their types."""
+    name; values go to ExperimentConfig as they are, which checks them."""
     if isinstance(path_or_dict, dict):
         obj = dict(path_or_dict)
     else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -79,9 +80,9 @@ def json_record(obj) -> dict:
 
 
 def _whole_number(name: str, value) -> int:
-    """A count as an int, or DomainError naming it: never a bool, never
-    truncated (1000.0 is 1000, 2.7 is an error). An integer is taken as it
-    is, so one beyond the float range is not an OverflowError."""
+    """A whole number as an int, or DomainError naming it: never a bool or a
+    string, never truncated (1000.0 is 1000, 2.7 is an error). An integer is
+    taken as it is: ``_count`` bounds a count, ``_seed`` a seed."""
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
@@ -89,11 +90,15 @@ def _whole_number(name: str, value) -> int:
 
 
 def _count(name: str, value) -> int:
-    """A count of at least one as an int, or DomainError naming it: a count
-    of nothing (a suite that checks nothing, say) must not pass."""
+    """A count from 1 to the largest float as an int, or DomainError naming
+    it: a count of nothing (a suite that checks nothing, say) must not pass,
+    and every formula takes its counts as floats (sqrt(d log(nd) / n), say),
+    which a count beyond the float range would end in an OverflowError."""
     count = _whole_number(name, value)
     if count < 1:
         raise DomainError(f"{name} must be >= 1, got {count}")
+    if count > sys.float_info.max:
+        raise DomainError(f"{name} must be at most the largest float, {sys.float_info.max!r}, got an integer of {count.bit_length()} bits")
     return count
 
 
@@ -366,9 +371,7 @@ def sample(theta: MixtureParams, n: int, seed: int) -> Dataset:
     """
     if not isinstance(theta, MixtureParams):
         raise DomainError("theta must be a MixtureParams")
-    n = _whole_number("n", n)
-    if n < 1:
-        raise DomainError(f"need n >= 1 points, got {n}")
+    n = _count("n", n)
     # The block buffers come before the points. Made after them, they left
     # glibc holding freed (n, d) arrays in two-thread sweeps: sweep-large's
     # peak RSS rose from 243 MB to 245-280 MB, depending on the seed.

@@ -20,7 +20,7 @@ from .bounds import kl_bound
 from .bounds import kl_monte_carlo  # not called here; perfbench/tracing.py BINDINGS rebinds this name
 from .errors import BudgetExceeded, DomainError, PreconditionViolated
 from .loss import g_function, loss_exact_linear
-from .model import LinearClassifier, MixtureParams, _seed, _squarable, _whole_number, bayes_classifier, json_record, make_rng
+from .model import LinearClassifier, MixtureParams, _count, _seed, _squarable, _whole_number, bayes_classifier, json_record, make_rng
 
 __all__ = [
     "BinaryCode",
@@ -51,15 +51,14 @@ class BinaryCode:
     word has that exact Hamming weight (constant-weight codes).
     """
 
-    length: int
     words: np.ndarray
     min_distance: int
     weight: int | None = None
 
     def __post_init__(self):
         w = np.array(self.words, dtype=np.int8)
-        if w.ndim != 2 or w.shape[1] != self.length:
-            raise DomainError(f"words must be (count, {self.length}), got {w.shape}")
+        if w.ndim != 2:
+            raise DomainError(f"words must be a (count, length) array, got shape {w.shape}")
         w.setflags(write=False)
         object.__setattr__(self, "words", w)
 
@@ -168,7 +167,7 @@ def vg_code(m: int) -> BinaryCode:
     if len(admitted) < target:  # cannot happen for 8 <= m <= 24
         raise BudgetExceeded(f"greedy enumeration found only {len(admitted)} of {target} words")
     words = np.stack([_int_to_word(x, m) for x in admitted])
-    return BinaryCode(length=m, words=words, min_distance=dist)
+    return BinaryCode(words=words, min_distance=dist)
 
 
 def sparse_code(m: int, s: int, seed: int = 0) -> BinaryCode:
@@ -179,7 +178,7 @@ def sparse_code(m: int, s: int, seed: int = 0) -> BinaryCode:
     s <= m/4; exhausting the budget raises BudgetExceeded (existence is
     guaranteed, so failure signals the budget, not the mathematics).
     """
-    m, s, budget = _whole_number("m", m), _whole_number("s", s), _SPARSE_CODE_BUDGET
+    m, s, budget = _count("m", m), _whole_number("s", s), _SPARSE_CODE_BUDGET
     if s < 1 or s > m / 4:
         raise PreconditionViolated(f"requires 1 <= s <= m/4 = {m / 4:.6g}, got s = {s}")
     target = math.ceil(math.exp((s / 5.0) * math.log(m / s)))
@@ -203,7 +202,7 @@ def sparse_code(m: int, s: int, seed: int = 0) -> BinaryCode:
     declared = int(math.floor(min_dist_exclusive)) + 1
     if declared % 2 == 1:
         declared += 1
-    return BinaryCode(length=m, words=words, min_distance=declared, weight=s)
+    return BinaryCode(words=words, min_distance=declared, weight=s)
 
 
 # Per regime: the xi^2 coefficient of gamma and the constant of the loss window's upper end.
@@ -240,14 +239,12 @@ def lower_bound_family(
 def _family(regime, n, d, s, lam, seed: int | None, code: BinaryCode | None) -> PackingFamily:
     """The family of ``lower_bound_family`` on ``code`` (a sparse one of weight
     s), or on the regime's code made from ``seed`` when ``code`` is None."""
-    n, d = _whole_number("n", n), _whole_number("d", d)
+    n, d = _count("n", n), _count("d", d)
     # The construction squares lambda and xi = lambda / 2, and the Fano
     # certificate's KL bound takes xi^4.
     lam = _squarable("lambda", lam)
     if lam <= 0.0:
         raise DomainError("lambda must be positive")
-    if n < 1:
-        raise DomainError("n must be positive")
     xi = _squarable("lambda / 2", lam / 2.0)
     if xi > 2.0**255:
         raise DomainError(f"lambda / 2 must be at most 2^255, as the KL bound takes its fourth power, got {xi!r}")
@@ -448,7 +445,7 @@ def family_from_json_dict(obj: dict) -> PackingFamily:
     if words.ndim != 2 or words.shape[1] != d - 1:
         raise DomainError(f"codewords must be words of length d - 1 = {d - 1}, got shape {words.shape}")
     min_distance = _whole_number("code_min_distance", obj["code_min_distance"])
-    code = BinaryCode(d - 1, words, min_distance, _optional_whole(obj, "code_weight"))
+    code = BinaryCode(words, min_distance, _optional_whole(obj, "code_weight"))
     if not code.verify():
         raise DomainError("codewords do not have the declared code_min_distance and code_weight, or repeat a word")
     return _family(obj["regime"], obj["n"], d, _optional_whole(obj, "s"), obj["lambda"], None, code)

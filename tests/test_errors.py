@@ -1,14 +1,19 @@
-"""The exception hierarchy: one class per failure mode, and every raise names one."""
+"""The exception hierarchy: one class per failure mode, every raise names one,
+and every count is checked by one checker."""
 
 import ast
 import inspect
+import json
 import pathlib
+import re
 
+import numpy as np
 import pytest
 
 import mixbench
 from mixbench import cli, errors
 from mixbench.errors import BudgetExceeded, DomainError, MixbenchError, NumericalError, PreconditionViolated
+from mixbench.packing import family_to_json_dict
 
 MODES = (DomainError, PreconditionViolated, BudgetExceeded, NumericalError)
 
@@ -81,3 +86,80 @@ class TestCliExitCodes:
         with pytest.raises(MixbenchError) as info:
             call()
         assert type(info.value) is mode
+
+
+HUGE = 10**400  # a whole number beyond the float range
+THETA_16 = mixbench.MixtureParams(np.r_[-1.0, np.zeros(15)], np.r_[1.0, np.zeros(15)], 1.0)
+CONFIG = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0}
+
+
+class TestCounts:
+    """Every count goes through one checker: a count below 1, one that is not
+    whole, a bool or one beyond the float range is a DomainError naming it."""
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(0, ">= 1, got 0"), (2.5, "a whole number, got 2.5"), (True, "a whole number, got True"), (HUGE, "at most the largest float, ")],
+        ids=["0", "2.5", "True", "10**400"],
+    )
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda v: mixbench.sample(THETA_16, v, seed=0), "n"),
+            (lambda v: mixbench.screening_alpha(v, 10), "n"),
+            (lambda v: mixbench.screening_alpha(1000, v), "d"),
+            (lambda v: mixbench.support_recovery_check(THETA_16, v, 2, seed=0), "n"),
+            (lambda v: mixbench.support_recovery_check(THETA_16, 4000, v, seed=0), "replicates"),
+            (lambda v: mixbench.lower_bound_family("dense", v, 9, lam=0.2), "n"),
+            (lambda v: mixbench.lower_bound_family("dense", 10**4, v, lam=0.2), "d"),
+            (lambda v: mixbench.sparse_code(v, 4), "m"),
+            (lambda v: mixbench.run_experiment(mixbench.load_config(CONFIG), threads=v), "threads"),
+            (lambda v: mixbench.theorem_bound("thm1_upper", n=v, d=10, lam=1.0), "n"),
+            (lambda v: mixbench.concentration_bound("wishart_spectral", n=v, d=10, delta=0.1), "n"),
+            (lambda v: mixbench.load_config({**CONFIG, "n": v}), "n"),
+            (lambda v: mixbench.load_config({**CONFIG, "d": v}), "d"),
+            (lambda v: mixbench.load_config({**CONFIG, "replicates": v}), "replicates"),
+        ],
+        ids=[
+            "sample-n",
+            "screening_alpha-n",
+            "screening_alpha-d",
+            "support_recovery_check-n",
+            "support_recovery_check-replicates",
+            "lower_bound_family-n",
+            "lower_bound_family-d",
+            "sparse_code-m",
+            "run_experiment-threads",
+            "theorem_bound-n",
+            "concentration_bound-n",
+            "load_config-n",
+            "load_config-d",
+            "load_config-replicates",
+        ],
+    )
+    def test_every_count_is_checked_by_name(self, call, name, value, message):
+        with pytest.raises(DomainError, match="^" + re.escape(f"{name} must be {message}")):
+            call(value)
+
+    def test_inputs_are_checked_before_the_precondition(self):
+        # alpha = 0.98 > 1/4 at n = 100, d = 256: the count is named first.
+        theta = mixbench.MixtureParams(np.zeros(256), np.r_[np.ones(4), np.zeros(252)], 1.0)
+        with pytest.raises(DomainError, match="^replicates must be >= 1, got 0$"):
+            mixbench.support_recovery_check(theta, 100, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["packing", "--regime", "dense", "--n", str(10**320), "--d", "9", "--lambda", "0.2", "--out", "{out}"],
+            ["bounds", "--kind", "thm1_upper", "--n", str(10**320), "--d", "10", "--lambda", "1"],
+            ["verify", "--suite", "fano", "--family", "{family}"],
+        ],
+        ids=["packing", "bounds", "verify"],
+    )
+    def test_a_count_beyond_the_float_range_exits_2(self, argv, tmp_path, capsys):
+        out, family = tmp_path / "fam.json", tmp_path / "edited.json"
+        family.write_text(json.dumps({**family_to_json_dict(mixbench.lower_bound_family("dense", 10**4, 9, lam=0.2)), "n": 10**320}))
+        assert cli.main([arg.format(out=out, family=family) for arg in argv]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.startswith("error: ") and "n must be at most the largest float" in stderr
+        assert not out.exists()

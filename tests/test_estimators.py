@@ -500,7 +500,7 @@ class TestSupportRecovery:
         h = np.zeros(16)
         h[0] = 1.0
         theta = MixtureParams(-h, h, 1.0)
-        with pytest.raises(DomainError, match="^need at least one replicate, got 0$"):
+        with pytest.raises(DomainError, match="^replicates must be >= 1, got 0$"):
             support_recovery_check(theta, 4000, 0, seed=0)
 
     @pytest.mark.parametrize("n, replicates, name", [(4000, 2.9, "replicates"), (4000, True, "replicates"), (4000.5, 2, "n")])

@@ -96,8 +96,13 @@ class TestConfig:
     def test_json_types_enforced(self):
         base = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0}
         for key, value in (("n", "1000"), ("d", True), ("replicates", 2.9), ("lambda", None)):
-            with pytest.raises(DomainError, match=f"^{key} must be an? (integer|finite number), got "):
+            with pytest.raises(DomainError, match=f"^{key} must be an? (whole number|number), got "):
                 load_config({**base, key: value})
+        # A whole float is a count, as it is everywhere else in the library.
+        whole, integer = load_config({**base, "n": 1000.0}), load_config({**base, "n": 1000})
+        assert whole == integer and type(whole.n) is int
+        points = [[(p.value, p.n, p.s, p.theta.mu1.tolist(), p.theta.mu2.tolist()) for p in cfg.points] for cfg in (whole, integer)]
+        assert points[0] == points[1] == [(1000.0, 1000, None, [-0.25] * 4, [0.25] * 4)]
 
     def test_integer_axes_need_whole_numbers(self):
         with pytest.raises(DomainError, match=r"^sweep\.values on the d axis must be whole numbers, got \(8\.2, 8\.4\)$"):

@@ -19,8 +19,8 @@ from mixbench.model import (
     LinearClassifier,
     MixtureParams,
     _block_rows,
+    _count,
     _row_sums,
-    _whole_number,
     bayes_classifier,
     make_rng,
     mixture_log_density,
@@ -34,9 +34,7 @@ def _reference_sample(theta: MixtureParams, n: int, seed: int) -> Dataset:
     whole-array +/- h passes, then the center."""
     if not isinstance(theta, MixtureParams):
         raise DomainError("theta must be a MixtureParams")
-    n = _whole_number("n", n)
-    if n < 1:
-        raise DomainError(f"need n >= 1 points, got {n}")
+    n = _count("n", n)
     rng = make_rng(seed)
     labels = rng.integers(0, 2, size=n) + 1  # label 1 is Y = -1, label 2 is Y = +1
     up = (labels == 2)[:, None]
@@ -235,7 +233,7 @@ class TestSample:
 
     def test_empty_sample(self):
         theta = MixtureParams([-1.0], [1.0], 1.0)
-        with pytest.raises(DomainError, match="^need n >= 1 points, got 0$"):
+        with pytest.raises(DomainError, match="^n must be >= 1, got 0$"):
             sample(theta, 0, seed=0)
 
     @pytest.mark.parametrize("n", [2.7, True, float("inf")])

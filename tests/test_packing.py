@@ -115,13 +115,11 @@ class TestSparseCode:
 
 class TestBinaryCode:
     def test_verify_catches_violations(self):
-        bad = BinaryCode(length=3, words=np.array([[0, 0, 0], [0, 0, 1]], dtype=np.int8), min_distance=2)
+        bad = BinaryCode(words=np.array([[0, 0, 0], [0, 0, 1]], dtype=np.int8), min_distance=2)
         assert not bad.verify()
-        dup = BinaryCode(length=3, words=np.array([[0, 1, 0], [0, 1, 0]], dtype=np.int8), min_distance=0)
+        dup = BinaryCode(words=np.array([[0, 1, 0], [0, 1, 0]], dtype=np.int8), min_distance=0)
         assert not dup.verify()
-        wrong_weight = BinaryCode(
-            length=3, words=np.array([[1, 1, 0], [0, 1, 1], [1, 0, 0]], dtype=np.int8), min_distance=1, weight=2
-        )
+        wrong_weight = BinaryCode(words=np.array([[1, 1, 0], [0, 1, 1], [1, 0, 0]], dtype=np.int8), min_distance=1, weight=2)
         assert not wrong_weight.verify()
 
 
