@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionViolated
 from .estimators import screening_alpha
-from .model import MixtureParams, _block_rows, _count, _log_density_kernel, _placer, _real_number, _squarable, _whole_number, make_rng
+from .model import MixtureParams, _block_rows, _count, _log_density_kernel, _placer, _positive, _real_number, _squarable, make_rng
 from .model import mixture_log_density, sample  # not called here; perfbench/tracing.py BINDINGS rebinds these names
 
 __all__ = [
@@ -47,19 +47,14 @@ def _require(cond: bool, message: str) -> None:
         raise PreconditionViolated(message)
 
 
+# The checker of each bound parameter that is not any finite real; formulas square the last four.
+_CHECKS = {"n": _count, "d": _count, "s": _count, "lambda": _positive, "sigma": _positive, "mu_norm": _squarable, "mu_i": _squarable}
+
+
 def _checked(name: str, value):
-    """A bound parameter checked against its domain, or DomainError naming it:
-    n and d are whole numbers >= 1, s is a whole number, every other parameter
-    is a finite real, sigma is positive and mu_norm is nonnegative. The
-    formulas square lambda, sigma, mu_norm and mu_i, so each of those is
-    ``_squarable``."""
-    if name in ("n", "d"):
-        return _count(name, value)
-    if name == "s":
-        return _whole_number(name, value)
-    x = (_squarable if name in ("lambda", "sigma", "mu_norm", "mu_i") else _real_number)(name, value)
-    if name == "sigma" and x <= 0.0:
-        raise DomainError(f"sigma must be positive, got {value!r}")
+    """A bound parameter read by the ``model`` checker of its kind, or
+    DomainError naming it; mu_norm must also be nonnegative."""
+    x = _CHECKS.get(name, _real_number)(name, value)
     if name == "mu_norm" and x < 0.0:
         raise DomainError(f"mu_norm must be nonnegative, got {value!r}")
     return x
@@ -81,8 +76,6 @@ def theorem_bound(kind: str, *, n: int, d: int, lam: float, s: int | None = None
     n, d, lam = _checked("n", n), _checked("d", d), _checked("lambda", lam)
     if sparse:
         s = _checked("s", s)
-    if kind in ("thm1_upper", "thm2_lower", "thm3_upper", "thm4_lower") and lam <= 0.0:
-        raise DomainError("lambda must be positive")
 
     if kind == "thm1_upper":
         _require(n >= max(68, 4 * d), f"requires n >= max(68, 4d) = {max(68, 4 * d)}, got n = {n}")
@@ -105,7 +98,7 @@ def theorem_bound(kind: str, *, n: int, d: int, lam: float, s: int | None = None
         _require(d >= 2, f"requires d >= 2, got d = {d}")
         alpha = screening_alpha(n, d)
         _require(alpha <= 0.25, f"requires alpha <= 1/4, got alpha = {alpha:.4f}")
-        _require(1 <= s <= d, f"requires 1 <= s <= d = {d}, got s = {s}")
+        _require(s <= d, f"requires 1 <= s <= d = {d}, got s = {s}")
         return 603.0 * max(16.0 / lam**2, 1.0) * math.sqrt(s * math.log(n * s) / n) + 220.0 * (
             math.sqrt(s) / lam
         ) * (math.log(n * d) / n) ** 0.25
@@ -150,7 +143,7 @@ def kl_monte_carlo(
         raise DomainError(f"dimensions differ: {theta.d} vs {theta_prime.d}")
     if theta.sigma != theta_prime.sigma:
         raise PreconditionViolated("the two mixtures must share sigma")
-    n_samples = _whole_number("n_samples", n_samples)
+    n_samples = _count("n_samples", n_samples)
     if n_samples < 10_000:
         raise DomainError(f"need at least 1e4 samples, got {n_samples}")
     # sample's draws and steps, block by block: the same rows, bit for bit,

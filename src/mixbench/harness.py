@@ -26,7 +26,7 @@ from .errors import DomainError
 from .estimators import oracle_support_pca, pca_classifier, sparse_pca_classifier
 from .loss import loss_exact_linear
 from .loss import loss_monte_carlo  # not called here; perfbench/tracing.py BINDINGS rebinds this name
-from .model import MixtureParams, _count, _real_number, _seed, _whole_number, json_record, sample, stream_seed
+from .model import MixtureParams, _count, _positive, _real_number, _seed, json_record, sample, stream_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -53,18 +53,18 @@ def _key(name: str) -> str:
     return "lambda" if name == "lam" else name.replace("sweep_", "sweep.")
 
 
-# The checker of each numeric config field, in field order.
-_FIELD_CHECKS = {"n": _count, "d": _count, "lam": _real_number, "s": _whole_number, "replicates": _count, "master_seed": _seed}
+# The checker of each numeric config field, in field order; a sweep value takes its axis's.
+_FIELD_CHECKS = {"n": _count, "d": _count, "lam": _positive, "s": _count, "replicates": _count, "master_seed": _seed}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment. Its fields are the config keys (``lam`` is ``lambda``,
     ``sweep_axis`` and ``sweep_values`` are the ``sweep`` object). ``n``,
-    ``d`` and ``replicates`` are counts, ``master_seed`` a seed, ``s`` a
-    whole number, ``lambda`` and each sweep value a finite real, each read by
-    the checker of its kind in ``model``, and ``estimator`` and
-    ``sweep_axis`` must be one of their names. Construction resolves every
+    ``d``, ``s`` and ``replicates`` are counts, ``master_seed`` a seed and
+    ``lambda`` positive with a normal square, each read by the checker of its
+    kind in ``model``, as is each sweep value by its axis key's. ``estimator``
+    and ``sweep_axis`` must be one of their names. Construction resolves every
     sweep point into ``points``, one ``SweepPoint`` per axis value, so a
     config that cannot run fails here, before any compute, and a run builds
     no mixture of its own. Its mixtures have sigma = 1, as the loss and the
@@ -88,27 +88,22 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None or name != "s":
                 object.__setattr__(self, name, check(_key(name), value))
-        if self.lam <= 0:
-            raise DomainError(f"lambda must be positive, got {self.lam}")
         values = (self.n,)
         if self.sweep_axis is not None or self.sweep_values is not None:
             if self.sweep_axis not in AXES:
                 raise DomainError(f"sweep.axis must be one of {AXES}, got {self.sweep_axis!r}")
             if not isinstance(self.sweep_values, (list, tuple)) or not self.sweep_values:
                 raise DomainError(f"sweep.values must be a nonempty list, got {self.sweep_values!r}")
-            values = tuple(_real_number("sweep.values", v) for v in self.sweep_values)
+            check = _FIELD_CHECKS[_CONFIG_FIELDS[self.sweep_axis].name]
+            values = tuple(check(f"{self.sweep_axis} in sweep.values", v) for v in self.sweep_values)
             object.__setattr__(self, "sweep_values", values)
-            if any(v <= 0 for v in values):
-                raise DomainError("sweep.values must be positive")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise DomainError("sweep.values must be strictly increasing")
-            if self.sweep_axis in ("n", "d", "s") and any(v != int(v) for v in values):
-                raise DomainError(f"sweep.values on the {self.sweep_axis} axis must be whole numbers, got {values}")
         points = []
         for value in values:
             at = {"n": self.n, "d": self.d, "lambda": self.lam, "s": self.s}
             if self.sweep_axis is not None:
-                at[self.sweep_axis] = value if self.sweep_axis == "lambda" else int(value)
+                at[self.sweep_axis] = value
             h = signal_vector(at["d"], at["lambda"], at["s"])
             if at["n"] < 2:
                 raise DomainError(f"n must be >= 2, got {at['n']}")
@@ -181,8 +176,8 @@ _CONFIG_FIELDS = {_key(f.name): f for f in fields(ExperimentConfig) if "." not i
 def signal_vector(d: int, lam: float, s: int | None = None) -> np.ndarray:
     """Half-separation vector h, ||h|| = lambda/2, spread equally over the
     first s coordinates (all d when s is None)."""
-    s_eff = d if s is None else s
-    if not (1 <= s_eff <= d):
+    s_eff = d if s is None else _count("s", s)
+    if s_eff > d:
         raise DomainError(f"s must lie in [1, d], got s = {s_eff}, d = {d}")
     h = np.zeros(d)
     h[:s_eff] = lam / (2.0 * math.sqrt(s_eff))
@@ -252,10 +247,10 @@ def fit_rate(points) -> tuple[float, float, tuple[float, float] | None]:
     ci95) with the usual slope-variance interval. ci95 is None for a fit
     through two points: it leaves no residual degree of freedom to estimate
     the slope's variance with."""
-    pts = [(float(x), float(y)) for x, y in points]
+    pts = [(_real_number("x", x), _real_number("y", y)) for x, y in points]
     for x, y in pts:
-        if not (0 < x < math.inf and 0 < y < math.inf):
-            raise DomainError(f"fit_rate needs positive finite coordinates, got ({x}, {y})")
+        if not min(x, y) > 0.0:
+            raise DomainError(f"fit_rate needs positive coordinates, got ({x}, {y})")
     if len({x for x, _ in pts}) < 2:
         raise DomainError("need at least 2 distinct x values")
     lx = np.log([x for x, _ in pts])
@@ -267,7 +262,7 @@ def fit_rate(points) -> tuple[float, float, tuple[float, float] | None]:
     intercept = float(ly.mean() - slope * xbar)
     resid = ly - (intercept + slope * lx)
     dof = n - 2
-    if dof <= 0:
+    if dof == 0:
         return slope, intercept, None
     s2 = float(np.sum(resid**2) / dof)
     se = math.sqrt(s2 / sxx)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import erfcx, ndtr
 
 from .errors import DomainError, NumericalError
-from .model import LinearClassifier, MixtureParams, _real_number, _whole_number, bayes_classifier, sample
+from .model import LinearClassifier, MixtureParams, _count, _real_number, bayes_classifier, sample
 
 __all__ = [
     "g_function",
@@ -209,7 +209,7 @@ def loss_monte_carlo(theta: MixtureParams, classify, n_samples: int, seed: int) 
     returns min(p, 1-p) with the binomial standard error. Deterministic for a
     fixed seed.
     """
-    n_samples = _whole_number("n_samples", n_samples)
+    n_samples = _count("n_samples", n_samples)
     if n_samples < 100:
         raise DomainError(f"need at least 100 samples, got {n_samples}")
     oracle = bayes_classifier(theta)

@@ -107,7 +107,10 @@ def _real_number(name: str, value) -> float:
     string, NaN or an infinity."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range; its repr can be too long to print
+        raise DomainError(f"{name} must lie in the float range, got a number of {abs(int(value)).bit_length()} bits") from None
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return x
@@ -117,10 +120,20 @@ def _squarable(name: str, value) -> float:
     """A finite real that is 0 or lies between 2^-510 and 2^510 in magnitude,
     as a float, or DomainError naming it. The square of such a number, and of
     a sum of two, is 0 or a finite normal float: a formula that squares it
-    neither overflows nor divides by a square that underflowed to 0."""
+    neither overflows nor divides by a square that underflowed to 0. Lambda
+    and sigma, which must be above 0, are read by ``_positive``."""
     x = _real_number(name, value)
     if x != 0.0 and not 2.0**-510 <= abs(x) <= 2.0**510:
         raise DomainError(f"{name} must be 0 or lie between 2^-510 and 2^510 in magnitude, got {value!r}")
+    return x
+
+
+def _positive(name: str, value) -> float:
+    """A ``_squarable`` real above 0, so one in [2^-510, 2^510], as a float, or
+    DomainError naming it: it reads every lambda and sigma."""
+    x = _real_number(name, value)
+    if not 2.0**-510 <= x <= 2.0**510:
+        raise DomainError(f"{name} must lie between 2^-510 and 2^510, got {value!r}")
     return x
 
 
@@ -210,9 +223,7 @@ class MixtureParams:
             raise DomainError(f"component means need d >= 1 entries, got shape {mu1.shape}")
         if not (np.all(np.isfinite(mu1)) and np.all(np.isfinite(mu2))):
             raise DomainError("component means must be finite")
-        sigma = _squarable("sigma", self.sigma)
-        if sigma <= 0.0:
-            raise DomainError(f"sigma must be a positive real, got {sigma}")
+        sigma = _positive("sigma", self.sigma)
         with np.errstate(over="ignore"):
             center = _as_readonly((mu1 + mu2) / 2.0)
             h = _as_readonly((mu2 - mu1) / 2.0)

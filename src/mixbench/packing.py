@@ -20,7 +20,7 @@ from .bounds import kl_bound
 from .bounds import kl_monte_carlo  # not called here; perfbench/tracing.py BINDINGS rebinds this name
 from .errors import BudgetExceeded, DomainError, PreconditionViolated
 from .loss import g_function, loss_exact_linear
-from .model import LinearClassifier, MixtureParams, _count, _seed, _squarable, _whole_number, bayes_classifier, json_record, make_rng
+from .model import LinearClassifier, MixtureParams, _count, _positive, _seed, _whole_number, bayes_classifier, json_record, make_rng
 
 __all__ = [
     "BinaryCode",
@@ -151,7 +151,7 @@ def vg_code(m: int) -> BinaryCode:
     the count the greedy argument guarantees for m >= 8. Enumeration is
     capped at m = 24.
     """
-    m = _whole_number("m", m)
+    m = _count("m", m)
     if m < 8:
         raise PreconditionViolated(f"the construction requires m >= 8, got m = {m}")
     if m > 24:
@@ -174,17 +174,23 @@ def sparse_code(m: int, s: int, seed: int = 0) -> BinaryCode:
     """Randomized greedy constant-weight code: weight s, distance > s/2.
 
     Samples weight-s words uniformly and admits those far from everything
-    admitted so far, until ceil((m/s)^(s/5)) words are collected. Requires
-    s <= m/4; exhausting the budget raises BudgetExceeded (existence is
-    guaranteed, so failure signals the budget, not the mathematics).
+    admitted so far, until ceil((m/s)^(s/5)) words are collected. m and s are
+    counts with s <= m/4. A target above the draw budget raises BudgetExceeded
+    before any draw, as does exhausting the budget (existence is guaranteed,
+    so failure signals the budget, not the mathematics).
     """
-    m, s, budget = _count("m", m), _whole_number("s", s), _SPARSE_CODE_BUDGET
-    if s < 1 or s > m / 4:
-        raise PreconditionViolated(f"requires 1 <= s <= m/4 = {m / 4:.6g}, got s = {s}")
-    target = math.ceil(math.exp((s / 5.0) * math.log(m / s)))
+    m, s, budget = _count("m", m), _count("s", s), _SPARSE_CODE_BUDGET
+    if s > m / 4:
+        raise PreconditionViolated(f"requires s <= m/4 = {m / 4:.6g}, got s = {s}")
+    # In log space, where exp cannot overflow. The 1e-9 leaves a target
+    # within rounding of the budget to the draws, which decide it as before.
+    log_target = (s / 5.0) * math.log(m / s)
+    if log_target > math.log(budget) + 1e-9:
+        raise BudgetExceeded(f"the target of e^{log_target:.6g} words exceeds the budget of {budget} draws")
+    target = math.ceil(math.exp(log_target))
     min_dist_exclusive = s / 2.0
     rng = make_rng(seed)
-    words = np.zeros((min(target, budget), m), dtype=np.int8)
+    words = np.zeros((target, m), dtype=np.int8)
     count = 0
     for _ in range(budget):
         word = np.zeros(m, dtype=np.int8)
@@ -242,10 +248,8 @@ def _family(regime, n, d, s, lam, seed: int | None, code: BinaryCode | None) -> 
     n, d = _count("n", n), _count("d", d)
     # The construction squares lambda and xi = lambda / 2, and the Fano
     # certificate's KL bound takes xi^4.
-    lam = _squarable("lambda", lam)
-    if lam <= 0.0:
-        raise DomainError("lambda must be positive")
-    xi = _squarable("lambda / 2", lam / 2.0)
+    lam = _positive("lambda", lam)
+    xi = _positive("lambda / 2", lam / 2.0)
     if xi > 2.0**255:
         raise DomainError(f"lambda / 2 must be at most 2^255, as the KL bound takes its fourth power, got {xi!r}")
 
@@ -268,7 +272,7 @@ def _family(regime, n, d, s, lam, seed: int | None, code: BinaryCode | None) -> 
     elif regime == "sparse":
         if s is None:
             raise DomainError("sparse regime requires s")
-        s = _whole_number("s", s)
+        s = _count("s", s)
         if not (4 <= s <= (d - 1) / 4.0):
             raise PreconditionViolated(f"sparse regime requires 4 <= s <= (d-1)/4 = {(d - 1) / 4.0:.6g}, got s = {s}")
         eps = min(
@@ -421,11 +425,6 @@ def family_to_json_dict(family: PackingFamily) -> dict:
     }
 
 
-def _optional_whole(obj: dict, key: str) -> int | None:
-    value = obj.get(key)
-    return None if value is None else _whole_number(key, value)
-
-
 def family_from_json_dict(obj: dict) -> PackingFamily:
     """The family that ``family_to_json_dict`` wrote, built by the construction
     from its regime, n, d, s, lambda and code. The record must have
@@ -441,11 +440,12 @@ def family_from_json_dict(obj: dict) -> PackingFamily:
     words = np.asarray(obj["codewords"])
     if words.dtype.kind not in "iuf" or not np.all((words == 0) | (words == 1)):
         raise DomainError(f"codewords must hold only the bits 0 and 1, got {obj['codewords']!r}")
-    d = _whole_number("d", obj["d"])
+    d = _count("d", obj["d"])
     if words.ndim != 2 or words.shape[1] != d - 1:
         raise DomainError(f"codewords must be words of length d - 1 = {d - 1}, got shape {words.shape}")
     min_distance = _whole_number("code_min_distance", obj["code_min_distance"])
-    code = BinaryCode(words, min_distance, _optional_whole(obj, "code_weight"))
+    s, weight = obj["s"], obj["code_weight"]
+    code = BinaryCode(words, min_distance, None if weight is None else _whole_number("code_weight", weight))
     if not code.verify():
         raise DomainError("codewords do not have the declared code_min_distance and code_weight, or repeat a word")
-    return _family(obj["regime"], obj["n"], d, _optional_whole(obj, "s"), obj["lambda"], None, code)
+    return _family(obj["regime"], obj["n"], d, None if s is None else _count("s", s), obj["lambda"], None, code)

@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -76,7 +77,7 @@ class TestBoundsCommand:
     def test_lambda_whose_square_underflows_exits_2(self):
         proc = run_cli("bounds", "--kind", "thm1_upper", "--n", "10000", "--d", "10", "--lambda", "1e-200")
         assert proc.returncode == 2
-        assert proc.stderr == "error: lambda must be 0 or lie between 2^-510 and 2^510 in magnitude, got 1e-200\n"
+        assert proc.stderr == "error: lambda must lie between 2^-510 and 2^510, got 1e-200\n"
 
     def test_lambda_is_required(self):
         # Its old default 0.0 failed every kind, as a domain error after parsing.
@@ -137,6 +138,17 @@ class TestPackingCommand:
         (entry,) = json.loads(check.stdout)
         assert entry["implied_lower_bound"] < 0 and not entry["holds"]
 
+    # Each word target is above the draw budget: at d = 100001 it was an
+    # OverflowError traceback, and at d = 401 the draws ran for over 10 s.
+    @pytest.mark.parametrize("d, s", [("401", "100"), ("100001", "2500")])
+    def test_target_beyond_budget_exits_2_at_once(self, tmp_path, capsys, d, s):
+        out = tmp_path / "family.json"
+        start = time.perf_counter()
+        code = cli.main(["packing", "--regime", "sparse", "--n", "10000", "--d", d, "--s", s, "--lambda", "0.2", "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and capsys.readouterr().err.startswith("error: the target of e^")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, name", [("--lambda", "lambda")])
     def test_nan_parameter_exits_2_naming_it(self, tmp_path, flag, name):
         proc = run_cli("packing", "--regime", "dense", "--n", "10000", "--d", "9", flag, "nan", "--out", str(tmp_path / "family.json"))
@@ -155,7 +167,7 @@ class TestPackingCommand:
         out = tmp_path / "family.json"
         proc = run_cli("packing", "--regime", "dense", "--n", "10000", "--d", "9", "--lambda", "1e200", "--out", str(out))
         assert proc.returncode == 2
-        assert proc.stderr == "error: lambda must be 0 or lie between 2^-510 and 2^510 in magnitude, got 1e+200\n"
+        assert proc.stderr == "error: lambda must lie between 2^-510 and 2^510, got 1e+200\n"
         assert not out.exists()
 
     def test_lambda_beyond_float_fourth_power_exits_2(self, tmp_path):
@@ -310,16 +322,26 @@ class TestSimulateCommand:
         assert proc.stderr.startswith("error:") and str(cfg) in proc.stderr
 
     # At 1e200 the run sampled and then failed on a non-finite matrix; at
-    # 1e-200 it failed with a false "mu1 == mu2".
-    @pytest.mark.parametrize("lam", [1e200, 1e-200])
-    def test_lambda_that_cannot_build_its_mixture_exits_2_at_load(self, tmp_path, lam):
-        obj = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": lam}
-        with pytest.raises(DomainError, match="^" + re.escape(f"lambda = {lam!r} cannot build its mixture")):
+    # 1e-200 it failed with a false "mu1 == mu2". Such a lambda is out of its
+    # range; one in range can still give entries lambda / (2 sqrt(s)) that
+    # are out of it: 2^-509 / 4 = 2^-511.
+    @pytest.mark.parametrize(
+        "lam, s, message",
+        [
+            (1e200, None, "lambda must lie between 2^-510 and 2^510, got 1e+200"),
+            (1e-200, None, "lambda must lie between 2^-510 and 2^510, got 1e-200"),
+            (2.0**-509, 4, f"lambda = {2.0**-509!r} cannot build its mixture"),
+        ],
+        ids=["1e+200", "1e-200", "2^-509-s4"],
+    )
+    def test_lambda_that_cannot_build_its_mixture_exits_2_at_load(self, tmp_path, lam, s, message):
+        obj = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": lam, "s": s}
+        with pytest.raises(DomainError, match="^" + re.escape(message)):
             load_config(obj)
         out = tmp_path / "x.csv"
         proc = run_cli("simulate", "--config", str(write_config(tmp_path, obj)), "--out", str(out))
         assert proc.returncode == 2
-        assert proc.stderr.startswith(f"error: lambda = {lam!r} cannot build its mixture")
+        assert proc.stderr.startswith(f"error: {message}")
         assert not out.exists()
 
     def test_json_output(self, tmp_path):

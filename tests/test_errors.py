@@ -54,7 +54,7 @@ class TestCliExitCodes:
         [
             (
                 ["bounds", "--kind", "thm1_upper", "--n", "10000", "--d", "10", "--lambda", "1e-200"],
-                "lambda must be 0 or lie between 2^-510 and 2^510 in magnitude, got 1e-200",
+                "lambda must lie between 2^-510 and 2^510, got 1e-200",
             ),
             (
                 ["bounds", "--kind", "thm2_lower", "--n", "10000", "--d", "5", "--lambda", "0.1"],
@@ -163,3 +163,66 @@ class TestCounts:
         stdout, stderr = capsys.readouterr()
         assert stdout == "" and stderr.startswith("error: ") and "n must be at most the largest float" in stderr
         assert not out.exists()
+
+
+def _theorem(kind, **kwargs):
+    return lambda v: mixbench.theorem_bound(kind, lam=v, **kwargs)
+
+
+def _sweep(axis, **base):
+    return lambda v: mixbench.load_config({**CONFIG, **base, "sweep": {"axis": axis, "values": [v]}})
+
+
+class TestQuantities:
+    """Each named quantity has one checker wherever it arrives: lambda and
+    sigma are positive reals whose squares are normal floats, and s and
+    n_samples are counts. 0, -1, True and a number beyond the float range are
+    each a DomainError whose message begins with the quantity's name."""
+
+    @pytest.mark.parametrize("value", [0, -1, True, HUGE], ids=["0", "-1", "True", "10**400"])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda v: mixbench.load_config({**CONFIG, "lambda": v}), "lambda"),
+            (_sweep("lambda"), "lambda in sweep.values"),
+            (lambda v: mixbench.lower_bound_family("dense", 10**4, 9, lam=v), "lambda"),
+            (_theorem("thm1_upper", n=10**4, d=10), "lambda"),
+            (_theorem("thm1_upper_largesep", n=1000, d=10), "lambda"),
+            (_theorem("thm2_lower", n=10**4, d=10), "lambda"),
+            (_theorem("thm3_upper", n=10**4, d=100, s=4), "lambda"),
+            (_theorem("thm4_lower", n=10**4, d=41, s=5), "lambda"),
+            (lambda v: mixbench.MixtureParams([0.0], [1.0], v), "sigma"),
+            (lambda v: mixbench.concentration_bound("mean_concentration", n=400, d=16, delta=0.01, mu_norm=0.5, sigma=v), "sigma"),
+            (lambda v: mixbench.load_config({**CONFIG, "s": v}), "s"),
+            (_sweep("s"), "s in sweep.values"),
+            (lambda v: mixbench.theorem_bound("thm3_upper", n=10**4, d=100, s=v, lam=1.0), "s"),
+            (lambda v: mixbench.theorem_bound("thm4_lower", n=10**4, d=41, s=v, lam=0.2), "s"),
+            (lambda v: mixbench.lower_bound_family("sparse", 10**4, 41, s=v, lam=0.2), "s"),
+            (lambda v: mixbench.sparse_code(16, v), "s"),
+            (lambda v: mixbench.kl_monte_carlo(THETA_16, THETA_16, n_samples=v), "n_samples"),
+            (lambda v: mixbench.loss_monte_carlo(THETA_16, mixbench.bayes_classifier(THETA_16).predict, v, seed=0), "n_samples"),
+        ],
+        ids=[
+            "config-lambda",
+            "sweep-lambda",
+            "lower_bound_family-lambda",
+            "thm1_upper-lambda",
+            "thm1_upper_largesep-lambda",
+            "thm2_lower-lambda",
+            "thm3_upper-lambda",
+            "thm4_lower-lambda",
+            "MixtureParams-sigma",
+            "mean_concentration-sigma",
+            "config-s",
+            "sweep-s",
+            "thm3_upper-s",
+            "thm4_lower-s",
+            "sparse_family-s",
+            "sparse_code-s",
+            "kl_monte_carlo-n_samples",
+            "loss_monte_carlo-n_samples",
+        ],
+    )
+    def test_every_quantity_is_checked_by_name(self, call, name, value):
+        with pytest.raises(DomainError, match="^" + re.escape(f"{name} must ")):
+            call(value)

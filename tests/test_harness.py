@@ -58,9 +58,13 @@ class TestSignalVector:
         assert np.count_nonzero(h) == 1
         assert h[0] == pytest.approx(0.4)
 
-    @pytest.mark.parametrize("s", [0, 9])
-    def test_s_outside_one_to_d_rejected(self, s):
-        with pytest.raises(DomainError, match=f"^s must lie in \\[1, d\\], got s = {s}, d = 8$"):
+    # s is a count: True gave a 1-sparse vector, and 2.5 a TypeError.
+    @pytest.mark.parametrize(
+        "s, message", [(0, "s must be >= 1, got 0"), (9, "s must lie in [1, d], got s = 9, d = 8"), (True, "s must be a whole number, got True"), (2.5, "s must be a whole number, got 2.5")],
+        ids=["0", "9", "True", "2.5"],
+    )
+    def test_s_outside_one_to_d_rejected(self, s, message):
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
             signal_vector(8, 1.0, s=s)
 
 
@@ -105,7 +109,8 @@ class TestConfig:
         assert points[0] == points[1] == [(1000.0, 1000, None, [-0.25] * 4, [0.25] * 4)]
 
     def test_integer_axes_need_whole_numbers(self):
-        with pytest.raises(DomainError, match=r"^sweep\.values on the d axis must be whole numbers, got \(8\.2, 8\.4\)$"):
+        # A sweep value is read as its axis's key is: d is a count.
+        with pytest.raises(DomainError, match=r"^d in sweep\.values must be a whole number, got 8\.2$"):
             smoke_config(sweep_axis="d", sweep_values=(8.2, 8.4))
 
     def test_sweep_point_with_bad_sparsity_fails_at_construction(self):
@@ -328,16 +333,20 @@ class TestFitRate:
         with pytest.raises(DomainError):
             fit_rate([(-1.0, 1.0), (2.0, 1.0)])
 
+    # Each coordinate is read by model's checker of reals, which names it.
     @pytest.mark.parametrize(
-        "pts, bad",
+        "pts, message",
         [
-            ([(1, math.nan), (2, 1.0), (4, 0.5)], "(1.0, nan)"),
-            ([(math.inf, 1.0), (2, 1.0), (4, 0.5)], "(inf, 1.0)"),
-            ([(1, 2.0), (2, math.inf)], "(2.0, inf)"),
+            ([(1, math.nan), (2, 1.0), (4, 0.5)], "y must be finite, got nan"),
+            ([(math.inf, 1.0), (2, 1.0), (4, 0.5)], "x must be finite, got inf"),
+            ([(1, 2.0), (2, math.inf)], "y must be finite, got inf"),
+            ([(1, True), (2, 1.0)], "y must be a number, got True"),
+            ([(10**400, 1.0), (2, 1.0)], "x must lie in the float range, got a number of 1329 bits"),
         ],
+        ids=["nan-y", "inf-x", "inf-y", "True-y", "10**400-x"],
     )
-    def test_nonfinite_rejected(self, pts, bad):
-        with pytest.raises(DomainError, match=re.escape(f"got {bad}") + "$"):
+    def test_each_coordinate_is_a_finite_real(self, pts, message):
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
             fit_rate(pts)
 
     def test_interval_bits_equal_scipy_stats(self, monkeypatch):

@@ -100,9 +100,9 @@ class TestMixtureParams:
         assert theta.sparsity == 2
 
     def test_invalid_sigma(self):
-        with pytest.raises(DomainError, match=r"^sigma must be a positive real, got 0\.0$"):
+        with pytest.raises(DomainError, match=r"^sigma must lie between 2\^-510 and 2\^510, got 0\.0$"):
             MixtureParams([0.0], [1.0], 0.0)
-        with pytest.raises(DomainError, match=r"^sigma must be a positive real, got -1\.0$"):
+        with pytest.raises(DomainError, match=r"^sigma must lie between 2\^-510 and 2\^510, got -1\.0$"):
             MixtureParams([0.0], [1.0], -1.0)
 
     def test_non_finite_means(self):
@@ -127,7 +127,7 @@ class TestMixtureParams:
     # and 1e-200 squared is 0, which made the density nan.
     @pytest.mark.parametrize("sigma", [1e200, 1e-200, 2.0**511, 2.0**-511])
     def test_sigma_whose_square_leaves_the_float_range_rejected(self, sigma):
-        with pytest.raises(DomainError, match="^sigma must be 0 or lie between 2\\^-510 and 2\\^510 in magnitude"):
+        with pytest.raises(DomainError, match="^sigma must lie between 2\\^-510 and 2\\^510, got "):
             MixtureParams([0.0], [1.0], sigma)
 
     @pytest.mark.parametrize("sigma", [2.0**-510, 2.0**510])

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -92,15 +93,30 @@ class TestSparseCode:
         assert len(words) >= 4
 
     def test_domain(self):
-        with pytest.raises(PreconditionViolated):
-            sparse_code(16, 5)  # s > m/4
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="^requires s <= m/4 = 4, got s = 5$"):
+            sparse_code(16, 5)
+        with pytest.raises(DomainError, match="^s must be >= 1, got 0$"):
             sparse_code(16, 0)
 
     def test_budget_exhaustion(self, monkeypatch):
+        # A target of 6 words within a budget of 6 draws: one draw is rejected.
+        monkeypatch.setattr(packing, "_SPARSE_CODE_BUDGET", 6)
+        with pytest.raises(BudgetExceeded, match="^budget of 6 draws exhausted with 5/6 words$"):
+            sparse_code(32, 4, seed=0)
+
+    def test_target_above_budget_raises_before_drawing(self, monkeypatch):
         monkeypatch.setattr(packing, "_SPARSE_CODE_BUDGET", 2)
-        with pytest.raises(BudgetExceeded, match="^budget of 2 draws exhausted with 2/4 words$"):
+        with pytest.raises(BudgetExceeded, match=r"^the target of e\^1\.10904 words exceeds the budget of 2 draws$"):
             sparse_code(16, 4, seed=0)
+
+    # Targets of 1.1e12 words and of e^1844, which exp cannot hold: the first
+    # drew for over 15 s, the second was an OverflowError.
+    @pytest.mark.parametrize("m, s", [(400, 100), (100_000, 2500)])
+    def test_target_beyond_budget_raises_within_a_second(self, m, s):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="words exceeds the budget of 1000000 draws$"):
+            sparse_code(m, s)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("m, s, seed, name", [(16.5, 4, 100, "m"), (16, 4.5, 100, "s")])
     def test_counts_must_be_whole(self, m, s, seed, name):
@@ -217,7 +233,7 @@ class TestLowerBoundFamily:
     )
     @pytest.mark.parametrize("regime, d, s", [("dense", 9, None), ("sparse", 41, 8)])
     def test_squares_out_of_float_range_rejected(self, regime, d, s, lam, name):
-        with pytest.raises(DomainError, match=f"^{name} must be (0 or lie between 2\\^-510 and 2\\^510|at most 2\\^255)"):
+        with pytest.raises(DomainError, match=f"^{name} must (lie between 2\\^-510 and 2\\^510|be at most 2\\^255)"):
             lower_bound_family(regime, 10_000, d, s=s, lam=lam)
 
     def test_sigma_is_not_a_parameter(self):
