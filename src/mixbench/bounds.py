@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, PreconditionViolated
+from .errors import DomainError, _require
 from .estimators import screening_alpha
 from .model import MixtureParams, _block_rows, _count, _log_density_kernel, _placer, _positive, _real_number, _squarable, make_rng
 from .model import mixture_log_density, sample  # not called here; perfbench/tracing.py BINDINGS rebinds these names
@@ -40,11 +40,6 @@ _CONCENTRATION_PARAMS = {
     "perdim_variance": ("n", "delta", "mu_i", "sigma"),
 }
 CONCENTRATION_KINDS = tuple(_CONCENTRATION_PARAMS)
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise PreconditionViolated(message)
 
 
 # The checker of each bound parameter that is not any finite real; formulas square the last four.
@@ -141,8 +136,7 @@ def kl_monte_carlo(
     """
     if theta.d != theta_prime.d:
         raise DomainError(f"dimensions differ: {theta.d} vs {theta_prime.d}")
-    if theta.sigma != theta_prime.sigma:
-        raise PreconditionViolated("the two mixtures must share sigma")
+    _require(theta.sigma == theta_prime.sigma, "the two mixtures must share sigma")
     n_samples = _count("n_samples", n_samples)
     if n_samples < 10_000:
         raise DomainError(f"need at least 1e4 samples, got {n_samples}")
@@ -189,36 +183,30 @@ def concentration_bound(kind: str, **params) -> float:
 
     if kind == "chisq_upper":
         d, eps = p["d"], p["eps"]
-        if eps <= 0.0:
-            raise PreconditionViolated("chisq_upper needs eps > 0")
+        _require(eps > 0.0, "chisq_upper needs eps > 0")
         return _chisq_upper(d, eps)
 
     if kind == "chisq_lower":
         d, eps = p["d"], p["eps"]
-        if not (0.0 < eps < 1.0):
-            raise PreconditionViolated(f"chisq_lower needs eps < 1, got eps = {eps}")
+        _require(0.0 < eps < 1.0, f"chisq_lower needs eps < 1, got eps = {eps}")
         return math.exp(0.5 * d * (eps + math.log1p(-eps)))
 
     if kind == "gaussian_mean":
         # P(||mean of n standard normals|| >= sqrt((1+eps) d / n)) obeys the
         # upper chi-square tail; the bound value does not involve n.
         d, eps = p["d"], p["eps"]
-        if eps <= 0.0:
-            raise PreconditionViolated("gaussian_mean needs eps > 0")
+        _require(eps > 0.0, "gaussian_mean needs eps > 0")
         return _chisq_upper(d, eps)
 
     if kind == "prodnormal":
         n, eps = p["n"], p["eps"]
-        if eps <= 0.0:
-            raise PreconditionViolated("prodnormal needs eps > 0")
+        _require(eps > 0.0, "prodnormal needs eps > 0")
         return 2.0 * math.exp(-n * eps * min(1.0, eps) / 10.0)
 
     if kind == "wishart_spectral":
         n, d, delta = p["n"], p["d"], p["delta"]
-        if not (0.0 < delta < 1.0):
-            raise PreconditionViolated("wishart_spectral needs 0 < delta < 1")
-        if n < d:
-            raise PreconditionViolated(f"wishart_spectral needs n >= d, got n = {n}, d = {d}")
+        _require(0.0 < delta < 1.0, "wishart_spectral needs 0 < delta < 1")
+        _require(n >= d, f"wishart_spectral needs n >= d, got n = {n}, d = {d}")
         ld = math.log(1.0 / delta)
         first_fac = (1.0 + math.sqrt(2.0 * ld / d)) * math.sqrt(d / n)
         term1 = 3.0 * first_fac * max(1.0, first_fac)
@@ -228,20 +216,16 @@ def concentration_bound(kind: str, **params) -> float:
     if kind == "mean_concentration":
         n, d, delta = p["n"], p["d"], p["delta"]
         mu_norm, sigma = p["mu_norm"], p["sigma"]
-        if not (0.0 < delta < 1.0):
-            raise PreconditionViolated("mean_concentration needs 0 < delta < 1")
+        _require(0.0 < delta < 1.0, "mean_concentration needs 0 < delta < 1")
         ld = math.log(1.0 / delta)
         return sigma * math.sqrt(2.0 * max(d, 8.0 * ld) / n) + mu_norm * math.sqrt(2.0 * ld / n)
 
     if kind == "angle_concentration":
         n, d, delta = p["n"], p["d"], p["delta"]
         mu_norm, sigma = p["mu_norm"], p["sigma"]
-        if d < 2:
-            raise PreconditionViolated("angle_concentration needs d > 1")
-        if not 0.0 < delta < (d - 1) / math.sqrt(math.e):
-            raise PreconditionViolated("angle_concentration needs 0 < delta < (d-1)/sqrt(e)")
-        if mu_norm <= 0.0:
-            raise PreconditionViolated("angle_concentration needs mu_norm > 0")
+        _require(d > 1, "angle_concentration needs d > 1")
+        _require(0.0 < delta < (d - 1) / math.sqrt(math.e), "angle_concentration needs 0 < delta < (d-1)/sqrt(e)")
+        _require(mu_norm > 0.0, "angle_concentration needs mu_norm > 0")
         ratio = max(sigma**2 / mu_norm**2, sigma / mu_norm)
         inner = 10.0 * math.log(d / delta) / n
         return 14.0 * ratio * math.sqrt(d) * math.sqrt(inner * max(1.0, inner))
@@ -249,11 +233,9 @@ def concentration_bound(kind: str, **params) -> float:
     # perdim_variance
     n, delta = p["n"], p["delta"]
     mu_i, sigma = p["mu_i"], p["sigma"]
-    if not (0.0 < delta < 1.0 / math.sqrt(math.e)):
-        raise PreconditionViolated("perdim_variance needs 0 < delta < 1/sqrt(e)")
+    _require(0.0 < delta < 1.0 / math.sqrt(math.e), "perdim_variance needs 0 < delta < 1/sqrt(e)")
     ld = math.log(1.0 / delta)
-    if math.sqrt(6.0 * ld / n) > 0.5:
-        raise PreconditionViolated("perdim_variance needs sqrt(6 log(1/delta)/n) <= 1/2")
+    _require(math.sqrt(6.0 * ld / n) <= 0.5, "perdim_variance needs sqrt(6 log(1/delta)/n) <= 1/2")
     a = abs(mu_i)
     return (
         sigma**2 * math.sqrt(6.0 * ld / n)
@@ -271,12 +253,9 @@ def general_loss_upper(eps1: float, eps2: float, sin_beta: float, mu_over_sigma:
     eps1, eps2 = _real_number("eps1", eps1), _real_number("eps2", eps2)
     # The envelope squares mu_over_sigma / 2.
     sin_beta, m = _real_number("sin_beta", sin_beta), _squarable("mu_over_sigma", mu_over_sigma)
-    if eps1 < 0.0:
-        raise PreconditionViolated(f"eps1 must be nonnegative, got {eps1}")
-    if not (0.0 <= eps2 <= 0.25):
-        raise PreconditionViolated(f"eps2 must lie in [0, 1/4], got {eps2}")
-    if not (0.0 <= sin_beta <= 1.0 / math.sqrt(5.0)):
-        raise PreconditionViolated(f"sin_beta must lie in [0, 1/sqrt(5)], got {sin_beta}")
+    _require(eps1 >= 0.0, f"eps1 must be nonnegative, got {eps1}")
+    _require(0.0 <= eps2 <= 0.25, f"eps2 must lie in [0, 1/4], got {eps2}")
+    _require(0.0 <= sin_beta <= 1.0 / math.sqrt(5.0), f"sin_beta must lie in [0, 1/sqrt(5)], got {sin_beta}")
     if m < 0.0:
         raise DomainError("mu_over_sigma must be nonnegative")
     envelope = math.exp(-0.5 * max(0.0, m / 2.0 - 2.0 * eps1) ** 2)

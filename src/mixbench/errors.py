@@ -34,3 +34,9 @@ class BudgetExceeded(MixbenchError):
 
 class NumericalError(MixbenchError):
     """An adaptive numerical routine could not reach the requested accuracy."""
+
+
+def _require(cond: bool, message: str) -> None:
+    """Raise PreconditionViolated with ``message`` unless ``cond`` holds."""
+    if not cond:
+        raise PreconditionViolated(message)

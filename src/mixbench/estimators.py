@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionViolated
+from .errors import DomainError, PreconditionViolated, _require
 from .model import Dataset, LinearClassifier, MixtureParams, _canonical_direction, _count, _seed, json_record, sample, stream_seed
 
 __all__ = [
@@ -279,8 +279,7 @@ def support_recovery_check(theta: MixtureParams, n: int, replicates: int, seed: 
         raise DomainError("support recovery needs d >= 2")
     n, replicates, seed = _count("n", n), _count("replicates", replicates), _seed("seed", seed)
     alpha = screening_alpha(n, theta.d)
-    if alpha > 0.25:
-        raise PreconditionViolated(f"alpha = {alpha:.4f} > 1/4: outside the guarantee's range")
+    _require(alpha <= 0.25, f"alpha = {alpha:.4f} > 1/4: outside the guarantee's range")
     truth = support_truth(theta, n)
     s_set = set(truth.S)
     s_tilde_set = set(truth.S_tilde)

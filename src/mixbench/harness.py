@@ -26,7 +26,7 @@ from .errors import DomainError
 from .estimators import oracle_support_pca, pca_classifier, sparse_pca_classifier
 from .loss import loss_exact_linear
 from .loss import loss_monte_carlo  # not called here; perfbench/tracing.py BINDINGS rebinds this name
-from .model import MixtureParams, _count, _positive, _real_number, _seed, json_record, sample, stream_seed
+from .model import MixtureParams, _count, _real_number, _seed, _separation, json_record, sample, stream_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -54,7 +54,7 @@ def _key(name: str) -> str:
 
 
 # The checker of each numeric config field, in field order; a sweep value takes its axis's.
-_FIELD_CHECKS = {"n": _count, "d": _count, "lam": _positive, "s": _count, "replicates": _count, "master_seed": _seed}
+_FIELD_CHECKS = {"n": _count, "d": _count, "lam": _separation, "s": _count, "replicates": _count, "master_seed": _seed}
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,14 @@ class ExperimentConfig:
     """One experiment. Its fields are the config keys (``lam`` is ``lambda``,
     ``sweep_axis`` and ``sweep_values`` are the ``sweep`` object). ``n``,
     ``d``, ``s`` and ``replicates`` are counts, ``master_seed`` a seed and
-    ``lambda`` positive with a normal square, each read by the checker of its
-    kind in ``model``, as is each sweep value by its axis key's. ``estimator``
-    and ``sweep_axis`` must be one of their names. Construction resolves every
-    sweep point into ``points``, one ``SweepPoint`` per axis value, so a
-    config that cannot run fails here, before any compute, and a run builds
-    no mixture of its own. Its mixtures have sigma = 1, as the loss and the
-    estimators read lambda and sigma only through lambda / sigma.
+    ``lambda`` a separation whose half lies in [2^-510, 2^255], each read by
+    the checker of its kind in ``model``, as is each sweep value by its axis
+    key's. ``estimator`` and ``sweep_axis`` must be one of their names.
+    Construction resolves every sweep point into ``points``, one
+    ``SweepPoint`` per axis value, so a config that cannot run fails here,
+    before any compute, and a run builds no mixture of its own. Its mixtures
+    have sigma = 1, as the loss and the estimators read lambda and sigma only
+    through lambda / sigma.
     """
 
     estimator: str

@@ -43,7 +43,7 @@ def _seed(name: str, value) -> int:
     it: never a bool, never truncated, never wrapped (-1 is not 2^64 - 1)."""
     seed = _whole_number(name, value)
     if not 0 <= seed < 2**64:
-        raise DomainError(f"{name} must lie in [0, 2^64), got {value!r}")
+        raise DomainError(f"{name} must lie in [0, 2^64), got {_shown(value)}")
     return seed
 
 
@@ -79,6 +79,15 @@ def json_record(obj) -> dict:
     return out
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the bit length of an integer too long for Python
+    to print (more than 4300 digits, by default)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {abs(int(value)).bit_length()} bits"
+
+
 def _whole_number(name: str, value) -> int:
     """A whole number as an int, or DomainError naming it: never a bool or a
     string, never truncated (1000.0 is 1000, 2.7 is an error). An integer is
@@ -96,7 +105,7 @@ def _count(name: str, value) -> int:
     which a count beyond the float range would end in an OverflowError."""
     count = _whole_number(name, value)
     if count < 1:
-        raise DomainError(f"{name} must be >= 1, got {count}")
+        raise DomainError(f"{name} must be >= 1, got {_shown(count)}")
     if count > sys.float_info.max:
         raise DomainError(f"{name} must be at most the largest float, {sys.float_info.max!r}, got an integer of {count.bit_length()} bits")
     return count
@@ -130,11 +139,24 @@ def _squarable(name: str, value) -> float:
 
 def _positive(name: str, value) -> float:
     """A ``_squarable`` real above 0, so one in [2^-510, 2^510], as a float, or
-    DomainError naming it: it reads every lambda and sigma."""
+    DomainError naming it: it reads every sigma, and every lambda that
+    ``_separation`` does not."""
     x = _real_number(name, value)
     if not 2.0**-510 <= x <= 2.0**510:
         raise DomainError(f"{name} must lie between 2^-510 and 2^510, got {value!r}")
     return x
+
+
+def _separation(name: str, value) -> float:
+    """A separation lambda (in units of sigma) whose half lies in [2^-510,
+    2^255], as a float, or DomainError naming it. The fit's power iteration
+    squares ||Sigma v||, about lambda^2 / 4, and the Fano certificate's KL
+    bound takes (lambda / 2)^4: both stay finite floats."""
+    lam = _positive(name, value)
+    xi = _positive(f"{name} / 2", lam / 2.0)
+    if xi > 2.0**255:
+        raise DomainError(f"{name} / 2 must be at most 2^255, as its fourth power must be a finite float, got {xi!r}")
+    return lam
 
 
 def _block_rows(n: int, d: int) -> int:

@@ -18,9 +18,9 @@ import numpy as np
 
 from .bounds import kl_bound
 from .bounds import kl_monte_carlo  # not called here; perfbench/tracing.py BINDINGS rebinds this name
-from .errors import BudgetExceeded, DomainError, PreconditionViolated
+from .errors import BudgetExceeded, DomainError, _require
 from .loss import g_function, loss_exact_linear
-from .model import LinearClassifier, MixtureParams, _count, _positive, _seed, _whole_number, bayes_classifier, json_record, make_rng
+from .model import LinearClassifier, MixtureParams, _count, _seed, _separation, _whole_number, bayes_classifier, json_record, make_rng
 
 __all__ = [
     "BinaryCode",
@@ -152,8 +152,7 @@ def vg_code(m: int) -> BinaryCode:
     capped at m = 24.
     """
     m = _count("m", m)
-    if m < 8:
-        raise PreconditionViolated(f"the construction requires m >= 8, got m = {m}")
+    _require(m >= 8, f"the construction requires m >= 8, got m = {m}")
     if m > 24:
         raise BudgetExceeded(f"enumeration budget is m <= 24, got m = {m}")
     dist = math.ceil(m / 8)
@@ -180,8 +179,7 @@ def sparse_code(m: int, s: int, seed: int = 0) -> BinaryCode:
     so failure signals the budget, not the mathematics).
     """
     m, s, budget = _count("m", m), _count("s", s), _SPARSE_CODE_BUDGET
-    if s > m / 4:
-        raise PreconditionViolated(f"requires s <= m/4 = {m / 4:.6g}, got s = {s}")
+    _require(s <= m / 4, f"requires s <= m/4 = {m / 4:.6g}, got s = {s}")
     # In log space, where exp cannot overflow. The 1e-9 leaves a target
     # within rounding of the budget to the draws, which decide it as before.
     log_target = (s / 5.0) * math.log(m / s)
@@ -246,20 +244,15 @@ def _family(regime, n, d, s, lam, seed: int | None, code: BinaryCode | None) -> 
     """The family of ``lower_bound_family`` on ``code`` (a sparse one of weight
     s), or on the regime's code made from ``seed`` when ``code`` is None."""
     n, d = _count("n", n), _count("d", d)
-    # The construction squares lambda and xi = lambda / 2, and the Fano
-    # certificate's KL bound takes xi^4.
-    lam = _positive("lambda", lam)
-    xi = _positive("lambda / 2", lam / 2.0)
-    if xi > 2.0**255:
-        raise DomainError(f"lambda / 2 must be at most 2^255, as the KL bound takes its fourth power, got {xi!r}")
+    lam = _separation("lambda", lam)
+    xi = lam / 2.0
 
     if regime == "dense":
         if s is not None:
             raise DomainError(f"s applies to the sparse regime only, got s = {s!r} in the dense regime")
         if seed is not None:
             raise DomainError(f"seed applies to the sparse regime only, got seed = {seed!r} in the dense regime")
-        if d < 9:
-            raise PreconditionViolated(f"dense regime requires d >= 9, got d = {d}")
+        _require(d >= 9, f"dense regime requires d >= 9, got d = {d}")
         # Both regimes take * (1.0 / lam), not / lam: the pinned bytes are the product's.
         eps = min(
             (math.sqrt(math.log(2.0)) / 3.0) * (1.0 / lam) / math.sqrt(n),
@@ -273,8 +266,7 @@ def _family(regime, n, d, s, lam, seed: int | None, code: BinaryCode | None) -> 
         if s is None:
             raise DomainError("sparse regime requires s")
         s = _count("s", s)
-        if not (4 <= s <= (d - 1) / 4.0):
-            raise PreconditionViolated(f"sparse regime requires 4 <= s <= (d-1)/4 = {(d - 1) / 4.0:.6g}, got s = {s}")
+        _require(4 <= s <= (d - 1) / 4.0, f"sparse regime requires 4 <= s <= (d-1)/4 = {(d - 1) / 4.0:.6g}, got s = {s}")
         eps = min(
             math.sqrt(8.0 / 45.0) * (1.0 / lam) * math.sqrt(math.log((d - 1.0) / s) / n),
             0.5 * lam / math.sqrt(s),
@@ -326,10 +318,8 @@ def fano_check(family: PackingFamily) -> FanoReport:
     other member must land in the construction's bracket.
     """
     m_count = family.size - 1
-    if m_count < 2:
-        raise PreconditionViolated(f"the reduction requires M >= 2 hypotheses beyond the base, got M = {m_count}")
-    if family.size != family.code.count:
-        raise PreconditionViolated(f"one member per codeword is required, got {family.size} members and {family.code.count} codewords")
+    _require(m_count >= 2, f"the reduction requires M >= 2 hypotheses beyond the base, got M = {m_count}")
+    _require(family.size == family.code.count, f"one member per codeword is required, got {family.size} members and {family.code.count} codewords")
     xi = family.lam / 2.0
 
     theta0 = family.thetas[0]
@@ -381,16 +371,13 @@ def local_triangle_check(
     """
     if theta.d != theta_prime.d:
         raise DomainError("the pair must share a dimension")
-    if theta.sigma != theta_prime.sigma:
-        raise PreconditionViolated("the pair must share sigma")
+    _require(theta.sigma == theta_prime.sigma, "the pair must share sigma")
     # Rounding only, as tau's KL is the bound for a shared center and equal separations.
     c1, c2 = theta.center, theta_prime.center
-    if np.linalg.norm(c1 - c2) > 1e-12 * max(np.linalg.norm(c1), np.linalg.norm(c2), 1.0):
-        raise PreconditionViolated("the pair must share the center mu0")
+    _require(np.linalg.norm(c1 - c2) <= 1e-12 * max(np.linalg.norm(c1), np.linalg.norm(c2), 1.0), "the pair must share the center mu0")
     h1 = theta.half_separation_norm
     h2 = theta_prime.half_separation_norm
-    if abs(h1 - h2) > 1e-12 * max(h1, h2, 1.0):
-        raise PreconditionViolated("the pair must have equal separations")
+    _require(abs(h1 - h2) <= 1e-12 * max(h1, h2, 1.0), "the pair must have equal separations")
 
     xi = h1 / theta.sigma
     kl = kl_bound(xi, _pair_cos_beta(theta, theta_prime))

@@ -4,12 +4,13 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import chdtr, chdtrc
-from scipy.stats import binomtest
+from scipy.stats import binomtest, ks_2samp
 
 from mixbench.bounds import (
     THEOREM_KINDS,
@@ -394,6 +395,25 @@ class TestConcentrationBound:
         with pytest.raises(PreconditionViolated):
             concentration_bound("perdim_variance", n=10, delta=0.01, mu_i=0.0, sigma=1.0)
 
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("chisq_upper", dict(d=10, eps=0.0), "chisq_upper needs eps > 0"),
+            ("chisq_lower", dict(d=10, eps=-0.5), "chisq_lower needs eps < 1, got eps = -0.5"),
+            ("gaussian_mean", dict(d=10, eps=-1.0), "gaussian_mean needs eps > 0"),
+            ("prodnormal", dict(n=100, eps=0.0), "prodnormal needs eps > 0"),
+            ("wishart_spectral", dict(n=1000, d=10, delta=1.0), "wishart_spectral needs 0 < delta < 1"),
+            ("mean_concentration", dict(n=400, d=16, delta=0.0, mu_norm=0.5, sigma=1.0), "mean_concentration needs 0 < delta < 1"),
+            ("angle_concentration", dict(n=4000, d=1, delta=0.01, mu_norm=0.4, sigma=1.0), "angle_concentration needs d > 1"),
+            ("angle_concentration", dict(n=4000, d=2, delta=0.7, mu_norm=0.4, sigma=1.0), "angle_concentration needs 0 < delta < (d-1)/sqrt(e)"),
+            ("angle_concentration", dict(n=4000, d=16, delta=0.01, mu_norm=0.0, sigma=1.0), "angle_concentration needs mu_norm > 0"),
+            ("perdim_variance", dict(n=4000, delta=0.7, mu_i=0.0, sigma=1.0), "perdim_variance needs 0 < delta < 1/sqrt(e)"),
+        ],
+    )
+    def test_precondition_named_by_kind(self, kind, params, message):
+        with pytest.raises(PreconditionViolated, match="^" + re.escape(message) + "$"):
+            concentration_bound(kind, **params)
+
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             concentration_bound("bernstein", n=10, eps=0.1)
@@ -466,10 +486,11 @@ class TestChisqTailDominance:
 
 
 class TestSuiteConcentration:
-    def test_product_normal_draws_are_blocked_and_keep_their_bits(self):
+    def test_entries_are_pinned_and_peak_under_8_mb(self):
         # The product-normal means once came from two whole (1e5, 500) arrays,
         # a 400 MB peak each; the 8 MB bound was fixed before the first run.
-        # The digest is that of the whole-array entries.
+        # The digest pins all 16 entries, the product-normal means drawn from
+        # their chi-square-difference law.
         tracemalloc.start()
         try:
             entries = suite_concentration()
@@ -478,7 +499,20 @@ class TestSuiteConcentration:
             tracemalloc.stop()
         assert peak < 8_000_000, peak
         digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
-        assert (len(entries), digest) == (16, "6ce94482812cf00e79ac9ace6707dbdee8a8a9383e3fec6f57ff0805acacc58d")
+        assert (len(entries), digest) == (16, "d27c591d02082b520507fa8090013facb41a28a946c85d7d6b0a6e7b9412e431")
+
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_chi_square_difference_matches_product_means(self, n):
+        # The suite draws a mean of n products z1 z2 of iid standard normals
+        # as (A - B)/(2n), A, B iid chi^2_n. A two-sample KS test against
+        # direct product draws; 20000 draws a side and the family-wise level
+        # 0.01 (0.005 for each n) were fixed before the first run.
+        trials = 20_000
+        rng = np.random.default_rng(stream_seed(32, n))
+        direct = np.mean(rng.standard_normal((trials, n)) * rng.standard_normal((trials, n)), axis=1)
+        law = (rng.chisquare(n, trials) - rng.chisquare(n, trials)) / (2.0 * n)
+        p = ks_2samp(direct, law).pvalue
+        assert p >= 0.005, (n, p)
 
 
 class TestGeneralLossUpper:

@@ -324,15 +324,17 @@ class TestSimulateCommand:
     # At 1e200 the run sampled and then failed on a non-finite matrix; at
     # 1e-200 it failed with a false "mu1 == mu2". Such a lambda is out of its
     # range; one in range can still give entries lambda / (2 sqrt(s)) that
-    # are out of it: 2^-509 / 4 = 2^-511.
+    # are out of it: 2^-509 / 4 = 2^-511. At 1e80 every replicate was flagged
+    # degenerate: the power iteration squares ||Sigma v||, about (lambda / 2)^2.
     @pytest.mark.parametrize(
         "lam, s, message",
         [
             (1e200, None, "lambda must lie between 2^-510 and 2^510, got 1e+200"),
             (1e-200, None, "lambda must lie between 2^-510 and 2^510, got 1e-200"),
+            (1e80, None, "lambda / 2 must be at most 2^255, as its fourth power must be a finite float, got 5e+79"),
             (2.0**-509, 4, f"lambda = {2.0**-509!r} cannot build its mixture"),
         ],
-        ids=["1e+200", "1e-200", "2^-509-s4"],
+        ids=["1e+200", "1e-200", "1e+80", "2^-509-s4"],
     )
     def test_lambda_that_cannot_build_its_mixture_exits_2_at_load(self, tmp_path, lam, s, message):
         obj = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": lam, "s": s}
@@ -371,6 +373,15 @@ class TestRatesCommand:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["fitted_slope"] is not None
         assert '"slope_ci95": null' in proc.stdout
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_writes_the_simulate_report(self, tmp_path, capsys, fmt):
+        cfg = write_config(tmp_path, {**SMOKE_CONFIG, "replicates": 2, "sweep": {"axis": "n", "values": [200, 400]}})
+        rates, simulate = tmp_path / f"rates.{fmt}", tmp_path / f"simulate.{fmt}"
+        assert cli.main(["rates", "--config", str(cfg), "--out", str(rates)]) == 0
+        assert json.loads(capsys.readouterr().out)["axis"] == "n"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(simulate)]) == 0
+        assert rates.read_bytes() == simulate.read_bytes()
 
     def test_config_without_sweep_exits_2(self, tmp_path):
         proc = run_cli("rates", "--config", str(write_config(tmp_path, SMOKE_CONFIG)))

@@ -94,6 +94,11 @@ class TestConfig:
         with pytest.raises(DomainError, match="^" + re.escape(f"master_seed must lie in [0, 2^64), got {seed}") + "$"):
             load_config({"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0, "master_seed": seed})
 
+    @pytest.mark.parametrize("seed", [-(10**5000), 10**5000], ids=["-10**5000", "10**5000"])
+    def test_master_seed_too_long_to_print_named_by_bit_length(self, seed):
+        with pytest.raises(DomainError, match=r"^master_seed must lie in \[0, 2\^64\), got an integer of 16610 bits$"):
+            load_config({"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0, "master_seed": seed})
+
     def test_largest_master_seed_accepted(self):
         assert smoke_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
@@ -113,6 +118,27 @@ class TestConfig:
         with pytest.raises(DomainError, match=r"^d in sweep\.values must be a whole number, got 8\.2$"):
             smoke_config(sweep_axis="d", sweep_values=(8.2, 8.4))
 
+    # The power iteration squares ||Sigma v||, about (lambda / 2)^2: at
+    # lambda = 1e80 that overflowed and every replicate was flagged degenerate.
+    @pytest.mark.parametrize(
+        "lam, message",
+        [
+            (1e80, "lambda / 2 must be at most 2^255, as its fourth power must be a finite float, got 5e+79"),
+            (2.0**256 * (1 + 2**-52), "lambda / 2 must be at most 2^255"),
+            (2.0**-510, "lambda / 2 must lie between 2^-510 and 2^510, got "),
+        ],
+        ids=["1e+80", "above-2^256", "2^-510"],
+    )
+    def test_lambda_whose_half_is_out_of_range_rejected(self, lam, message):
+        with pytest.raises(DomainError, match="^" + re.escape(message)):
+            smoke_config(d=1, lam=lam)
+        with pytest.raises(DomainError, match="^" + re.escape(message.replace("lambda", "lambda in sweep.values", 1))):
+            smoke_config(d=1, sweep_axis="lambda", sweep_values=(1.0, lam) if lam > 1.0 else (lam, 1.0))
+
+    def test_largest_lambda_fits_without_overflow(self):
+        res = run_experiment(smoke_config(n=100, lam=2.0**256))
+        assert len(res.rows) == 3 and not any(r.degenerate for r in res.rows)
+
     def test_sweep_point_with_bad_sparsity_fails_at_construction(self):
         with pytest.raises(DomainError, match=r"^s must lie in \[1, d\], got s = 100, d = 16$"):
             smoke_config(n=400, d=16, sweep_axis="s", sweep_values=(2, 4, 100))
@@ -121,8 +147,20 @@ class TestConfig:
         with pytest.raises(DomainError, match="^sparse_pca needs d >= 2, got d = 1$"):
             smoke_config(estimator="sparse_pca", sweep_axis="d", sweep_values=(1, 8))
 
+    def test_sweep_point_with_one_sample_fails_at_construction(self):
+        with pytest.raises(DomainError, match="^n must be >= 2, got 1$"):
+            smoke_config(sweep_axis="n", sweep_values=(1, 100))
+
+    def test_config_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([{"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0}]))
+        with pytest.raises(DomainError, match="^a config must be a JSON object$"):
+            load_config(path)
+
     def test_sweep_block_needs_axis_and_values(self):
         base = {"estimator": "dense_pca", "n": 100, "d": 4, "lambda": 1.0}
+        with pytest.raises(DomainError, match=r"^sweep\.values must be a nonempty list, got \[\]$"):
+            load_config({**base, "sweep": {"axis": "n", "values": []}})
         with pytest.raises(DomainError, match="^sweep must be an object with keys 'axis' and 'values'$"):
             load_config({**base, "sweep": {"values": [100, 200]}})
         with pytest.raises(DomainError, match=r"^sweep\.axis must be one of \('n', 'd', 'lambda', 's'\), got None$"):
@@ -241,6 +279,10 @@ class TestRunExperiment:
     def test_thread_count_must_be_a_whole_number_from_one(self, threads):
         with pytest.raises(DomainError, match="threads"):
             run_experiment(smoke_config(), threads=threads)
+
+    def test_thread_count_too_long_to_print_named_by_bit_length(self):
+        with pytest.raises(DomainError, match="^threads must be >= 1, got an integer of 16610 bits$"):
+            run_experiment(smoke_config(), threads=-(10**5000))
 
     def test_dense_warns_below_4d(self):
         with pytest.warns(UserWarning, match="4d"):

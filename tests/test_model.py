@@ -236,6 +236,13 @@ class TestSample:
         with pytest.raises(DomainError, match="^n must be >= 1, got 0$"):
             sample(theta, 0, seed=0)
 
+    def test_count_too_long_to_print_named_by_bit_length(self):
+        # Formatting the integer itself was a ValueError: Python prints no
+        # integer of more than 4300 digits.
+        theta = MixtureParams([-1.0], [1.0], 1.0)
+        with pytest.raises(DomainError, match="^n must be >= 1, got an integer of 16610 bits$"):
+            sample(theta, -(10**5000), 0)
+
     @pytest.mark.parametrize("n", [2.7, True, float("inf")])
     def test_count_must_be_whole(self, n):
         theta = MixtureParams([-1.0], [1.0], 1.0)
@@ -436,6 +443,12 @@ class TestStreamSeed:
             make_rng(seed)
         with pytest.raises(DomainError, match=r"^seed "):
             stream_seed(seed, 0)
+
+    @pytest.mark.parametrize("seed", [-(10**5000), 10**5000], ids=["-10**5000", "10**5000"])
+    def test_seed_too_long_to_print_named_by_bit_length(self, seed):
+        for call in (make_rng, lambda s: stream_seed(s, 0)):
+            with pytest.raises(DomainError, match=r"^seed must lie in \[0, 2\^64\), got an integer of 16610 bits$"):
+                call(seed)
 
     @pytest.mark.parametrize("index", [1.5, -1, 2**64, True, "0"])
     def test_bad_path_index_rejected(self, index):
