@@ -21,13 +21,12 @@ a failed quadrature) prints one ``error:`` line naming what failed and exits
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .bounds import THEOREM_KINDS, theorem_bound
 from .errors import DomainError, MixbenchError
-from .harness import emit_report, json_chunks, load_config, read_json, run_experiment, write_atomic
+from .harness import emit_report, json_chunks, load_config, read_json, report_format, run_experiment, write_atomic
 from .packing import family_from_json_dict, family_to_json_dict, lower_bound_family
 from .verify import SUITES, suite_fano
 
@@ -37,6 +36,7 @@ def _add_simulate(sub):
     p.add_argument("--config", required=True, help="path to a JSON experiment config")
     p.add_argument("--out", required=True, help="output path (.csv or .json)")
     p.add_argument("--threads", type=int, default=1, help="replicate-level parallelism")
+    p.set_defaults(run=_cmd_simulate)
 
 
 def _add_rates(sub):
@@ -44,6 +44,7 @@ def _add_rates(sub):
     p.add_argument("--config", required=True, help="path to a JSON experiment config with a sweep block")
     p.add_argument("--out", default=None, help="optional CSV/JSON report path")
     p.add_argument("--threads", type=int, default=1)
+    p.set_defaults(run=_cmd_rates)
 
 
 def _add_packing(sub):
@@ -55,6 +56,7 @@ def _add_packing(sub):
     p.add_argument("--lambda", dest="lam", required=True, type=float)
     p.add_argument("--seed", type=int, default=None, help="code seed (sparse regime; default 0)")
     p.add_argument("--out", required=True, help="output JSON path")
+    p.set_defaults(run=_cmd_packing)
 
 
 def _add_verify(sub):
@@ -62,6 +64,7 @@ def _add_verify(sub):
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--family", default=None, help="packing family JSON (fano suite)")
     p.add_argument("--out", default=None, help="write the JSON array here instead of stdout")
+    p.set_defaults(run=_cmd_verify)
 
 
 def _add_bounds(sub):
@@ -71,6 +74,7 @@ def _add_bounds(sub):
     p.add_argument("--d", required=True, type=int)
     p.add_argument("--s", type=int, default=None, help="sparsity (thm3_upper and thm4_lower only)")
     p.add_argument("--lambda", dest="lam", required=True, type=float)
+    p.set_defaults(run=_cmd_bounds)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,23 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt_from_path(path: str) -> str:
-    fmt = path.rpartition(".")[2]
-    if fmt in ("csv", "json"):
-        return fmt
-    raise DomainError(f"cannot infer format from {path!r}; use a .csv or .json extension")
-
-
 def _cmd_simulate(args) -> int:
-    fmt = _fmt_from_path(args.out)
+    report_format(args.out)
     config = load_config(args.config)
     result = run_experiment(config, threads=args.threads)
-    emit_report(result, fmt, args.out)
+    emit_report(result, args.out)
     return 0
 
 
 def _cmd_rates(args) -> int:
-    fmt = _fmt_from_path(args.out) if args.out else None
+    if args.out:
+        report_format(args.out)
     config = load_config(args.config)
     if config.sweep_axis is None:
         raise DomainError("rates requires a config with a sweep block")
@@ -113,9 +111,9 @@ def _cmd_rates(args) -> int:
         "fitted_slope": result.fitted_slope,
         "slope_ci95": list(result.slope_ci95) if result.slope_ci95 else None,
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    sys.stdout.writelines(json_chunks(report))
     if args.out:
-        emit_report(result, fmt, args.out)
+        emit_report(result, args.out)
     return 0
 
 
@@ -147,19 +145,12 @@ def _cmd_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     value = theorem_bound(args.kind, n=args.n, d=args.d, s=args.s, lam=args.lam)
     inputs = {"kind": args.kind, "n": args.n, "d": args.d, "s": args.s, "lambda": args.lam}
-    print(json.dumps({**inputs, "bound_value": value, "vacuous": value > 0.5}, indent=2, sort_keys=True))
+    sys.stdout.writelines(json_chunks({**inputs, "bound_value": value, "vacuous": value > 0.5}))
     return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "rates": _cmd_rates,
-        "packing": _cmd_packing,
-        "verify": _cmd_verify,
-        "bounds": _cmd_bounds,
-    }
     try:
         # Before any compute, so that no run ends in a write that cannot succeed.
         out = getattr(args, "out", None)
@@ -167,7 +158,7 @@ def main(argv=None) -> int:
             raise DomainError(f"cannot write {out}: its directory does not exist")
         if out and os.path.isdir(out):
             raise DomainError(f"cannot write {out}: it is a directory")
-        return handlers[args.command](args)
+        return args.run(args)
     except MixbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

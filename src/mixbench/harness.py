@@ -10,7 +10,6 @@ identical results.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -23,7 +22,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .errors import DomainError
-from .estimators import oracle_support_pca, pca_classifier, sparse_pca_classifier
+from .estimators import oracle_support_pca, pca_classifier, screening_alpha, sparse_pca_classifier
 from .loss import loss_exact_linear
 from .loss import loss_monte_carlo  # not called here; perfbench/tracing.py BINDINGS rebinds this name
 from .model import MixtureParams, _count, _real_number, _seed, _separation, json_record, sample, stream_seed
@@ -38,6 +37,7 @@ __all__ = [
     "run_experiment",
     "fit_rate",
     "emit_report",
+    "report_format",
     "load_config",
     "CSV_COLUMNS",
     "json_chunks",
@@ -217,11 +217,16 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     index, so serial and parallel executions give identical rows."""
     threads = _count("threads", threads)
     axis = config.sweep_axis or "none"
-    if config.estimator == "dense_pca":
-        for p in config.points:
-            if p.n < 4 * p.theta.d:
-                warnings.warn(f"dense estimator with n = {p.n} < 4d = {4 * p.theta.d}: outside the guarantee's range")
-                break
+    for p in config.points:
+        d = p.theta.d
+        if config.estimator == "dense_pca" and p.n < 4 * d:
+            warnings.warn(f"dense estimator with n = {p.n} < 4d = {4 * d}: outside the guarantee's range")
+            break
+        if config.estimator == "sparse_pca" and (alpha := screening_alpha(p.n, d)) > 0.25:
+            warnings.warn(
+                f"sparse estimator with n = {p.n}, d = {d}: screening alpha = {alpha:.4f} > 1/4, outside the guarantee's range"
+            )
+            break
     reps = config.replicates
     tasks = [(p, r, i * reps + r) for i, p in enumerate(config.points) for r in range(reps)]
     if threads == 1:
@@ -307,13 +312,9 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
         fh = open(tmp, "w")
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc.strerror}") from None
-    it = iter(chunks)
     try:
         with fh:
-            # One write per 256 chunks: a write per chunk costs a third more CPU,
-            # and a join of 4096 chunks held 0.3 MB to write a 0.18 MB family.
-            for first in it:
-                fh.write(first + "".join(itertools.islice(it, 255)))
+            fh.writelines(chunks)
         try:
             os.replace(tmp, path)
         except OSError as exc:
@@ -333,12 +334,20 @@ def read_json(path):
         raise DomainError(f"cannot read {path}: {exc}") from None
 
 
-def emit_report(result: SweepResult, fmt: str, path) -> None:
-    """Write the sweep to CSV or JSON, ending with a summary block. The bytes
-    are a pure function of the configuration: a report carries no timings."""
-    if fmt not in ("csv", "json"):
-        raise DomainError(f"format must be csv or json, got {fmt!r}")
-    if fmt == "csv":
+def report_format(path) -> str:
+    """A report's format, ``csv`` or ``json``, from the extension of its path;
+    any other path is a DomainError naming it."""
+    fmt = str(path).rpartition(".")[2]
+    if fmt in ("csv", "json"):
+        return fmt
+    raise DomainError(f"cannot infer format from {str(path)!r}; use a .csv or .json extension")
+
+
+def emit_report(result: SweepResult, path) -> None:
+    """Write the sweep to ``path`` as CSV or JSON, by its extension (see
+    ``report_format``), ending with a summary block. The bytes are a pure
+    function of the configuration: a report carries no timings."""
+    if report_format(path) == "csv":
         lines = [",".join(CSV_COLUMNS)]
         lines += [",".join(map(_csv_cell, _row_record(r).values())) for r in result.rows]
         lines += ["# summary," + ",".join(f"{k}={_csv_cell(v)}" for k, v in json_record(sm).items()) for sm in result.summary]

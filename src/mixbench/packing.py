@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import kl_bound
 from .bounds import kl_monte_carlo  # not called here; perfbench/tracing.py BINDINGS rebinds this name
-from .errors import BudgetExceeded, DomainError, _require
+from .errors import BudgetExceeded, DomainError, PreconditionViolated, _require
 from .loss import g_function, loss_exact_linear
 from .model import LinearClassifier, MixtureParams, _count, _seed, _separation, _whole_number, bayes_classifier, json_record, make_rng
 
@@ -302,6 +302,11 @@ def _family(regime, n, d, s, lam, seed: int | None, code: BinaryCode | None) -> 
     )
 
 
+def _near(gap: float, *sizes: float) -> bool:
+    """Whether ``gap`` is rounding: at most 1e-12 of the largest size, or of 1."""
+    return gap <= 1e-12 * max(*sizes, 1.0)
+
+
 def _pair_cos_beta(t1: MixtureParams, t2: MixtureParams) -> float:
     # The bits of the same ratio taken over mu2 - mu1 = 2h: scaling by 2 is exact.
     h1, h2 = t1.half_separation, t2.half_separation
@@ -315,14 +320,25 @@ def fano_check(family: PackingFamily) -> FanoReport:
     alpha_fano = n * max_i KL(P_i, P_0) / log M must stay below 1/8 for the
     testing reduction to apply, with each KL taken from the closed-form bound
     xi^4 (1 - cos beta); the loss of each member's optimal rule under every
-    other member must land in the construction's bracket.
+    other member must land in the construction's bracket. Both hold for
+    members as the construction builds them, which share a center and have
+    sigma = 1 and ||h|| = lambda/2 (to rounding); a member that does not is a
+    PreconditionViolated naming it.
     """
     m_count = family.size - 1
     _require(m_count >= 2, f"the reduction requires M >= 2 hypotheses beyond the base, got M = {m_count}")
     _require(family.size == family.code.count, f"one member per codeword is required, got {family.size} members and {family.code.count} codewords")
     xi = family.lam / 2.0
-
     theta0 = family.thetas[0]
+    c0, c0_norm = theta0.center, np.linalg.norm(theta0.center)
+    for i, theta in enumerate(family.thetas):
+        h, gap = theta.half_separation_norm, float(np.linalg.norm(theta.center - c0))
+        if not (theta.sigma == 1.0 and _near(abs(h - xi), h, xi) and _near(gap, np.linalg.norm(theta.center), c0_norm)):
+            raise PreconditionViolated(
+                f"members must have sigma = 1, ||h|| = lambda/2 = {xi!r} and member 0's center; "
+                f"member {i} has sigma = {theta.sigma!r}, ||h|| = {h!r} and its center {gap!r} from member 0's"
+            )
+
     max_kl = float(max(kl_bound(xi, _pair_cos_beta(theta_i, theta0)) for theta_i in family.thetas[1:]))
     log_m = math.log(m_count)
     alpha_fano = family.n * max_kl / log_m
@@ -332,8 +348,8 @@ def fano_check(family: PackingFamily) -> FanoReport:
     window_low = 0.5 * g_function(xi) * scale
     window_high = _REGIME_CONSTANTS[family.regime][1] * scale
 
-    # Members have center 0, ||h|| = lambda/2 and rules with t = 0, so a pair's
-    # loss is fixed by the Hamming distance between its codewords.
+    # Members share a center and have sigma = 1 and ||h|| = lambda/2, so a
+    # pair's loss is fixed by the Hamming distance between its codewords.
     words = family.code.words
     by_distance: dict[int, float] = {}
     losses = []
@@ -374,10 +390,10 @@ def local_triangle_check(
     _require(theta.sigma == theta_prime.sigma, "the pair must share sigma")
     # Rounding only, as tau's KL is the bound for a shared center and equal separations.
     c1, c2 = theta.center, theta_prime.center
-    _require(np.linalg.norm(c1 - c2) <= 1e-12 * max(np.linalg.norm(c1), np.linalg.norm(c2), 1.0), "the pair must share the center mu0")
+    _require(_near(np.linalg.norm(c1 - c2), np.linalg.norm(c1), np.linalg.norm(c2)), "the pair must share the center mu0")
     h1 = theta.half_separation_norm
     h2 = theta_prime.half_separation_norm
-    _require(abs(h1 - h2) <= 1e-12 * max(h1, h2, 1.0), "the pair must have equal separations")
+    _require(_near(abs(h1 - h2), h1, h2), "the pair must have equal separations")
 
     xi = h1 / theta.sigma
     kl = kl_bound(xi, _pair_cos_beta(theta, theta_prime))

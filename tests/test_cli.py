@@ -17,7 +17,7 @@ import pytest
 import mixbench
 from mixbench import cli
 
-from mixbench.harness import emit_report, load_config
+from mixbench.harness import emit_report, load_config, run_experiment
 from mixbench.packing import family_to_json_dict, fano_check, lower_bound_family
 from mixbench.errors import DomainError
 from mixbench.verify import SUITES, suite_davis_kahan, suite_fano, suite_kl
@@ -105,6 +105,26 @@ class TestBoundsCommand:
         assert (proc.returncode, proc.stderr) == (2, "error: requires 1 <= s <= d = 10, got s = 50\n")
 
     @pytest.mark.parametrize(
+        "kind, args",
+        [
+            ("thm1_upper", {"n": 10000, "d": 10, "s": None, "lambda": 1.0}),
+            ("thm1_upper_largesep", {"n": 100, "d": 10, "s": None, "lambda": 200.0}),
+            ("thm2_lower", {"n": 10000, "d": 10, "s": None, "lambda": 0.2}),
+            ("thm3_upper", {"n": 100000, "d": 100, "s": 5, "lambda": 1.0}),
+            ("thm4_lower", {"n": 10000, "d": 41, "s": 8, "lambda": 0.2}),
+        ],
+    )
+    def test_stdout_bytes_equal_dumps(self, kind, args):
+        from mixbench.bounds import theorem_bound
+
+        flags = [x for k, v in args.items() if v is not None for x in (f"--{k}", str(v))]
+        proc = run_cli("bounds", "--kind", kind, *flags)
+        assert proc.returncode == 0, proc.stderr
+        value = theorem_bound(kind, n=args["n"], d=args["d"], s=args["s"], lam=args["lambda"])
+        obj = {"kind": kind, **args, "bound_value": value, "vacuous": value > 0.5}
+        assert proc.stdout == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
         "n_args, named", [([], "--n"), (["--n", "0"], "error: n must")], ids=["missing", "zero"]
     )
     def test_bad_n_exits_2(self, n_args, named):
@@ -189,7 +209,7 @@ class TestPackingCommand:
 
     def test_out_bytes_equal_dumps(self, tmp_path):
         out = tmp_path / "family.json"
-        # d = 161: the encoder's 61k chunks reach the file in 15 writes.
+        # d = 161: the encoder's 61k chunks, each handed to the file as it comes.
         proc = run_cli("packing", "--regime", "sparse", "--n", "10000", "--d", "161", "--s", "8", "--lambda", "0.2",
                        "--seed", "3", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
@@ -367,6 +387,21 @@ class TestRatesCommand:
         assert len(obj["mean_losses"]) == 3
         assert obj["fitted_slope"] is not None
 
+    def test_stdout_bytes_equal_dumps(self, tmp_path):
+        config = {**SMOKE_CONFIG, "replicates": 2, "sweep": {"axis": "n", "values": [200, 400, 800]}}
+        proc = run_cli("rates", "--config", str(write_config(tmp_path, config)))
+        assert proc.returncode == 0, proc.stderr
+        result = run_experiment(load_config(config))
+        obj = {
+            "axis": "n",
+            "values": [200.0, 400.0, 800.0],
+            "mean_losses": [s.mean_loss for s in result.summary],
+            "std_errs": [s.std_err for s in result.summary],
+            "fitted_slope": result.fitted_slope,
+            "slope_ci95": list(result.slope_ci95),
+        }
+        assert proc.stdout == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
     def test_two_point_sweep_prints_null_interval(self, tmp_path):
         cfg = write_config(tmp_path, {**SMOKE_CONFIG, "replicates": 2, "sweep": {"axis": "n", "values": [200, 400]}})
         proc = run_cli("rates", "--config", str(cfg))
@@ -443,7 +478,7 @@ class TestVerifyCommand:
         """The Fano certificate reads only the closed-form KL, and a report
         carries no timings."""
         assert list(inspect.signature(fano_check).parameters) == ["family"]
-        assert list(inspect.signature(emit_report).parameters) == ["result", "fmt", "path"]
+        assert list(inspect.signature(emit_report).parameters) == ["result", "path"]
 
     def test_loss_sandwich_suite(self):
         proc = run_cli("verify", "--suite", "loss-sandwich")
@@ -722,8 +757,9 @@ class TestReportBytes:
         "json": "d1241338346038f2f9e7a57927f98c12acd8aedcffbfe24bd8f79a3ac497319d",
     }
 
-    # sparse_pca inside the screening guarantee: screening selects the 4
-    # signal coordinates in every replicate, so the restricted PCA fit runs.
+    # sparse_pca where screening selects the 4 signal coordinates in every
+    # replicate, so the restricted PCA fit runs. Its first point (n = 1000,
+    # d = 32, alpha = 0.270) lies just outside the screening guarantee.
     SCREENED_CONFIG = {
         "estimator": "sparse_pca",
         "n": 1000,

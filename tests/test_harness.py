@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy import stats
 
 from mixbench import estimators, harness
 from mixbench.errors import DomainError, MixbenchError
+from mixbench.estimators import screening_alpha
 from mixbench.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -288,6 +290,20 @@ class TestRunExperiment:
         with pytest.warns(UserWarning, match="4d"):
             run_experiment(smoke_config(n=8, d=4))
 
+    def test_sparse_warns_once_outside_the_screening_guarantee(self):
+        # At n = 20, d = 8 the threshold (1 + alpha)/(1 - alpha) min var is
+        # negative, so every coordinate is selected and the fit is dense PCA.
+        cfg = smoke_config(estimator="sparse_pca", n=20, d=8, s=2, lam=0.4, sweep_axis="n", sweep_values=(20, 40, 2000))
+        assert [screening_alpha(p.n, 8) > 0.25 for p in cfg.points] == [True, True, False]
+        with pytest.warns(UserWarning) as record:
+            run_experiment(cfg)
+        assert [str(w.message) for w in record] == [
+            f"sparse estimator with n = 20, d = 8: screening alpha = {screening_alpha(20, 8):.4f} > 1/4, outside the guarantee's range"
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_experiment(smoke_config(estimator="sparse_pca", n=2000, d=8, s=2, lam=0.4, replicates=1))
+
     def test_no_mixture_built_per_replicate(self, monkeypatch):
         cfg = smoke_config(replicates=3, sweep_axis="lambda", sweep_values=(1.0, 2.0))
         for name in ("MixtureParams", "signal_vector"):
@@ -439,7 +455,7 @@ class TestEmitReport:
         cfg = smoke_config(replicates=2, sweep_axis="n", sweep_values=(100, 200))
         res = run_experiment(cfg)
         path = tmp_path / "out.csv"
-        emit_report(res, "csv", path)
+        emit_report(res, path)
         lines = path.read_text().strip().split("\n")
         data_lines = [ln for ln in lines if not ln.startswith("#")]
         assert data_lines[0] == ",".join(CSV_COLUMNS)
@@ -450,7 +466,7 @@ class TestEmitReport:
     def test_empty_rows(self, tmp_path):
         res = SweepResult(rows=(), summary=())
         path = tmp_path / "empty.csv"
-        emit_report(res, "csv", path)
+        emit_report(res, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert [ln for ln in lines[1:] if not ln.startswith("#")] == []
@@ -459,7 +475,7 @@ class TestEmitReport:
         cfg = smoke_config(replicates=2, sweep_axis="n", sweep_values=(100, 200, 400))
         res = run_experiment(cfg)
         path = tmp_path / "out.json"
-        emit_report(res, "json", path)
+        emit_report(res, path)
         back = json.loads(path.read_text())
         assert back["rows"] == [dict(zip(CSV_COLUMNS, dataclasses.astuple(r))) for r in res.rows]
         assert back["summary"] == [dataclasses.asdict(sm) for sm in res.summary]
@@ -472,7 +488,7 @@ class TestEmitReport:
         res = run_experiment(smoke_config(replicates=2, sweep_axis="n", sweep_values=(100, 200)))
         assert res.fitted_slope is not None and res.slope_ci95 is None
         path = tmp_path / f"out.{fmt}"
-        emit_report(res, fmt, path)
+        emit_report(res, path)
         if fmt == "json":
             assert json.loads(path.read_text())["slope_ci95"] is None
         else:
@@ -481,7 +497,7 @@ class TestEmitReport:
     def test_timing_zeroed_by_default(self, tmp_path):
         res = run_experiment(smoke_config())
         path = tmp_path / "out.json"
-        emit_report(res, "json", path)
+        emit_report(res, path)
         obj = json.loads(path.read_text())
         assert all(r["runtime_ms"] == 0.0 for r in obj["rows"])
 
@@ -491,7 +507,7 @@ class TestEmitReport:
         row = run_experiment(smoke_config(replicates=1)).rows[0]
         unencodable = dataclasses.replace(row, estimator="\ud800")  # a lone surrogate fails to encode
         with pytest.raises(UnicodeEncodeError):
-            emit_report(SweepResult(rows=(row, unencodable), summary=()), "csv", path)
+            emit_report(SweepResult(rows=(row, unencodable), summary=()), path)
         assert path.read_text() == "previous report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -507,16 +523,18 @@ class TestEmitReport:
         row = run_experiment(smoke_config(replicates=1)).rows[0]
         fields = {f.name: getattr(row, f.name) for f in dataclasses.fields(SweepRow)}
         result = module.SweepResult(rows=(module.SweepRow(probe=0.125, **fields),), summary=())
-        module.emit_report(result, "csv", tmp_path / "out.csv")
+        module.emit_report(result, tmp_path / "out.csv")
         header, cells = (tmp_path / "out.csv").read_text().splitlines()[:2]
         assert header.split(",")[0] == "probe" and cells.split(",")[0] == "0.125"
-        module.emit_report(result, "json", tmp_path / "out.json")
+        module.emit_report(result, tmp_path / "out.json")
         assert json.loads((tmp_path / "out.json").read_text())["rows"][0]["probe"] == 0.125
 
     def test_unknown_format(self, tmp_path):
         res = run_experiment(smoke_config())
-        with pytest.raises(DomainError):
-            emit_report(res, "xml", tmp_path / "out.xml")
+        path = tmp_path / "out.txt"
+        with pytest.raises(DomainError, match=f"^cannot infer format from {re.escape(repr(str(path)))}; "):
+            emit_report(res, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_losses_in_range_and_sorted(self, tmp_path):
         cfg = smoke_config(replicates=3, sweep_axis="n", sweep_values=(100, 200))

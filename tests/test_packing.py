@@ -256,7 +256,8 @@ class TestLowerBoundFamily:
 
 
 def inflate_epsilon(fam: PackingFamily, factor: float) -> PackingFamily:
-    """Manual override: rebuild the member means with eps scaled up."""
+    """Manual override: rebuild the member means with eps scaled up. They
+    leave the sphere of radius lambda, so lambda becomes their separation."""
     d = fam.d
     signs = 2.0 * fam.code.words.astype(float) - 1.0 if fam.regime == "dense" else fam.code.words.astype(float)
     eps = fam.epsilon * factor
@@ -266,7 +267,7 @@ def inflate_epsilon(fam: PackingFamily, factor: float) -> PackingFamily:
         mu[: d - 1] = row * eps
         mu[d - 1] = fam.lambda0
         thetas.append(MixtureParams(-mu / 2.0, mu / 2.0, 1.0))
-    return dataclasses.replace(fam, thetas=tuple(thetas), epsilon=eps)
+    return dataclasses.replace(fam, thetas=tuple(thetas), epsilon=eps, lam=thetas[0].separation)
 
 
 class TestFanoCheck:
@@ -303,6 +304,35 @@ class TestFanoCheck:
         short = dataclasses.replace(fam, thetas=fam.thetas[:-1])
         with pytest.raises(PreconditionViolated, match="one member per codeword"):
             fano_check(short)
+
+    def test_members_at_sigma_2_rejected(self):
+        # Their xi is 0.05; the budget and the window were taken at lambda/2 = 0.1,
+        # and both read as holding.
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2)
+        c = np.linspace(1.0, 2.0, 9)
+        at_sigma_2 = tuple(MixtureParams(t.mu1 + c, t.mu2 + c, 2.0) for t in fam.thetas)
+        with pytest.raises(PreconditionViolated, match=r"; member 0 has sigma = 2\.0, "):
+            fano_check(dataclasses.replace(fam, thetas=at_sigma_2))
+
+    def test_member_with_its_center_moved_rejected(self):
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2)
+        thetas = list(fam.thetas)
+        thetas[2] = MixtureParams(thetas[2].mu1 + 1e-3, thetas[2].mu2 + 1e-3, 1.0)
+        with pytest.raises(PreconditionViolated, match=r"; member 2 has sigma = 1\.0, \|\|h\|\| = 0\.1 and its center 0\.003"):
+            fano_check(dataclasses.replace(fam, thetas=tuple(thetas)))
+
+    def test_members_off_the_sphere_of_lambda_rejected(self):
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2)
+        off = dataclasses.replace(inflate_epsilon(fam, 10.0), lam=fam.lam)
+        with pytest.raises(PreconditionViolated, match=r"lambda/2 = 0\.1 and member 0's center; member 0 has sigma = 1\.0, \|\|h\|\| = 0\.219"):
+            fano_check(off)
+
+    def test_members_shifted_by_a_common_center_certify(self):
+        fam = lower_bound_family("dense", 10**4, 9, lam=0.2)
+        c = np.linspace(1.0, 2.0, 9)
+        shifted = fano_check(dataclasses.replace(fam, thetas=tuple(MixtureParams(t.mu1 + c, t.mu2 + c, 1.0) for t in fam.thetas)))
+        assert shifted.holds and shifted.window_holds
+        assert shifted.pair_losses == pytest.approx(fano_check(fam).pair_losses, rel=1e-12)
 
     def test_monte_carlo_agrees_with_bound(self):
         # Monte-Carlo KL needs enough samples to resolve values of order 1e-6
